@@ -1,6 +1,7 @@
 """Batch front door: `weaklab run <config.json>` executes one named study
 and writes a CSV of rows plus a JSON summary; `weaklab validate` checks a
-config without computing; `weaklab list-studies` enumerates studies.
+config and builds its model without running the study; `weaklab
+list-studies` enumerates studies.
 
 Exit codes: 0 pass, 2 gate failure, 3 config error, 4 numerical
 non-convergence.
@@ -43,13 +44,6 @@ class GateFailure(RuntimeError):
 class NonConvergence(RuntimeError):
     pass
 
-
-_MODEL_KEYS = {
-    "constant": {"b", "s"},
-    "ou": {"theta", "sigma"},
-    "gbm": {"mu", "sigma"},
-    "tanh_vol": {"a0", "b0", "c0"},
-}
 
 _STUDY_KEYS = {
     "weak-rate": {"required": {"model", "f", "x", "t", "n_ladder", "seed",
@@ -97,15 +91,10 @@ def validate_config(cfg: dict) -> None:
     model = cfg["model"]
     if not isinstance(model, dict) or "model" not in model:
         raise ConfigError("model block must be an object with a 'model' kind")
-    kind = model["model"]
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    extra = set(model) - {"model"} - _MODEL_KEYS[kind]
-    if extra:
-        raise ConfigError(f"unknown model fields: {sorted(extra)}")
-    lacking = _MODEL_KEYS[kind] - set(model)
-    if lacking:
-        raise ConfigError(f"missing model fields: {sorted(lacking)}")
+    try:
+        mdl.model_from_config(model)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"model: {exc}") from exc
     if "f" in cfg and cfg["f"] not in _F_NAMES:
         raise ConfigError(f"unknown test function {cfg['f']!r}; "
                           f"choose from {sorted(_F_NAMES)}")

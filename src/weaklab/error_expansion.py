@@ -19,15 +19,15 @@ rule is centered on whichever factor concentrates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .euler import euler_density_1d
 from .gaussian import fd_derivative
 from .models import MissingDensity, SdeModel
-from .quadrature import adaptive_interval, hermite_rule, integrate_gaussian, \
-    split_time_integral
+from .quadrature import adaptive_interval, hermgauss_rule, \
+    integrate_gaussian, split_time_integral
 from . import testfunctions as tf
 
 TestFunction = tf.TestFunction
@@ -339,7 +339,7 @@ def _pair_density(dens, S: tf.TestFunction, t: float, x: float) -> float:
     if push is not None:
         raise tf.UnsupportedFunctional(
             "function pairings require a Gaussian law")
-    h, w = np.polynomial.hermite.hermgauss(_PAIRING_NODES)
+    h, w = hermgauss_rule(_PAIRING_NODES)
     pts = mean + math.sqrt(2.0) * std * h
     # fixed shared rule: quadrature error cancels to first order in the
     # difference of two nearby laws
@@ -371,12 +371,8 @@ def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,
     y = 0 so kinked integrands (|y|-type growth) stay panel-smooth.
     """
     x0 = float(np.atleast_1d(x)[0])
-    if S.kind == tf.DIRAC:
-        pe = principal_density_pi(model, t, x0, S.y, tol=tol)
-        return pe.value, pe.quad_error
-    if S.kind == tf.DIRAC_DERIV:
-        pe = principal_density_pi(model, t, x0, S.y, 0, S.beta, tol=tol)
-        return ((-1.0) ** S.beta) * pe.value, pe.quad_error
+    if not S.pointwise:
+        return principal_term_Ct(model, S, t, x0, tol=tol)
     dens = _require_density(model)
     mean, std, push, dpush = dens.gauss_coords(t, x0)
     if push is not None:

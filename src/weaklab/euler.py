@@ -46,23 +46,7 @@ def simulate_euler(model: SdeModel, x, n: int, t: float, rng: RngStream,
     """Endpoints X_t^{n,x} for `size` independent paths, shape (size, d)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    gen = rng.generator()
-    d, r = model.dim_d, model.dim_r
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (size, d)).copy()
-    k, dt_last = _steps(n, t)
-    dt = 1.0 / n
-    state = x0
-    for step in range(k):
-        dB = math.sqrt(dt) * normals_from(gen, (size, r))
-        state = state + model.drift(state) * dt + np.einsum(
-            "nij,nj->ni", model.diffusion(state), dB)
-        _check_finite(state, step)
-    if dt_last > 1e-14:
-        dB = math.sqrt(dt_last) * normals_from(gen, (size, r))
-        state = state + model.drift(state) * dt_last + np.einsum(
-            "nij,nj->ni", model.diffusion(state), dB)
-        _check_finite(state, k)
-    return state
+    return _simulate(model, x, [n], t, rng, size)[n]
 
 
 def simulate_ladder(model: SdeModel, x, ns, t: float, rng: RngStream,
@@ -73,41 +57,52 @@ def simulate_ladder(model: SdeModel, x, ns, t: float, rng: RngStream,
     the fine increments they span.
     """
     ns = sorted(set(int(n) for n in ns))
-    n_fine = ns[-1]
     for n in ns:
-        if n_fine % n:
-            raise ValueError(f"resolution {n} does not divide finest {n_fine}")
+        if ns[-1] % n:
+            raise ValueError(f"resolution {n} does not divide finest {ns[-1]}")
+    return _simulate(model, x, ns, t, rng, size)
+
+
+def _simulate(model: SdeModel, x, ns: list, t: float, rng: RngStream,
+              size: int) -> dict[int, np.ndarray]:
+    """The Euler loop behind simulate_euler and simulate_ladder.
+
+    `ns` is sorted and every entry divides the last.  The finest level
+    steps on the raw increment; each coarser level sums the increments
+    it spans in a buffer that is reset in place after its step.
+    """
+    n_fine, coarse = ns[-1], ns[:-1]
     gen = rng.generator()
     d, r = model.dim_d, model.dim_r
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (size, d)).copy()
+    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (size, d))
     kf, dtp = _steps(n_fine, t)
-    dt_fine = 1.0 / n_fine
     states = {n: x0.copy() for n in ns}
-    buffers = {n: np.zeros((size, r)) for n in ns}
-    done = {n: 0 for n in ns}  # full coarse steps taken
+    buffers = {n: np.zeros((size, r)) for n in coarse}
+    done = dict.fromkeys(ns, 0)  # steps taken at each level
 
-    def coarse_step(n, dt):
-        dB = buffers[n]
+    def step(n, dt, dB):
         states[n] = states[n] + model.drift(states[n]) * dt + np.einsum(
             "nij,nj->ni", model.diffusion(states[n]), dB)
         _check_finite(states[n], done[n])
-        buffers[n] = np.zeros((size, r))
+        done[n] += 1
 
     for j in range(1, kf + 1):
-        dB = math.sqrt(dt_fine) * normals_from(gen, (size, r))
-        for n in ns:
+        dB = math.sqrt(1.0 / n_fine) * normals_from(gen, (size, r))
+        for n in coarse:
             buffers[n] += dB
             if j % (n_fine // n) == 0:
-                coarse_step(n, 1.0 / n)
-                done[n] += 1
+                step(n, 1.0 / n, buffers[n])
+                buffers[n].fill(0.0)
+        step(n_fine, 1.0 / n_fine, dB)
     if dtp > 1e-14:
         dB = math.sqrt(dtp) * normals_from(gen, (size, r))
-        for n in ns:
+        for n in coarse:
             buffers[n] += dB
+        buffers[n_fine] = dB  # the finest level steps on the raw increment
     for n in ns:
         dt_last = t - done[n] / n
         if dt_last > 1e-14:
-            coarse_step(n, dt_last)
+            step(n, dt_last, buffers[n])
     return states
 
 
@@ -196,23 +191,30 @@ def worker_count() -> int:
     return max(1, int(os.environ.get("WEAKLAB_WORKERS", "1")))
 
 
+def _reduce(chunk_fn, N: int, rng: RngStream, absorb) -> None:
+    """Feed each chunk_fn(stream, size) result, N samples in all, to absorb
+    in substream order.  Chunk boundaries are fixed by CHUNK, so what is
+    absorbed is independent of the worker count."""
+    sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
+    streams = [rng.substream(i) for i in range(len(sizes))]
+    workers = worker_count()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for vals in pool.map(chunk_fn, streams, sizes):
+                absorb(vals)
+    else:
+        for vals in map(chunk_fn, streams, sizes):
+            absorb(vals)
+
+
 def mc_reduce(chunk_fn, N: int, rng: RngStream) -> tuple[float, float]:
     """Mean and standard error of chunk_fn(stream, size) over N samples.
 
     Chunk boundaries are fixed by CHUNK, and partial results are merged in
     substream order, so the value is independent of the worker count.
     """
-    sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
-    streams = [rng.substream(i) for i in range(len(sizes))]
     acc = MeanAccumulator()
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for vals in pool.map(chunk_fn, streams, sizes):
-                acc.add(vals)
-    else:
-        for st, sz in zip(streams, sizes):
-            acc.add(chunk_fn(st, sz))
+    _reduce(chunk_fn, N, rng, acc.add)
     return acc.result()
 
 
@@ -222,22 +224,13 @@ def mc_reduce_multi(chunk_fn, N: int, rng: RngStream, k: int):
     Same chunking and merge order as mc_reduce, so each column is
     bit-identical to a standalone run on the same stream.
     """
-    sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
-    streams = [rng.substream(i) for i in range(len(sizes))]
     accs = [MeanAccumulator() for _ in range(k)]
 
     def absorb(vals):
-        for j in range(k):
-            accs[j].add(vals[:, j])
+        for j, acc in enumerate(accs):
+            acc.add(vals[:, j])
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for vals in pool.map(chunk_fn, streams, sizes):
-                absorb(vals)
-    else:
-        for st, sz in zip(streams, sizes):
-            absorb(chunk_fn(st, sz))
+    _reduce(chunk_fn, N, rng, absorb)
     out = [a.result() for a in accs]
     return np.array([m for m, _ in out]), np.array([s for _, s in out])
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gaussian import (AffineGaussianDensity, GaussianLaw, LognormalDensity,
                        MultivariateGaussianDensity)
-from .quadrature import expect_gaussian
+from .quadrature import expect_gaussian, hermgauss_rule, node_doubling
 from . import testfunctions as tf
 
 
@@ -51,7 +51,6 @@ class SdeModel:
     dim_r: int
     drift: Callable        # (N, d) -> (N, d)
     diffusion: Callable    # (N, d) -> (N, d, r)
-    flag_A: bool = True
     flag_B: bool = False
     flag_C: bool = False
     ellipticity_eta: Optional[float] = None
@@ -253,22 +252,18 @@ def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction, x,
 
 def _tensor_semigroup(law: GaussianLaw, f: tf.TestFunction, rtol: float) -> float:
     L = np.linalg.cholesky(law.cov + 1e-14 * np.eye(law.dim))
-    prev = None
-    m = 16
-    while m <= 128:
-        h, w = np.polynomial.hermite.hermgauss(m)
+
+    def value_at(m):
+        h, w = hermgauss_rule(m)
         grids = np.meshgrid(*([h] * law.dim), indexing="ij")
         zeta = math.sqrt(2.0) * np.stack([g.ravel() for g in grids], axis=1)
         pts = law.mean + zeta @ L.T
         wt = np.ones(pts.shape[0])
         for g in np.meshgrid(*([w] * law.dim), indexing="ij"):
             wt = wt * g.ravel()
-        val = float(np.dot(wt, f(pts))) / math.pi ** (law.dim / 2)
-        if prev is not None and abs(val - prev) <= max(1e-14, rtol * abs(val)):
-            return val
-        prev = val
-        m *= 2
-    return prev
+        return float(np.dot(wt, f(pts))) / math.pi ** (law.dim / 2)
+
+    return node_doubling(value_at, rtol, 1e-14, 16, 128)[0]
 
 
 def model_from_config(cfg: dict) -> SdeModel:
@@ -290,4 +285,6 @@ def model_from_config(cfg: dict) -> SdeModel:
     args = [cfg.pop(k) for k in names]
     if cfg:
         raise ValueError(f"unknown model fields: {sorted(cfg)}")
+    if kind != "constant":  # the constant model takes a vector and a matrix
+        args = [float(a) for a in args]
     return builder(*args)

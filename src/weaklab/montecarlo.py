@@ -4,7 +4,7 @@ Richardson tables and log-log convergence-rate fits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,19 +147,8 @@ def bias_ladder(model: SdeModel, f: tf.TestFunction, x, t: float, n_ladder,
     makes the difference variance strong-error sized, which is what lets
     small biases clear the noise gate.  Returns [(n, bias, std_error)].
     """
-    _require_pointwise(f)
-    ns = sorted(int(n) for n in n_ladder)
-    n_ref = ref_multiple * ns[-1]
-    ns_all = ns + [n_ref, 2 * n_ref]
-
-    def chunk(stream, size):
-        lad = simulate_ladder(model, x, ns_all, t, stream, size)
-        vals = {n: f(lad[n]) for n in ns_all}
-        ref = 2.0 * vals[2 * n_ref] - vals[n_ref]
-        return np.stack([vals[n] - ref for n in ns], axis=1)
-
-    means, ses = mc_reduce_multi(chunk, N, rng, len(ns))
-    return [(n, float(m), float(s)) for n, m, s in zip(ns, means, ses)]
+    return _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple,
+                          romberg=False)
 
 
 def romberg_ladder(model: SdeModel, f: tf.TestFunction, x, t: float,
@@ -171,17 +160,27 @@ def romberg_ladder(model: SdeModel, f: tf.TestFunction, x, t: float,
     the second-order residuals are measured with strong-error-sized
     noise.  Returns [(n, residual, std_error)].
     """
+    return _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple,
+                          romberg=True)
+
+
+def _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple, romberg):
+    """[(n, mean, std_error)] of each rung's per-path statistic, f(X^n) or
+    with romberg 2 f(X^{2n}) - f(X^n), minus the per-path reference."""
     _require_pointwise(f)
     ns = sorted(int(n) for n in n_ladder)
     n_ref = ref_multiple * ns[-1]
-    ns_all = sorted(set(ns) | {2 * n for n in ns} | {n_ref, 2 * n_ref})
+    ns_all = ns + [n_ref, 2 * n_ref]
+    if romberg:
+        ns_all = sorted(set(ns_all) | {2 * n for n in ns})
 
     def chunk(stream, size):
         lad = simulate_ladder(model, x, ns_all, t, stream, size)
         vals = {n: f(lad[n]) for n in ns_all}
         ref = 2.0 * vals[2 * n_ref] - vals[n_ref]
-        return np.stack([2.0 * vals[2 * n] - vals[n] - ref for n in ns],
-                        axis=1)
+        stats = [2.0 * vals[2 * n] - vals[n] if romberg else vals[n]
+                 for n in ns]
+        return np.stack([v - ref for v in stats], axis=1)
 
     means, ses = mc_reduce_multi(chunk, N, rng, len(ns))
     return [(n, float(m), float(s)) for n, m, s in zip(ns, means, ses)]

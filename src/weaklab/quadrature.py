@@ -18,19 +18,47 @@ class QuadratureError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
+def hermgauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physicists' Gauss-Hermite nodes h_i and weights w_i for the weight
+    e^{-h^2}, as numpy's hermgauss returns them; read-only, as every
+    caller shares them."""
+    h, w = np.polynomial.hermite.hermgauss(m)
+    h.flags.writeable = w.flags.writeable = False
+    return h, w
+
+
+@lru_cache(maxsize=None)
 def hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Physicists' Gauss-Hermite nodes h_i and total weights w_i * e^{h_i^2}.
 
     With these, integral of fn over R is sum_i W_i * fn(mean + sqrt(2) * std * h_i)
     * sqrt(2) * std for integrands with Gaussian decay at (mean, std).
     """
-    h, w = np.polynomial.hermite.hermgauss(m)
+    h, w = hermgauss_rule(m)
     return h, w * np.exp(h * h)
 
 
 @lru_cache(maxsize=None)
 def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(m)
+
+
+def node_doubling(value_at, rtol: float, atol: float, start: int,
+                  max_nodes: int):
+    """Evaluate value_at(m) for m = start, 2 start, ... until two successive
+    values agree to max(atol, rtol |value|) or m reaches max_nodes.
+
+    Returns (value, err), err being the last disagreement (inf when only
+    one rule was evaluated).
+    """
+    m, val, err = start, value_at(start), math.inf
+    while m < max_nodes:
+        m, prev = 2 * m, val
+        val = value_at(m)
+        err = abs(val - prev)
+        if err <= max(atol, rtol * abs(val)):
+            break
+    return val, err
 
 
 def integrate_gaussian(fn, mean: float, std: float, push=None, dpush=None,
@@ -44,46 +72,27 @@ def integrate_gaussian(fn, mean: float, std: float, push=None, dpush=None,
     integral of fn(push(w)) * dpush(w) dw, i.e. fn lives in pushed
     coordinates (lognormal laws integrate in log space).
     """
-    prev = None
-    m = start
-    while True:
+    def value_at(m):
         h, w = hermite_rule(m)
         pts = mean + math.sqrt(2.0) * std * h
-        if push is not None:
-            vals = fn(push(pts)) * dpush(pts)
-        else:
-            vals = fn(pts)
-        val = math.sqrt(2.0) * std * float(np.dot(w, vals))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= max(atol, rtol * abs(val)):
-                return val, err
-        if m >= max_nodes:
-            return val, abs(val - prev) if prev is not None else math.inf
-        prev = val
-        m *= 2
+        vals = fn(pts) if push is None else fn(push(pts)) * dpush(pts)
+        return math.sqrt(2.0) * std * float(np.dot(w, vals))
+
+    return node_doubling(value_at, rtol, atol, start, max_nodes)
 
 
 def expect_gaussian(fn, mean: float, std: float, push=None,
                     rtol: float = 1e-10, atol: float = 1e-14,
                     start: int = 32, max_nodes: int = 256):
     """E[fn(push(W))], W ~ N(mean, std^2), by Gauss-Hermite node doubling."""
-    prev = None
-    m = start
-    while True:
-        h, w = np.polynomial.hermite.hermgauss(m)
+    def value_at(m):
+        h, w = hermgauss_rule(m)
         pts = mean + math.sqrt(2.0) * std * h
         if push is not None:
             pts = push(pts)
-        val = float(np.dot(w, fn(pts))) / math.sqrt(math.pi)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= max(atol, rtol * abs(val)):
-                return val, err
-        if m >= max_nodes:
-            return val, abs(val - prev) if prev is not None else math.inf
-        prev = val
-        m *= 2
+        return float(np.dot(w, fn(pts))) / math.sqrt(math.pi)
+
+    return node_doubling(value_at, rtol, atol, start, max_nodes)
 
 
 def _composite_gl(fn, a: float, b: float, panels: int, order: int = 8) -> float:

@@ -51,6 +51,19 @@ def test_validate_bad_model_exits_3(tmp_path):
     assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("model", [
+    {"model": "ou", "theta": -1, "sigma": 1.0},
+    {"model": "gbm", "mu": "x", "sigma": 0.2},
+], ids=["ou-negative-theta", "gbm-non-numeric-mu"])
+def test_bad_model_parameters_exit_3(tmp_path, capsys, command, model):
+    # validate builds the model, so it rejects what run cannot build
+    cfg = weak_rate_cfg(tmp_path, model=model)
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_missing_file_exits_3(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
 

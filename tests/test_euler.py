@@ -1,8 +1,10 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklab.euler import (CHUNK, SimulationBlowup, euler_affine_transport,
                            euler_density_1d, euler_exact_law_affine,
@@ -73,6 +75,19 @@ def test_ladder_shares_brownian_motion():
     assert np.array_equal(fine, out2[8])
 
 
+@pytest.mark.parametrize("model, x, n, t", [
+    (make_ou_model(1.0, 1.0), [1.0], 4, 0.9),          # 3 full steps + 0.15
+    (make_gbm_model(0.1, 0.2), [1.0], 7, 1.0),
+    (make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]]),
+     [0.0, 0.5], 5, 0.7),                               # 2-D, partial step
+], ids=["ou-partial", "gbm", "constant-2d-partial"])
+def test_single_resolution_ladder_is_simulate_euler(model, x, n, t):
+    pts = simulate_euler(model, x, n, t, RngStream(2, 7), 1000)
+    lad = simulate_ladder(model, x, [n], t, RngStream(2, 7), 1000)
+    assert pts.shape == (1000, model.dim_d)
+    assert np.array_equal(pts, lad[n])
+
+
 def test_ladder_requires_divisibility():
     m = make_gbm_model(0.1, 0.2)
     with pytest.raises(ValueError):
@@ -118,16 +133,24 @@ def test_mc_reduce_worker_count_invariance():
     assert base == par
 
 
-def test_mc_reduce_multi_columns_match_scalar_runs():
+@settings(max_examples=16, deadline=None)
+@given(N=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]),
+       workers=st.sampled_from(["1", "2"]))
+def test_mc_reduce_multi_columns_match_scalar_runs(N, workers):
     rng = RngStream(5, 5)
 
+    def chunk(stream, size):
+        return normals_from(stream.generator(), (size,))
+
     def chunk2(stream, size):
-        z = normals_from(stream.generator(), (size,))
+        z = chunk(stream, size)
         return np.stack([z, z * z], axis=1)
 
-    means, ses = mc_reduce_multi(chunk2, 2 * CHUNK, rng, 2)
-    m0, s0 = mc_reduce(lambda st, sz: normals_from(st.generator(), (sz,)),
-                       2 * CHUNK, rng)
+    with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers):
+        means, ses = mc_reduce_multi(chunk2, N, rng, 2)
+        m0, s0 = mc_reduce(chunk, N, rng)
+    # Python floats: the CSV writer renders values with repr
+    assert type(m0) is float and type(s0) is float
     assert means[0] == m0 and ses[0] == s0
     assert abs(means[1] - 1.0) < 4 * ses[1]
 

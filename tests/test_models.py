@@ -108,3 +108,5 @@ def test_model_from_config_roundtrip_and_rejection():
                            "extra": 1})
     with pytest.raises(ValueError):
         model_from_config({"model": "heston", "kappa": 1.0})
+    with pytest.raises(ValueError):
+        model_from_config({"model": "gbm", "mu": "x", "sigma": 0.2})
