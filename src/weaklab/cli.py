@@ -95,6 +95,11 @@ def validate_config(cfg: dict) -> None:
         mdl.model_from_config(model)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from exc
+    if "n_ladder" in cfg and not (
+            isinstance(cfg["n_ladder"], list) and cfg["n_ladder"]
+            and all(type(n) is int and n > 0 for n in cfg["n_ladder"])):
+        raise ConfigError("n_ladder must be a non-empty list of positive "
+                          "integers")
     if "f" in cfg and cfg["f"] not in _F_NAMES:
         raise ConfigError(f"unknown test function {cfg['f']!r}; "
                           f"choose from {sorted(_F_NAMES)}")

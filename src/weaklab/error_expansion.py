@@ -156,17 +156,17 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     are moved onto p(s, x, .) by integration by parts.  Returns
     (value, quad_error).  Dirac-type targets delegate to the kernel.
     """
+    x0 = float(np.atleast_1d(x)[0])
     if f.kind == tf.DIRAC:
-        pe = principal_density_pi(model, t, float(x), f.y, 0, 0, tol=tol)
+        pe = principal_density_pi(model, t, x0, f.y, 0, 0, tol=tol)
         return pe.value, pe.quad_error
     if f.kind == tf.DIRAC_DERIV:
-        pe = principal_density_pi(model, t, float(x), f.y, 0, f.beta, tol=tol)
+        pe = principal_density_pi(model, t, x0, f.y, 0, f.beta, tol=tol)
         return ((-1.0) ** f.beta) * pe.value, pe.quad_error
     if _is_constant(model):
         return 0.0, 0.0
     dens = _require_density(model)
     gs = l2star_coefficients(model)
-    x0 = float(np.atleast_1d(x)[0])
     tracker = _ErrTracker()
 
     def pf_deriv(gamma: int, tau: float, zs: np.ndarray) -> np.ndarray:

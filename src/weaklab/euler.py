@@ -4,7 +4,10 @@ estimation.
 
 Monte-Carlo reductions are chunked over fixed-size substreams and merged
 in stream order with compensated summation, so results are bit-identical
-regardless of how many workers run the chunks.
+regardless of how many workers run the chunks.  Chunks run on one thread
+per CPU the process may use (WEAKLAB_WORKERS overrides the count), and on
+no more threads than there are chunks; each running chunk holds its own
+working set, so memory grows with the number of threads.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def _steps(n: int, t: float) -> tuple[int, float]:
 
 def simulate_euler(model: SdeModel, x, n: int, t: float, rng: RngStream,
                    size: int) -> np.ndarray:
-    """Endpoints X_t^{n,x} for `size` independent paths, shape (size, d)."""
+    """Endpoints X_t^{n,x} for `size` independent paths, shape (size, d);
+    k start points, shape (k, d), give (k size, d) as in simulate_ladder."""
     if n < 1:
         raise ValueError("n >= 1 required")
     return _simulate(model, x, [n], t, rng, size)[n]
@@ -55,6 +59,12 @@ def simulate_ladder(model: SdeModel, x, ns, t: float, rng: RngStream,
 
     Every n must divide max(ns); coarse increments are the exact sums of
     the fine increments they span.
+
+    `x` is one start point, shape (d,), or k start points, shape (k, d).
+    Path i from every start uses the same Brownian increments, so each
+    result has shape (k size, d) with the rows of start j in the block
+    [j size, (j + 1) size); that block is bit-identical to a run from
+    start j alone on the same stream.
     """
     ns = sorted(set(int(n) for n in ns))
     for n in ns:
@@ -67,20 +77,27 @@ def _simulate(model: SdeModel, x, ns: list, t: float, rng: RngStream,
               size: int) -> dict[int, np.ndarray]:
     """The Euler loop behind simulate_euler and simulate_ladder.
 
-    `ns` is sorted and every entry divides the last.  The finest level
-    steps on the raw increment; each coarser level sums the increments
-    it spans in a buffer that is reset in place after its step.
+    `ns` is sorted and every entry divides the last.  Normals are drawn
+    once per fine step for `size` paths and repeated for each start.  The
+    finest level steps on the raw increment; each coarser level sums the
+    increments it spans in a buffer that is reset in place after its step.
     """
     n_fine, coarse = ns[-1], ns[:-1]
     gen = rng.generator()
     d, r = model.dim_d, model.dim_r
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (size, d))
+    starts = np.atleast_2d(np.asarray(x, dtype=float))
+    if starts.ndim != 2 or starts.shape[1] != d:
+        raise ValueError(f"start points must have shape (d,) or (k, d), d={d}")
+    k = starts.shape[0]
+    x0 = np.repeat(starts, size, axis=0)  # start-major rows
     kf, dtp = _steps(n_fine, t)
     states = {n: x0.copy() for n in ns}
     buffers = {n: np.zeros((size, r)) for n in coarse}
     done = dict.fromkeys(ns, 0)  # steps taken at each level
 
     def step(n, dt, dB):
+        if k > 1:
+            dB = np.tile(dB, (k, 1))
         states[n] = states[n] + model.drift(states[n]) * dt + np.einsum(
             "nij,nj->ni", model.diffusion(states[n]), dB)
         _check_finite(states[n], done[n])
@@ -188,16 +205,23 @@ class MeanAccumulator:
 
 
 def worker_count() -> int:
-    return max(1, int(os.environ.get("WEAKLAB_WORKERS", "1")))
+    """WEAKLAB_WORKERS if set, else the number of CPUs this process may use."""
+    env = os.environ.get("WEAKLAB_WORKERS")
+    if env:
+        return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _reduce(chunk_fn, N: int, rng: RngStream, absorb) -> None:
     """Feed each chunk_fn(stream, size) result, N samples in all, to absorb
     in substream order.  Chunk boundaries are fixed by CHUNK, so what is
-    absorbed is independent of the worker count."""
+    absorbed is independent of the worker count.  At most one thread per
+    chunk runs; a single chunk runs on the calling thread."""
     sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
     streams = [rng.substream(i) for i in range(len(sizes))]
-    workers = worker_count()
+    workers = min(worker_count(), len(sizes))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for vals in pool.map(chunk_fn, streams, sizes):

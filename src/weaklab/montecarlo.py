@@ -170,13 +170,13 @@ def _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple, romberg):
     _require_pointwise(f)
     ns = sorted(int(n) for n in n_ladder)
     n_ref = ref_multiple * ns[-1]
-    ns_all = ns + [n_ref, 2 * n_ref]
+    levels = set(ns) | {n_ref, 2 * n_ref}
     if romberg:
-        ns_all = sorted(set(ns_all) | {2 * n for n in ns})
+        levels |= {2 * n for n in ns}
 
     def chunk(stream, size):
-        lad = simulate_ladder(model, x, ns_all, t, stream, size)
-        vals = {n: f(lad[n]) for n in ns_all}
+        lad = simulate_ladder(model, x, levels, t, stream, size)
+        vals = {n: f(pts) for n, pts in lad.items()}
         ref = 2.0 * vals[2 * n_ref] - vals[n_ref]
         stats = [2.0 * vals[2 * n] - vals[n] if romberg else vals[n]
                  for n in ns]

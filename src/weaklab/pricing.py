@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .euler import mc_reduce_multi, simulate_ladder
 from .models import SdeModel
@@ -124,17 +124,16 @@ def _bumped_payoffs(market: SdeModel, opt: OptionSpec, ns, h: float,
                     stream, size: int) -> dict:
     """Per-path payoffs at spots v(1-h), v, v(1+h) on shared noise.
 
-    Returns {n: (size, 3) array}; re-running the simulation from each
-    start on the same stream reuses the same Brownian increments, which
-    is what makes the finite differences common-random-number.
+    Returns {n: (size, 3) array} for each distinct n.  The three spots are
+    the start points of one ladder, so path i from each spot sees the same
+    Brownian increments, which is what makes the finite differences
+    common-random-number.
     """
     spots = [opt.v * (1.0 - h), opt.v, opt.v * (1.0 + h)]
-    out = {n: np.empty((size, 3)) for n in ns}
-    for j, v in enumerate(spots):
-        lad = simulate_ladder(market, [math.log(v)], ns, opt.t, stream, size)
-        for n in ns:
-            out[n][:, j] = opt.payoff(np.exp(lad[n][:, 0]))
-    return out
+    lad = simulate_ladder(market, [[math.log(v)] for v in spots], ns, opt.t,
+                          stream, size)
+    return {n: opt.payoff(np.exp(pts[:, 0])).reshape(3, size).T
+            for n, pts in lad.items()}
 
 
 def _fd_columns(vals: np.ndarray, v: float, h: float) -> np.ndarray:
@@ -182,11 +181,12 @@ def correction_estimate(market: SdeModel, opt: OptionSpec, which: str,
     col = _WHICH_COLUMN[which]
     ns = sorted(int(n) for n in n_ladder)
     n_ref = ref_multiple * ns[-1]
-    ns_all = ns + [n_ref, 2 * n_ref]
+    levels = set(ns) | {n_ref, 2 * n_ref}
 
     def chunk(stream, size):
-        vals = _bumped_payoffs(market, opt, ns_all, bump, stream, size)
-        cols = {n: _fd_columns(vals[n], opt.v, bump)[:, col] for n in ns_all}
+        vals = _bumped_payoffs(market, opt, levels, bump, stream, size)
+        cols = {n: _fd_columns(v, opt.v, bump)[:, col]
+                for n, v in vals.items()}
         ref = 2.0 * cols[2 * n_ref] - cols[n_ref]
         return np.stack([cols[n] - ref for n in ns], axis=1)
 
@@ -206,8 +206,11 @@ def black_scholes_call(v: float, k: float, sigma: float, t: float):
     st = sigma * math.sqrt(t)
     d1 = (math.log(v / k) + 0.5 * sigma * sigma * t) / st
     d2 = d1 - st
-    price = v * norm.cdf(d1) - k * norm.cdf(d2)
-    return price, norm.cdf(d1), norm.pdf(d1) / (v * st)
+    price = v * ndtr(d1) - k * ndtr(d2)
+    # the density on an array, as scipy.stats.norm.pdf evaluates it: the
+    # scalar np.exp can differ from the array one in the last bit
+    pdf = (np.exp(-np.atleast_1d(d1) ** 2 / 2.0) / np.sqrt(2 * np.pi))[0]
+    return price, ndtr(d1), pdf / (v * st)
 
 
 def black_scholes_put(v: float, k: float, sigma: float, t: float):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import weaklab
 from weaklab import cli
 
 
@@ -62,6 +66,26 @@ def test_bad_model_parameters_exit_3(tmp_path, capsys, command, model):
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("n_ladder", [[], [8, 0], [8, 16.5], [8, "16"], 8],
+                         ids=["empty", "zero", "float", "string", "scalar"])
+def test_bad_n_ladder_exits_3(tmp_path, capsys, command, n_ladder):
+    cfg = weak_rate_cfg(tmp_path, n_ladder=n_ladder)
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert "n_ladder" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(weaklab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weaklab.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_missing_file_exits_3(tmp_path):

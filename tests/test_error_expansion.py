@@ -94,6 +94,14 @@ def test_ct_dirac_matches_pi():
     assert abs(direct - via_ct) < 1e-9
 
 
+@pytest.mark.parametrize("f", [tf.dirac(0.3), tf.dirac_deriv(0.3, 1)],
+                         ids=["dirac", "dirac-deriv"])
+def test_ct_dirac_accepts_list_x(f):
+    m = ou()
+    assert ee.principal_term_Ct(m, f, 0.5, [0.1]) == \
+        ee.principal_term_Ct(m, f, 0.5, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # density kernel pi
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklab.euler import (CHUNK, SimulationBlowup, euler_affine_transport,
-                           euler_density_1d, euler_exact_law_affine,
-                           empirical_moment, gbm_euler_mean, mc_reduce,
-                           mc_reduce_multi, simulate_coupled, simulate_euler,
-                           simulate_ladder)
+from weaklab.euler import (CHUNK, SimulationBlowup, ThreadPoolExecutor,
+                           euler_affine_transport, euler_density_1d,
+                           euler_exact_law_affine, empirical_moment,
+                           gbm_euler_mean, mc_reduce, mc_reduce_multi,
+                           simulate_coupled, simulate_euler, simulate_ladder,
+                           worker_count)
 from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
 from weaklab.rng import RngStream, normals_from
 
@@ -88,6 +89,31 @@ def test_single_resolution_ladder_is_simulate_euler(model, x, n, t):
     assert np.array_equal(pts, lad[n])
 
 
+@pytest.mark.parametrize("model, starts, ns, t, size", [
+    (make_ou_model(1.0, 1.0), [[1.0], [-0.5], [2.0]], [2, 4, 8], 0.9, 7),
+    (make_gbm_model(0.1, 0.2), [[-0.1], [0.0], [0.1]], [3, 6], 1.0, 1001),
+    (make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]]),
+     [[0.0, 0.5], [1.0, -1.0], [0.3, 0.3]], [5, 10], 0.7, 13),
+], ids=["ou-partial", "gbm-odd-size", "constant-2d-partial"])
+def test_multi_start_blocks_match_single_starts(model, starts, ns, t, size):
+    lad = simulate_ladder(model, starts, ns, t, RngStream(4, 1), size)
+    for n in ns:
+        assert lad[n].shape == (len(starts) * size, model.dim_d)
+        for j, x in enumerate(starts):
+            alone = simulate_ladder(model, x, ns, t, RngStream(4, 1), size)
+            assert np.array_equal(lad[n][j * size:(j + 1) * size], alone[n])
+    pts = simulate_euler(model, starts, ns[0], t, RngStream(4, 1), size)
+    assert np.array_equal(
+        pts[size:2 * size],
+        simulate_euler(model, starts[1], ns[0], t, RngStream(4, 1), size))
+
+
+def test_start_points_must_match_dimension():
+    m = make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]])
+    with pytest.raises(ValueError):
+        simulate_euler(m, [[0.0, 0.1, 0.2]], 4, 1.0, RngStream(0, 0), 8)
+
+
 def test_ladder_requires_divisibility():
     m = make_gbm_model(0.1, 0.2)
     with pytest.raises(ValueError):
@@ -121,16 +147,34 @@ def test_mc_reduce_worker_count_invariance():
     m = make_ou_model(1.0, 1.0)
     N = 3 * CHUNK + 17
 
-    def run():
-        return empirical_moment(m, [1.0], 4, 1.0, 4, N, RngStream(9, 2))
+    def run(workers):
+        with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers):
+            return empirical_moment(m, [1.0], 4, 1.0, 4, N, RngStream(9, 2))
 
-    base = run()
-    os.environ["WEAKLAB_WORKERS"] = "4"
-    try:
-        par = run()
-    finally:
-        del os.environ["WEAKLAB_WORKERS"]
-    assert base == par
+    assert run("1") == run("4")
+
+
+def test_worker_count_defaults_to_affinity():
+    env = {k: v for k, v in os.environ.items() if k != "WEAKLAB_WORKERS"}
+    with mock.patch.dict(os.environ, env, clear=True):
+        assert worker_count() == len(os.sched_getaffinity(0))
+    with mock.patch.dict(os.environ, WEAKLAB_WORKERS="3"):
+        assert worker_count() == 3
+
+
+@pytest.mark.parametrize("N, threads", [(CHUNK, None), (CHUNK + 1, 2)])
+def test_reduce_threads_at_most_one_per_chunk(N, threads):
+    def chunk(stream, size):
+        return normals_from(stream.generator(), (size,))
+
+    with mock.patch.dict(os.environ, WEAKLAB_WORKERS="4"), \
+            mock.patch("weaklab.euler.ThreadPoolExecutor",
+                       wraps=ThreadPoolExecutor) as pool:
+        mc_reduce(chunk, N, RngStream(1, 1))
+    if threads is None:
+        pool.assert_not_called()
+    else:
+        pool.assert_called_once_with(max_workers=threads)
 
 
 @settings(max_examples=16, deadline=None)

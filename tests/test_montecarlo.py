@@ -93,6 +93,21 @@ def test_bias_ladder_constant_model_is_noise():
         assert abs(b) < 4 * s + 1e-13  # exact scheme: bias is pure noise
 
 
+def test_coupled_rungs_evaluate_each_level_once():
+    # at ref_multiple=1 the top rung is also the reference: levels 4, 8, 16
+    calls = []
+
+    def fn(v):
+        calls.append(len(v))
+        return np.asarray(v, dtype=float)[:, 0] ** 2
+
+    f = tf.smooth_poly(fn, 1.0, 2, name="counting-square")
+    rungs = mc.bias_ladder(make_ou_model(1.0, 1.0), f, [1.0], 1.0, [4, 8],
+                           1000, RngStream(3, 0), ref_multiple=1)
+    assert calls == [1000] * 3
+    assert [n for n, _, _ in rungs] == [4, 8]
+
+
 def test_bias_times_n_limit_gbm():
     m = make_gbm_model(0.1, 0.2)
     val, ci = mc.bias_times_n_limit(m, tf.identity(), [1.0], 1.0,

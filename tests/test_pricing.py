@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from weaklab import pricing as pr
 from weaklab.models import make_bounded_vol_model, make_constant_model
@@ -43,6 +45,16 @@ def test_black_scholes_put_call_parity():
     assert abs(g_c - g_p) < 1e-12
 
 
+@pytest.mark.parametrize("v, k, sigma, t", [
+    (1.0, 1.0, 0.2, 1.0), (1.3, 0.8, 0.35, 0.5), (0.6, 1.4, 0.1, 0.25)])
+def test_black_scholes_call_matches_scipy_stats(v, k, sigma, t):
+    st = sigma * math.sqrt(t)
+    d1 = (math.log(v / k) + 0.5 * sigma * sigma * t) / st
+    want = (v * norm.cdf(d1) - k * norm.cdf(d1 - st), norm.cdf(d1),
+            norm.pdf(d1) / (v * st))
+    assert pr.black_scholes_call(v, k, sigma, t) == want
+
+
 def test_price_euler_matches_black_scholes():
     m = bs_market(0.2)
     opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
@@ -60,6 +72,28 @@ def test_greeks_euler_matches_black_scholes():
     assert abs(rep.price - price) < 4 * rep.price_se
     assert abs(rep.delta - delta) < 4 * rep.delta_se + 1e-3
     assert abs(rep.gamma - gamma) < 4 * rep.gamma_se + 5e-2
+
+
+def test_greeks_draw_one_ladder_per_chunk():
+    # the three bumped spots share one simulation, so one set of normals
+    m = make_bounded_vol_model(0.05, 0.2, 0.1)
+    opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
+    with mock.patch("weaklab.pricing.simulate_ladder",
+                    wraps=pr.simulate_ladder) as lad:
+        pr.greeks_euler(m, opt, 8, 1001, RngStream(3, 3))
+    lad.assert_called_once()
+    assert np.shape(lad.call_args.args[1]) == (3, 1)
+
+
+def test_correction_builds_each_level_once():
+    # at ref_multiple=1 the top rung is also the reference: levels 2, 4, 8
+    m = bs_market(0.2)
+    opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
+    with mock.patch("weaklab.pricing._fd_columns",
+                    wraps=pr._fd_columns) as fd:
+        pr.correction_estimate(m, opt, "delta", [2, 4], 500, RngStream(3, 4),
+                               ref_multiple=1)
+    assert fd.call_count == 3
 
 
 def test_greeks_validation():
