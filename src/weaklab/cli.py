@@ -232,6 +232,10 @@ def _study_bias_limit(cfg):
     rng = RngStream(int(cfg["seed"]), 0)
     limit, ci = mc.bias_times_n_limit(model, f, [x], t, ns, N, rng)
     ct, qerr = ee.principal_term_Ct(model, f, t, x, tol=1e-8)
+    if not math.isfinite(qerr):
+        # an infinite error bar would pass any gate
+        raise NonConvergence(f"principal-term quadrature unconverged "
+                             f"(quad_error {qerr!r})")
     tol = float(cfg.get("tolerance", 0.0))
     ok = abs(limit - ct) <= ci + qerr + tol
     header = ["study", "model", "f", "t", "x", "quantity", "value",

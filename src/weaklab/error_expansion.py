@@ -13,7 +13,9 @@ derivatives stay on the larger-time factor p(t-s, z, .); on the right
 half they are moved onto p(s, x, .) and the coefficient g*_g by
 integration by parts (sign (-1)^g, Leibniz rule), so the differentiated
 factor always has time bounded below by t/2 and the inner Gauss-Hermite
-rule is centered on whichever factor concentrates.
+rule is centered on whichever factor concentrates.  Each rule runs over
+all of its nodes in one broadcast block: d^gamma P_tau f over every z
+node of the outer rule at once, and pi over an array of y.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import euler_density_1d
-from .gaussian import fd_derivative
+from .gaussian import fd_derivative, fd_derivatives
 from .models import MissingDensity, SdeModel
-from .quadrature import adaptive_interval, hermgauss_rule, \
-    integrate_gaussian, split_time_integral
+from .quadrature import adaptive_interval, gauss_hermite_rows, \
+    hermgauss_rule, split_time_rows
 from . import testfunctions as tf
 
 TestFunction = tf.TestFunction
@@ -103,6 +105,21 @@ def _g_derivative(g, k: int, z, scale: float):
                          4e-3 * max(1.0, scale))
 
 
+def _by_parts(dens, gs, s: float, x0: float, alpha: int, z):
+    """sum_g (-1)^g d^g/dz^g [g*_g(z) d^alpha_x p(s, x0, z)] at the nodes z:
+    the derivatives L2* produced, moved onto p(s, x0, .) and the
+    coefficients by the Leibniz rule."""
+    dp = [dens.deriv(alpha, j, s, x0, z) for j in range(4)]
+    h = 4e-3 * max(1.0, abs(x0))
+    acc = 0.0
+    for g in (1, 2, 3):
+        sign = (-1.0) ** g
+        dg = fd_derivatives(gs[g - 1], z, g, h)
+        for k in range(g + 1):
+            acc = acc + sign * math.comb(g, k) * dg[k] * dp[g - k]
+    return acc
+
+
 def _resolve_target(g):
     """Derivative oracle dg(k, z) for a thrice-differentiable target."""
     if hasattr(g, "deriv"):
@@ -136,17 +153,6 @@ def _require_density(model: SdeModel):
     return model.exact_density
 
 
-class _ErrTracker:
-    def __init__(self):
-        self.max_err = 0.0
-
-    def track(self, pair):
-        val, err = pair
-        if math.isfinite(err):
-            self.max_err = max(self.max_err, err)
-        return val
-
-
 def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
                       tol: float = 1e-8) -> tuple[float, float]:
     """Principal 1/n coefficient of the weak error for the target f at x.
@@ -154,7 +160,8 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     Computed as 1/2 int_0^t P_s L2* P_{t-s} f (x) ds with the time
     integral split at t/2; for s > t/2 the derivatives produced by L2*
     are moved onto p(s, x, .) by integration by parts.  Returns
-    (value, quad_error).  Dirac-type targets delegate to the kernel.
+    (value, quad_error); a non-finite inner error makes quad_error
+    non-finite.  Dirac-type targets delegate to the kernel.
     """
     x0 = float(np.atleast_1d(x)[0])
     if f.kind == tf.DIRAC:
@@ -167,46 +174,92 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
         return 0.0, 0.0
     dens = _require_density(model)
     gs = l2star_coefficients(model)
-    tracker = _ErrTracker()
+    inner_err = np.zeros(1)   # worst Gauss-Hermite error; NaN and inf kept
 
-    def pf_deriv(gamma: int, tau: float, zs: np.ndarray) -> np.ndarray:
-        """d^gamma/dz^gamma of P_tau f(z), vectorized over the nodes zs."""
-        out = np.empty_like(zs)
-        for i, zi in enumerate(zs):
-            mean, std, push, dpush = dens.gauss_coords(tau, float(zi))
-            out[i] = tracker.track(integrate_gaussian(
-                lambda yy: f(yy) * dens.deriv(gamma, 0, tau, float(zi), yy),
-                mean, std, push=push, dpush=dpush, rtol=1e-10))
-        return out
+    def gauss_hermite(fn, mean, std, push, dpush):
+        val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
+                                      rtol=1e-10)
+        inner_err[:] = np.maximum(inner_err, err.max())
+        return val
+
+    def pf_deriv(gamma: int, tau: float, z: np.ndarray) -> np.ndarray:
+        """d^gamma/dz^gamma of P_tau f at every node of z, by one
+        Gauss-Hermite block over all of them."""
+        zs = z.ravel()
+        mean, std, push, dpush = dens.gauss_coords(tau, zs)
+        # f reads a 2-D array as (N, d) paths, so it gets the block flat
+        return gauss_hermite(
+            lambda yy, rows: f(yy.ravel()).reshape(yy.shape)
+            * dens.deriv(gamma, 0, tau, zs[rows, None], yy),
+            mean, std, push, dpush).reshape(z.shape)
 
     def integrand(s: float) -> float:
         tau = t - s
         mean, std, push, dpush = dens.gauss_coords(s, x0)
 
         if s <= 0.5 * t:
-            def fn(z):
+            def fn(z, rows):
                 acc = 0.0
                 for g in (1, 2, 3):
                     acc = acc + gs[g - 1](z) * pf_deriv(g, tau, z)
                 return dens.density(s, x0, z) * acc
         else:
-            def fn(z):
-                pf0 = pf_deriv(0, tau, z)
+            def fn(z, rows):
+                return pf_deriv(0, tau, z) * _by_parts(dens, gs, s, x0, 0, z)
+
+        return gauss_hermite(fn, mean, std, push, dpush)[0]
+
+    val, terr = split_time_rows(
+        lambda ss, rows: np.array([[integrand(si) for si in ss]]), t, tol=tol)
+    return 0.5 * float(val[0]), 0.5 * float(terr[0]) + t * float(inner_err[0])
+
+
+def _pi_rows(model: SdeModel, t: float, x0: float, ys: np.ndarray,
+             alpha: int, beta: int, tol: float, split: float):
+    """d^alpha_x d^beta_y pi(t, x0, y) at every y of the 1-D array ys.
+
+    Each y runs its own time and Gauss-Hermite node doubling, all of them
+    in one broadcast block: the left half shares the nodes of
+    p(s, x0, .), the right half centres one rule per y on p(t-s, ., y).
+    Returns (values, quad_errors); non-finite inner errors are kept.
+    """
+    if _is_constant(model):
+        return np.zeros(ys.size), np.zeros(ys.size)
+    dens = _require_density(model)
+    gs = l2star_coefficients(model)
+    inner_err = np.zeros(ys.size)
+
+    def integrand(s: float, rows: np.ndarray) -> np.ndarray:
+        tau = t - s
+        y = ys[rows]
+        if s <= split * t:
+            mean, std, push, dpush = dens.gauss_coords(s, x0)
+            mean = np.full(y.size, mean)
+
+            def fn(z, r):
+                left = dens.deriv(alpha, 0, s, x0, z)
                 acc = 0.0
                 for g in (1, 2, 3):
-                    sign = (-1.0) ** g
-                    for k in range(g + 1):
-                        acc = acc + sign * math.comb(g, k) \
-                            * _g_derivative(gs[g - 1], k, z, abs(x0)) \
-                            * dens.deriv(0, g - k, s, x0, z)
-                return pf0 * acc
+                    acc = acc + gs[g - 1](z) \
+                        * dens.deriv(g, beta, tau, z, y[r, None])
+                return left * acc
+        else:
+            mean, std, push, dpush = dens.center_on_target(tau, y)
 
-        return tracker.track(integrate_gaussian(
-            fn, mean, std, push=push, dpush=dpush, rtol=1e-10))
+            def fn(z, r):
+                return dens.deriv(0, beta, tau, z, y[r, None]) \
+                    * _by_parts(dens, gs, s, x0, alpha, z)
 
-    val, terr = split_time_integral(
-        lambda ss: np.array([integrand(si) for si in ss]), t, tol=tol)
-    return 0.5 * val, 0.5 * terr + t * tracker.max_err
+        val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
+                                      rtol=1e-10)
+        inner_err[rows] = np.maximum(inner_err[rows], err)
+        return val
+
+    val, terr = split_time_rows(
+        lambda ss, rows: np.stack([integrand(si, rows) for si in ss],
+                                  axis=-1),
+        t, tol=tol, split=split, size=ys.size)
+    return 0.5 * val, 0.5 * terr + t * inner_err
 
 
 def principal_density_pi(model: SdeModel, t: float, x: float, y: float,
@@ -214,45 +267,9 @@ def principal_density_pi(model: SdeModel, t: float, x: float, y: float,
                          split: float = 0.5) -> PiEvaluation:
     """d^alpha_x d^beta_y of the principal density-error kernel pi(t,x,y)."""
     x0, y0 = float(x), float(y)
-    if _is_constant(model):
-        return PiEvaluation(0.0, 0.0, t, x0, y0, alpha, beta)
-    dens = _require_density(model)
-    gs = l2star_coefficients(model)
-    tracker = _ErrTracker()
-
-    def integrand(s: float) -> float:
-        tau = t - s
-        if s <= split * t:
-            mean, std, push, dpush = dens.gauss_coords(s, x0)
-
-            def fn(z):
-                left = dens.deriv(alpha, 0, s, x0, z)
-                acc = 0.0
-                for g in (1, 2, 3):
-                    acc = acc + gs[g - 1](z) * dens.deriv(g, beta, tau, z, y0)
-                return left * acc
-        else:
-            mean, std, push, dpush = dens.center_on_target(tau, y0)
-
-            def fn(z):
-                right = dens.deriv(0, beta, tau, z, y0)
-                acc = 0.0
-                for g in (1, 2, 3):
-                    sign = (-1.0) ** g
-                    for k in range(g + 1):
-                        acc = acc + sign * math.comb(g, k) \
-                            * _g_derivative(gs[g - 1], k, z, abs(x0)) \
-                            * dens.deriv(alpha, g - k, s, x0, z)
-                return right * acc
-
-        return tracker.track(integrate_gaussian(
-            fn, mean, std, push=push, dpush=dpush, rtol=1e-10))
-
-    val, terr = split_time_integral(
-        lambda ss: np.array([integrand(si) for si in ss]), t,
-        tol=tol, split=split)
-    err = 0.5 * terr + t * tracker.max_err
-    return PiEvaluation(0.5 * val, err, t, x0, y0, alpha, beta,
+    val, err = _pi_rows(model, t, x0, np.array([y0]), alpha, beta, tol, split)
+    val, err = float(val[0]), float(err[0])
+    return PiEvaluation(val, err, t, x0, y0, alpha, beta,
                         converged=err <= max(tol, 1e-12))
 
 
@@ -379,14 +396,11 @@ def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,
         raise tf.UnsupportedFunctional("function pairings require a Gaussian law")
     lo, hi = mean - 10.0 * std, mean + 10.0 * std
     pi_tol = max(0.1 * tol, 1e-8)
-    pi_err = [0.0]
+    pi_err = np.zeros(1)   # worst kernel error; NaN and inf kept
 
     def fn(ys):
-        vals = np.empty_like(ys)
-        for i, yi in enumerate(ys):
-            pe = principal_density_pi(model, t, x0, float(yi), tol=pi_tol)
-            pi_err[0] = max(pi_err[0], pe.quad_error)
-            vals[i] = pe.value
+        vals, errs = _pi_rows(model, t, x0, ys, 0, 0, pi_tol, 0.5)
+        pi_err[:] = np.maximum(pi_err, errs.max())
         return vals * S(ys)
 
     pieces = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
@@ -394,4 +408,4 @@ def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,
     for (a, b) in pieces:
         v, e = adaptive_interval(fn, a, b, tol=0.5 * tol)
         total, err = total + v, err + e
-    return total, err + (hi - lo) * pi_err[0]
+    return total, err + (hi - lo) * float(pi_err[0])

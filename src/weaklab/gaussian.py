@@ -90,16 +90,33 @@ _FD_STENCILS = {
 }
 
 
+def _fd_sum(at, x, order: int, h: float):
+    """The order's stencil sum over the values at(o) = fn(x + o h)."""
+    offsets, coeffs = _FD_STENCILS[order]
+    acc = np.zeros_like(x)
+    for o, c in zip(offsets, coeffs):
+        acc = acc + c * at(o)
+    return acc / h**order
+
+
 def fd_derivative(fn, x, order: int, h: float):
     """Central finite-difference derivative, 4th-order accurate, vectorized."""
     if order == 0:
         return fn(x)
-    offsets, coeffs = _FD_STENCILS[order]
     x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    for o, c in zip(offsets, coeffs):
-        acc = acc + c * fn(x + o * h)
-    return acc / h**order
+    return _fd_sum(lambda o: fn(x + o * h), x, order, h)
+
+
+def fd_derivatives(fn, x, max_order: int, h: float) -> list:
+    """[fn(x), fn'(x), ..., fn^(max_order)(x)], each equal to fd_derivative's,
+    from one call of fn on every stencil point; fn must act elementwise on
+    arrays of any shape."""
+    x = np.asarray(x, dtype=float)
+    offsets = np.arange(-3, 4)
+    at = dict(zip(offsets.tolist(),
+                  fn(x + (offsets * h).reshape((-1,) + (1,) * x.ndim))))
+    return [at[0]] + [_fd_sum(at.__getitem__, x, k, h)
+                      for k in range(1, max_order + 1)]
 
 
 class AffineGaussianDensity:
@@ -128,15 +145,18 @@ class AffineGaussianDensity:
         mean = A * np.asarray(x, dtype=float) + c
         return ((-A) ** alpha) * normal_pdf_dy(alpha + beta, y, mean, V)
 
-    def gauss_coords(self, t: float, x: float):
-        """(mean, std, push, dpush) so the law is push(N(mean, std^2))."""
+    def gauss_coords(self, t: float, x):
+        """(mean, std, push, dpush) so the law is push(N(mean, std^2));
+        an array x gives one mean per entry."""
         A, c, V = self.coefficients(t)
-        return A * float(x) + c, math.sqrt(V), None, None
+        return A * np.asarray(x, dtype=float) + c, math.sqrt(V), None, None
 
-    def center_on_target(self, t: float, y: float):
-        """(mean, std, push, dpush) in x for the kernel x |-> p(t, x, y)."""
+    def center_on_target(self, t: float, y):
+        """(mean, std, push, dpush) in x for the kernel x |-> p(t, x, y);
+        an array y gives one mean per entry."""
         A, c, V = self.coefficients(t)
-        return (float(y) - c) / A, math.sqrt(V) / abs(A), None, None
+        return (np.asarray(y, dtype=float) - c) / A, math.sqrt(V) / abs(A), \
+            None, None
 
 
 # signed Stirling numbers of the first kind s(n, k), n <= 6:
@@ -206,12 +226,12 @@ class LognormalDensity:
     def mean_value(self, t: float, x: float) -> float:
         return float(x) * math.exp(self.mu * t)
 
-    def gauss_coords(self, t: float, x: float):
-        m = math.log(float(x)) + self._drift(t)
+    def gauss_coords(self, t: float, x):
+        m = np.log(np.asarray(x, dtype=float)) + self._drift(t)
         return m, self.sigma * math.sqrt(t), np.exp, np.exp
 
-    def center_on_target(self, t: float, y: float):
-        m = math.log(float(y)) - self._drift(t)
+    def center_on_target(self, t: float, y):
+        m = np.log(np.asarray(y, dtype=float)) - self._drift(t)
         return m, self.sigma * math.sqrt(t), np.exp, np.exp
 
 

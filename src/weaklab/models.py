@@ -253,7 +253,7 @@ def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction, x,
 def _tensor_semigroup(law: GaussianLaw, f: tf.TestFunction, rtol: float) -> float:
     L = np.linalg.cholesky(law.cov + 1e-14 * np.eye(law.dim))
 
-    def value_at(m):
+    def value_at(m, rows):
         h, w = hermgauss_rule(m)
         grids = np.meshgrid(*([h] * law.dim), indexing="ij")
         zeta = math.sqrt(2.0) * np.stack([g.ravel() for g in grids], axis=1)
@@ -261,9 +261,12 @@ def _tensor_semigroup(law: GaussianLaw, f: tf.TestFunction, rtol: float) -> floa
         wt = np.ones(pts.shape[0])
         for g in np.meshgrid(*([w] * law.dim), indexing="ij"):
             wt = wt * g.ravel()
-        return float(np.dot(wt, f(pts))) / math.pi ** (law.dim / 2)
+        vals = f(pts)
+        norm = math.pi ** (law.dim / 2)
+        return (float(np.dot(wt, vals)) / norm,
+                float(np.dot(wt, np.abs(vals))) / norm)
 
-    return node_doubling(value_at, rtol, 1e-14, 16, 128)[0]
+    return float(node_doubling(value_at, rtol, 1e-14, 16, 128)[0][0])
 
 
 def model_from_config(cfg: dict) -> SdeModel:

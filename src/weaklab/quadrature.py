@@ -2,7 +2,10 @@
 
 All routines return (value, err) where err is the node- or
 panel-doubling disagreement, used downstream as the quadrature error
-estimate.
+estimate.  The array forms (gauss_hermite_rows, adaptive_rows,
+split_time_rows) integrate many rows in one broadcast block, each row
+stopping on its own, and return arrays; the public scalar routines are
+their one-row case and return floats.
 """
 
 from __future__ import annotations
@@ -43,21 +46,65 @@ def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(m)
 
 
-def node_doubling(value_at, rtol: float, atol: float, start: int,
-                  max_nodes: int):
-    """Evaluate value_at(m) for m = start, 2 start, ... until two successive
-    values agree to max(atol, rtol |value|) or m reaches max_nodes.
+# rounding floor of the stop test: two rules whose values differ by less
+# than this many ulps of sum_i |W_i f_i| agree as far as doubles can tell
+_ROUNDING_ULPS = 16.0 * np.finfo(float).eps
 
-    Returns (value, err), err being the last disagreement (inf when only
-    one rule was evaluated).
+
+def node_doubling(value_at, rtol: float, atol: float, start: int,
+                  max_nodes: int, size: int = 1):
+    """Evaluate value_at(m, rows) for m = start, 2 start, ... until two
+    successive values of each element agree to max(atol, rtol |value|) or
+    to the rounding floor, or m reaches max_nodes.
+
+    ``size`` elements are integrated at once and each stops on its own:
+    value_at(m, rows) gets the index array of the elements still running
+    and returns their values and magnitudes sum_i |W_i f_i| under the
+    m-node rule (scalars will do when size is 1).  Returns arrays
+    (value, err, converged), err being each element's last disagreement
+    (inf when only one rule was evaluated).
     """
-    m, val, err = start, value_at(start), math.inf
-    while m < max_nodes:
-        m, prev = 2 * m, val
-        val = value_at(m)
-        err = abs(val - prev)
-        if err <= max(atol, rtol * abs(val)):
-            break
+    rows = np.arange(size)
+    val = np.empty(size)
+    val[:] = value_at(start, rows)[0]
+    err = np.full(size, math.inf)
+    converged = np.zeros(size, dtype=bool)
+    m = start
+    while m < max_nodes and rows.size:
+        m *= 2
+        new, mag = value_at(m, rows)
+        diff = np.abs(new - val[rows])
+        val[rows], err[rows] = new, diff
+        done = diff <= np.maximum(np.maximum(atol, rtol * np.abs(new)),
+                                  _ROUNDING_ULPS * mag)
+        converged[rows[done]] = True
+        rows = rows[~done]
+    return val, err, converged
+
+
+def gauss_hermite_rows(fn, mean, std, push=None, dpush=None,
+                       rtol: float = 1e-10, atol: float = 1e-14,
+                       start: int = 32, max_nodes: int = 256):
+    """Array form of integrate_gaussian: one integral per entry of ``mean``.
+
+    Row k integrates fn over the real line with a Gauss-Hermite rule
+    centred at mean[k] with scale std.  fn(pts, rows) gets the nodes of
+    the running rows ``rows`` as an (R, M) array, in pushed coordinates
+    when push is given, and returns the (R, M) integrand values.  Each
+    row stops on its own; returns (value, err) arrays of shape (K,).
+    """
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    scale = math.sqrt(2.0) * std
+
+    def value_at(m, rows):
+        h, w = hermite_rule(m)
+        pts = mean[rows, None] + scale * h
+        vals = fn(pts, rows) if push is None else \
+            fn(push(pts), rows) * dpush(pts)
+        return scale * (vals @ w), scale * (np.abs(vals) @ w)
+
+    val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes,
+                                mean.size)
     return val, err
 
 
@@ -70,54 +117,88 @@ def integrate_gaussian(fn, mean: float, std: float, push=None, dpush=None,
     ``mean`` with scale ``std``.  When ``push`` is given the integration
     variable is w ~ (mean, std) and the integral computed is
     integral of fn(push(w)) * dpush(w) dw, i.e. fn lives in pushed
-    coordinates (lognormal laws integrate in log space).
+    coordinates (lognormal laws integrate in log space).  The one-row
+    case of gauss_hermite_rows.
     """
-    def value_at(m):
-        h, w = hermite_rule(m)
-        pts = mean + math.sqrt(2.0) * std * h
-        vals = fn(pts) if push is None else fn(push(pts)) * dpush(pts)
-        return math.sqrt(2.0) * std * float(np.dot(w, vals))
-
-    return node_doubling(value_at, rtol, atol, start, max_nodes)
+    val, err = gauss_hermite_rows(lambda pts, rows: fn(pts[0]), [mean], std,
+                                  push=push, dpush=dpush, rtol=rtol,
+                                  atol=atol, start=start,
+                                  max_nodes=max_nodes)
+    return float(val[0]), float(err[0])
 
 
 def expect_gaussian(fn, mean: float, std: float, push=None,
                     rtol: float = 1e-10, atol: float = 1e-14,
                     start: int = 32, max_nodes: int = 256):
     """E[fn(push(W))], W ~ N(mean, std^2), by Gauss-Hermite node doubling."""
-    def value_at(m):
+    def value_at(m, rows):
         h, w = hermgauss_rule(m)
         pts = mean + math.sqrt(2.0) * std * h
         if push is not None:
             pts = push(pts)
-        return float(np.dot(w, fn(pts))) / math.sqrt(math.pi)
+        vals = fn(pts)
+        return (float(np.dot(w, vals)) / math.sqrt(math.pi),
+                float(np.dot(w, np.abs(vals))) / math.sqrt(math.pi))
 
-    return node_doubling(value_at, rtol, atol, start, max_nodes)
+    val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes)
+    return float(val[0]), float(err[0])
 
 
-def _composite_gl(fn, a: float, b: float, panels: int, order: int = 8) -> float:
+def _composite_gl(fn, a: float, b: float, panels: int, order: int = 8):
+    """Composite Gauss-Legendre sums of fn over (a, b) with every panel's
+    nodes in one fn call; fn returns values with the nodes on the last
+    axis.  Returns (value, magnitude) over the leading axes."""
     h, w = legendre_rule(order)
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * float(np.dot(w, fn(mid + half * h)))
-    return total
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    vals = fn((mid[:, None] + half[:, None] * h).ravel())
+    vals = vals.reshape(vals.shape[:-1] + (panels, order))
+    return (vals @ w) @ half, (np.abs(vals) @ w) @ half
+
+
+def adaptive_rows(fn, a: float, b: float, tol: float = 1e-9,
+                  start_panels: int = 2, max_panels: int = 128,
+                  size: int = 1):
+    """Array form of adaptive_interval: ``size`` integrals over (a, b).
+
+    fn(s, rows) gets the nodes s of every panel as one 1-D array and
+    returns the (R, len(s)) integrand values of the running rows.  Each
+    row stops on its own; a row that runs out of panels gets err = inf.
+    """
+    val, err, ok = node_doubling(
+        lambda panels, rows: _composite_gl(lambda s: fn(s, rows), a, b,
+                                           panels),
+        1e-14, tol, start_panels, max_panels, size)
+    return val, np.where(ok, err, math.inf)
 
 
 def adaptive_interval(fn, a: float, b: float, tol: float = 1e-9,
                       start_panels: int = 2, max_panels: int = 128):
-    """Composite Gauss-Legendre with panel doubling; fn vectorized."""
-    panels = start_panels
-    prev = _composite_gl(fn, a, b, panels)
-    while panels < max_panels:
-        panels *= 2
-        val = _composite_gl(fn, a, b, panels)
-        err = abs(val - prev)
-        if err <= max(tol, 1e-14 * abs(val)):
-            return val, err
-        prev = val
-    return prev, math.inf
+    """Composite Gauss-Legendre with panel doubling; fn vectorized.  The
+    one-row case of adaptive_rows."""
+    val, err = adaptive_rows(lambda s, rows: fn(s)[None], a, b, tol,
+                             start_panels, max_panels)
+    return float(val[0]), float(err[0])
+
+
+def split_time_rows(fn, t: float, tol: float = 1e-9, split: float = 0.5,
+                    size: int = 1):
+    """Array form of split_time_integral: fn(s, rows) returns the
+    (R, len(s)) integrand values of the running rows; returns (value, err)
+    arrays of shape (size,)."""
+    ts = split * t
+    u_left = math.sqrt(ts)
+    u_right = math.sqrt(t - ts)
+
+    def left(u, rows):
+        return fn(u * u, rows) * 2.0 * u
+
+    def right(u, rows):
+        return fn(t - u * u, rows) * 2.0 * u
+
+    v1, e1 = adaptive_rows(left, 0.0, u_left, tol=0.5 * tol, size=size)
+    v2, e2 = adaptive_rows(right, 0.0, u_right, tol=0.5 * tol, size=size)
+    return v1 + v2, e1 + e2
 
 
 def split_time_integral(fn, t: float, tol: float = 1e-9, split: float = 0.5):
@@ -126,18 +207,8 @@ def split_time_integral(fn, t: float, tol: float = 1e-9, split: float = 0.5):
     The interval is split at ``split * t``; on the left half s = u^2 and
     on the right half s = t - u^2, which removes the sqrt(s)-type
     behaviour of transition-density integrands near s = 0 and s = t.
-    fn must accept a 1-D array of s values.
+    fn must accept a 1-D array of s values.  The one-row case of
+    split_time_rows.
     """
-    ts = split * t
-    u_left = math.sqrt(ts)
-    u_right = math.sqrt(t - ts)
-
-    def left(u):
-        return fn(u * u) * 2.0 * u
-
-    def right(u):
-        return fn(t - u * u) * 2.0 * u
-
-    v1, e1 = adaptive_interval(left, 0.0, u_left, tol=0.5 * tol)
-    v2, e2 = adaptive_interval(right, 0.0, u_right, tol=0.5 * tol)
-    return v1 + v2, e1 + e2
+    val, err = split_time_rows(lambda s, rows: fn(s)[None], t, tol, split)
+    return float(val[0]), float(err[0])

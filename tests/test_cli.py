@@ -158,3 +158,18 @@ def test_validate_rejects_bad_study(tmp_path):
 def test_validate_rejects_bad_f(tmp_path):
     cfg = weak_rate_cfg(tmp_path, f="cube")
     assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+
+
+def test_bias_limit_unconverged_quadrature_exits_4(tmp_path, capsys):
+    # at sigma = 2 the time integral of C_t runs out of panels: quad_error
+    # is inf, which used to pass the gate |limit - ct| <= ci + qerr + tol
+    cfg = {"study": "bias-limit",
+           "model": {"model": "gbm", "mu": 0.1, "sigma": 2.0},
+           "f": "identity", "x": 1.0, "t": 1.0, "n_ladder": [4, 8, 16],
+           "N": 4096, "seed": 3,
+           "output_csv": str(tmp_path / "rows.csv"),
+           "output_json": str(tmp_path / "summary.json")}
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == \
+        cli.EXIT_NONCONVERGED
+    assert "non-convergence" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()

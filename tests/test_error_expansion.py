@@ -94,6 +94,45 @@ def test_ct_dirac_matches_pi():
     assert abs(direct - via_ct) < 1e-9
 
 
+@pytest.mark.parametrize("t, x", [(0.5, -0.4), (0.8125, 0.7)])
+def test_ct_ou_square_matches_richardson_of_euler_bias(t, x):
+    # f sees each (Z, M) node block flat: square() would read a 2-D block
+    # as (N, d) paths and keep column 0
+    m = ou()
+    val, err = ee.principal_term_Ct(m, tf.square(), t, x)
+
+    def d(n):
+        approx, exact = ee.distribution_pairing(m, tf.square(), n, t, x)
+        return n * (approx - exact)
+
+    assert abs(val - (2.0 * d(1024) - d(512))) < 1e-5
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("t, x", [(0.5, 0.9), (0.75, 1.2)])
+def test_ct_gbm_identity_closed_form(t, x):
+    # E X^n_t = x (1 + mu/n)^{nt}, so n (E X^n_t - E X_t) -> -x e^{mu t} mu^2 t / 2
+    mu = 0.1
+    val, err = ee.principal_term_Ct(gbm(), tf.identity(), t, x)
+    assert abs(val - (-x * math.exp(mu * t) * mu**2 * t / 2.0)) < 1e-7
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_kernels_keep_nonfinite_inner_errors(monkeypatch, bad):
+    real = ee.gauss_hermite_rows
+
+    def lossy(*args, **kwargs):
+        val, err = real(*args, **kwargs)
+        return val, np.full_like(err, bad)
+
+    monkeypatch.setattr(ee, "gauss_hermite_rows", lossy)
+    _, qerr = ee.principal_term_Ct(ou(), tf.square(), 0.5, 0.2)
+    assert not math.isfinite(qerr)
+    pe = ee.principal_density_pi(ou(), 0.5, 0.2, 0.4)
+    assert not math.isfinite(pe.quad_error) and not pe.converged
+
+
 @pytest.mark.parametrize("f", [tf.dirac(0.3), tf.dirac_deriv(0.3, 1)],
                          ids=["dirac", "dirac-deriv"])
 def test_ct_dirac_accepts_list_x(f):
@@ -124,6 +163,28 @@ def test_pi_matches_richardson_of_euler_densities():
     from weaklab.montecarlo import richardson_table
     limit = richardson_table(ladder, 2)
     assert abs(pi - limit) < 1e-5
+
+
+@pytest.mark.parametrize("model, t, x, ys", [
+    (ou(), 0.75, 0.3, [-0.7, 0.1, 0.3, 0.9, 1.6]),
+    (gbm(), 0.5, 1.1, [0.8, 1.0, 1.2, 1.5]),
+], ids=["ou", "gbm"])
+@pytest.mark.parametrize("beta", [0, 1])
+def test_pi_rows_match_per_y_pi(model, t, x, ys, beta):
+    vals, errs = ee._pi_rows(model, t, x, np.array(ys), 0, beta, 1e-8, 0.5)
+    for y, v, e in zip(ys, vals, errs):
+        pe = ee.principal_density_pi(model, t, x, y, beta=beta)
+        assert abs(v - pe.value) <= max(e, pe.quad_error)
+        assert e <= 1e-8 and pe.quad_error <= 1e-8
+
+
+def test_pi_is_one_element_case_of_pi_rows():
+    m = ou()
+    pe = ee.principal_density_pi(m, 0.6, -0.2, 0.5, 0, 1, tol=1e-7,
+                                 split=0.4)
+    vals, errs = ee._pi_rows(m, 0.6, -0.2, np.array([0.5]), 0, 1, 1e-7, 0.4)
+    assert (pe.value, pe.quad_error) == (vals[0], errs[0])
+    assert type(pe.value) is float and type(pe.quad_error) is float
 
 
 def test_pi_split_point_invariance():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from weaklab.gaussian import (AffineGaussianDensity, GaussianLaw,
-                              LognormalDensity, fd_derivative, hermite_He,
+                              LognormalDensity, fd_derivative,
+                              fd_derivatives, hermite_He,
                               normal_pdf, normal_pdf_dy)
 
 
@@ -89,3 +90,16 @@ def test_lognormal_deriv_order_cap():
     dens = LognormalDensity(0.1, 0.25)
     with pytest.raises(ValueError):
         dens.deriv(7, 0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("fn", [np.sin, lambda z: z ** 3 - 2.0 * z,
+                                lambda z: np.exp(-z * z)],
+                         ids=["sin", "cubic", "gaussian"])
+def test_fd_derivatives_equal_fd_derivative(fn):
+    # one call on every stencil point gives fd_derivative's numbers exactly
+    z = np.linspace(-1.5, 2.0, 12).reshape(3, 4)
+    got = fd_derivatives(fn, z, 3, 4e-3)
+    assert len(got) == 4
+    for k, g in enumerate(got):
+        assert g.shape == z.shape
+        assert np.array_equal(g, fd_derivative(fn, z, k, 4e-3))
