@@ -1,7 +1,7 @@
 """Batch front door: `weaklab run <config.json>` executes one named study
-and writes a CSV of rows plus a JSON summary; `weaklab validate` checks a
-config and builds its model without running the study; `weaklab
-list-studies` enumerates studies.
+and writes a CSV of rows plus a JSON summary; `weaklab validate` makes
+every config check that `run` makes, the model build included, without
+running the study; `weaklab list-studies` enumerates studies.
 
 Exit codes: 0 pass, 2 gate failure, 3 config error, 4 numerical
 non-convergence.
@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-
+from dataclasses import dataclass
 
 from . import error_expansion as ee
 from . import models as mdl
@@ -23,7 +23,7 @@ from . import testfunctions as tf
 from .euler import SimulationBlowup, empirical_moment, euler_density_1d, \
     gbm_euler_mean
 from .models import semigroup_apply
-from .quadrature import QuadratureError, expect_gaussian
+from .quadrature import expect_gaussian
 from .reporting import write_csv, write_json
 from .rng import RngStream
 
@@ -37,77 +37,105 @@ class ConfigError(ValueError):
     pass
 
 
-class GateFailure(RuntimeError):
-    pass
-
-
 class NonConvergence(RuntimeError):
     pass
 
 
-_STUDY_KEYS = {
-    "weak-rate": {"required": {"model", "f", "x", "t", "n_ladder", "seed",
-                               "output_csv", "output_json"},
-                  "optional": {"N", "target_ci", "deterministic",
-                               "slope_range"}},
-    "romberg": {"required": {"model", "f", "x", "t", "n_ladder", "N", "seed",
-                             "output_csv", "output_json"},
-                "optional": {"slope_range"}},
-    "bias-limit": {"required": {"model", "f", "x", "t", "n_ladder", "N",
-                                "seed", "output_csv", "output_json"},
-                   "optional": {"tolerance"}},
-    "density": {"required": {"model", "t_grid", "x_grid", "y_grid", "n",
-                             "seed", "output_csv", "output_json"},
-                "optional": {"tolerance"}},
-    "tailbound": {"required": {"model", "kernel", "l", "t_grid", "x_grid",
-                               "y_grid", "seed", "output_csv", "output_json"},
-                  "optional": {"n"}},
-    "greeks": {"required": {"model", "payoff", "v", "t", "n_ladder", "N",
-                            "seed", "output_csv", "output_json"},
-               "optional": {"strike", "power", "bump", "slope_range"}},
-    "moments": {"required": {"model", "q", "t_grid", "x_grid", "n_ladder",
-                             "N", "seed", "output_csv", "output_json"},
-                "optional": {"stability"}},
-}
-
 _F_NAMES = {"identity": tf.identity, "square": tf.square}
 
 
-def validate_config(cfg: dict) -> None:
+def _real(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _positive(v) -> bool:
+    return _real(v) and v > 0
+
+
+def _count(v) -> bool:
+    return type(v) is int and v > 0
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and bool(v) and all(map(ok, v))
+
+
+# config key: (what its value must be, test)
+_VALUES = {
+    **dict.fromkeys(("x", "v", "strike", "power", "tolerance", "stability"),
+                    ("a finite number", _real)),
+    **dict.fromkeys(("t", "target_ci"), ("a positive number", _positive)),
+    "bump": ("a number in (0, 0.1]", lambda v: _real(v) and 0 < v <= 0.1),
+    **dict.fromkeys(("N", "n"), ("a positive integer", _count)),
+    "l": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "q": ("an even integer in [0, 8]",
+          lambda v: type(v) is int and v % 2 == 0 and 0 <= v <= 8),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "f": (f"one of {sorted(_F_NAMES)}",
+          lambda v: isinstance(v, str) and v in _F_NAMES),
+    "kernel": ("'p' or 'pi'", lambda v: v in ("p", "pi")),
+    "slope_range": ("a list of two numbers [lo, hi]",
+                    lambda v: isinstance(v, list) and len(v) == 2
+                    and all(map(_real, v))),
+    "n_ladder": ("a non-empty list of positive integers", _list_of(_count)),
+    "t_grid": ("a non-empty list of positive numbers", _list_of(_positive)),
+    **dict.fromkeys(("x_grid", "y_grid"),
+                    ("a non-empty list of finite numbers", _list_of(_real))),
+}
+
+# what a study needs of its model beyond one dimension: (what, test)
+_AFFINE = ("an affine model", lambda model, cfg: model.affine is not None)
+_DENSITY = ("a model with an exact density",
+            lambda model, cfg: model.exact_density is not None)
+_EULER_LAW = ("an affine model, or GBM with f identity, when deterministic",
+              lambda model, cfg: not cfg.get("deterministic")
+              or model.affine is not None
+              or (model.name == "gbm" and cfg["f"] == "identity"))
+
+
+def validate_config(cfg: dict) -> mdl.SdeModel:
+    """Make every config check that `run` makes and return the model;
+    anything `run` could not start raises ConfigError."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    study = cfg.get("study")
-    if study not in _STUDY_KEYS:
+    name = cfg.get("study")
+    if not isinstance(name, str) or name not in _STUDIES:
         raise ConfigError(
-            f"unknown or missing study {study!r}; see `weaklab list-studies`")
+            f"unknown or missing study {name!r}; see `weaklab list-studies`")
+    study = _STUDIES[name]
     keys = set(cfg) - {"study"}
-    spec = _STUDY_KEYS[study]
-    missing = spec["required"] - keys
-    unknown = keys - spec["required"] - spec["optional"]
+    required = set(study.required.split()) | {"model", "seed", "output_csv",
+                                              "output_json"}
+    missing = required - keys
+    unknown = keys - required - set(study.optional.split())
     if missing:
         raise ConfigError(f"missing keys: {sorted(missing)}")
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    model = cfg["model"]
-    if not isinstance(model, dict) or "model" not in model:
+    for key, (what, ok) in _VALUES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigError(f"{key} must be {what}")
+    if name == "weak-rate" and not ({"N", "target_ci", "deterministic"}
+                                    & keys):
+        raise ConfigError("weak-rate needs N, target_ci, or deterministic")
+    if not isinstance(cfg["model"], dict) or "model" not in cfg["model"]:
         raise ConfigError("model block must be an object with a 'model' kind")
     try:
-        mdl.model_from_config(model)
+        model = mdl.model_from_config(cfg["model"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from exc
-    if "n_ladder" in cfg and not (
-            isinstance(cfg["n_ladder"], list) and cfg["n_ladder"]
-            and all(type(n) is int and n > 0 for n in cfg["n_ladder"])):
-        raise ConfigError("n_ladder must be a non-empty list of positive "
-                          "integers")
-    if "f" in cfg and cfg["f"] not in _F_NAMES:
-        raise ConfigError(f"unknown test function {cfg['f']!r}; "
-                          f"choose from {sorted(_F_NAMES)}")
-    if study == "weak-rate" and not ({"N", "target_ci", "deterministic"}
-                                     & set(cfg)):
-        raise ConfigError("weak-rate needs N, target_ci, or deterministic")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+    if model.dim_d != 1:
+        raise ConfigError("studies take scalar x, grids and spots, so the "
+                          "model must be 1-D")
+    if study.needs and not study.needs[1](model, cfg):
+        raise ConfigError(f"{name} needs {study.needs[0]}; got the "
+                          f"{model.name} model")
+    if name == "greeks":
+        try:
+            _option(cfg)  # the payoff and OptionSpec check their arguments
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"option: {exc}") from exc
+    return model
 
 
 _RATE_HEADER = ["study", "model", "f", "t", "x", "n", "N", "estimate",
@@ -121,18 +149,32 @@ def _rate_rows(cfg, estimates, truth, oracle):
             for est in estimates]
 
 
+def _rate_points(estimates, truth, truth_se):
+    """(n, bias, 3-sigma halfwidth) per rung, for the rate fit."""
+    return [(e.n_steps, e.value - truth,
+             3.0 * math.hypot(e.std_error, truth_se)) for e in estimates]
+
+
+def _reference_and_rungs(model, f, x, t, ns, N, rng):
+    """The best available truth and the plain Euler estimate per rung."""
+    truth, tse, oracle = mc.reference_value(model, f, [x], t, 8 * max(ns), N,
+                                            rng.substream(1000))
+    ests = [mc.estimate_expectation(model, f, [x], n, t, N, rng.substream(i))
+            for i, n in enumerate(ns)]
+    return truth, tse, oracle, ests
+
+
 def _deterministic_bias(model, f, x, t, n):
-    """Exact E[f(X^n)] - E[f(X)] where the Euler law is itself closed-form."""
+    """Exact E[f(X^n)] - E[f(X)] where the Euler law is itself closed-form:
+    an affine model, or GBM with f identity (validate_config checks)."""
     truth = semigroup_apply(model, t, f, [x])
-    if model.affine is not None and model.dim_d == 1:
+    if model.affine is not None:
         dens = euler_density_1d(model, n)
         mean, std, push, _ = dens.gauss_coords(t, x)
         val, _ = expect_gaussian(f, mean, std, push=push)
         return val, truth, "exact-euler-law"
-    if model.name == "gbm" and f.name == "identity":
-        mu = model.coeffs1d.db(0.0)  # drift slope = mu for GBM
-        return gbm_euler_mean(float(mu), x, n, t), truth, "gbm-mean-recursion"
-    raise ConfigError("deterministic bias needs an affine model or GBM f=id")
+    mu = model.coeffs1d.db(0.0)  # drift slope = mu for GBM
+    return gbm_euler_mean(float(mu), x, n, t), truth, "gbm-mean-recursion"
 
 
 def _fit_or_exact(measurements):
@@ -146,20 +188,23 @@ def _fit_or_exact(measurements):
 
 
 def _gate_slope(fit, slope_range):
-    if fit is None:
-        return True
-    if slope_range is None:
-        return True
-    lo, hi = slope_range
-    return lo <= fit.slope <= hi
+    return fit is None or slope_range is None \
+        or slope_range[0] <= fit.slope <= slope_range[1]
 
 
-def _study_weak_rate(cfg):
-    model = mdl.model_from_config(cfg["model"])
+def _option(cfg) -> pricing.OptionSpec:
+    payoff = pricing.make_payoff(cfg["payoff"], strike=cfg.get("strike"),
+                                 power=cfg.get("power"))
+    return pricing.OptionSpec(payoff, t=float(cfg["t"]), v=float(cfg["v"]))
+
+
+# Each study takes the config, the model and the root stream, and returns
+# (rows, header, summary, ok); run_study adds study, seed and the status
+# (pass or gate-failure) to the summary unless the study set one.
+
+def _study_weak_rate(cfg, model, rng):
     f = _F_NAMES[cfg["f"]]()
-    x, t = float(cfg["x"]), float(cfg["t"])
-    ns = [int(n) for n in cfg["n_ladder"]]
-    rng = RngStream(int(cfg["seed"]), 0)
+    x, t, ns = float(cfg["x"]), float(cfg["t"]), cfg["n_ladder"]
     if cfg.get("deterministic"):
         rows, meas = [], []
         for n in ns:
@@ -168,69 +213,48 @@ def _study_weak_rate(cfg):
                          n, 0, est, truth, est - truth, 0.0, oracle])
             meas.append((n, est - truth, 0.0))
     else:
-        N = int(cfg["N"]) if "N" in cfg else None
-        if N is None:
-            N = mc.samples_for_ci(model, f, [x], max(ns), t,
-                                  float(cfg["target_ci"]), rng.substream(999))
-        truth, tse, oracle = mc.reference_value(model, f, [x], t,
-                                                8 * max(ns), N,
-                                                rng.substream(1000))
-        ests = [mc.estimate_expectation(model, f, [x], n, t, N,
-                                        rng.substream(i))
-                for i, n in enumerate(ns)]
+        N = cfg["N"] if "N" in cfg else mc.samples_for_ci(
+            model, f, [x], max(ns), t, float(cfg["target_ci"]),
+            rng.substream(999))
+        truth, tse, oracle, ests = _reference_and_rungs(model, f, x, t, ns, N,
+                                                        rng)
         rows = _rate_rows(cfg, ests, truth, oracle)
-        meas = [(e.n_steps, e.value - truth,
-                 3.0 * math.hypot(e.std_error, tse)) for e in ests]
+        meas = _rate_points(ests, truth, tse)
     fit, status = _fit_or_exact(meas)
-    ok = _gate_slope(fit, cfg.get("slope_range"))
-    summary = {"study": cfg["study"], "status": status if fit is None
-               else ("pass" if ok else "gate-failure"),
-               "slope": None if fit is None else fit.slope,
+    summary = {"slope": None if fit is None else fit.slope,
                "r_squared": None if fit is None else fit.r_squared,
-               "n_excluded": 0 if fit is None else len(fit.excluded),
-               "seed": cfg["seed"]}
-    return rows, _RATE_HEADER, summary, ok
+               "n_excluded": 0 if fit is None else len(fit.excluded)}
+    if fit is None:
+        summary["status"] = status
+    return rows, _RATE_HEADER, summary, _gate_slope(fit,
+                                                     cfg.get("slope_range"))
 
 
-def _study_romberg(cfg):
-    model = mdl.model_from_config(cfg["model"])
+def _study_romberg(cfg, model, rng):
     f = _F_NAMES[cfg["f"]]()
-    x, t, N = float(cfg["x"]), float(cfg["t"]), int(cfg["N"])
-    ns = [int(n) for n in cfg["n_ladder"]]
-    rng = RngStream(int(cfg["seed"]), 0)
-    truth, tse, oracle = mc.reference_value(model, f, [x], t, 8 * max(ns), N,
-                                            rng.substream(1000))
-    plain = [mc.estimate_expectation(model, f, [x], n, t, N, rng.substream(i))
-             for i, n in enumerate(ns)]
+    x, t, N, ns = float(cfg["x"]), float(cfg["t"]), cfg["N"], cfg["n_ladder"]
+    truth, tse, oracle, plain = _reference_and_rungs(model, f, x, t, ns, N,
+                                                     rng)
     romb = [mc.romberg_estimate(model, f, [x], n, t, N,
                                 rng.substream(100 + i))
             for i, n in enumerate(ns)]
     rows = _rate_rows(cfg, plain, truth, oracle) \
         + _rate_rows(dict(cfg, study="romberg-extrapolated"), romb, truth,
                      oracle)
-    fit_b, status_b = _fit_or_exact(
-        [(e.n_steps, e.value - truth, 3 * math.hypot(e.std_error, tse))
-         for e in plain])
-    fit_a, status_a = _fit_or_exact(
-        [(e.n_steps, e.value - truth, 3 * math.hypot(e.std_error, tse))
-         for e in romb])
-    ok = _gate_slope(fit_a, cfg.get("slope_range"))
-    summary = {"study": cfg["study"],
-               "slope_before": None if fit_b is None else fit_b.slope,
+    fit_b, status_b = _fit_or_exact(_rate_points(plain, truth, tse))
+    fit_a, status_a = _fit_or_exact(_rate_points(romb, truth, tse))
+    summary = {"slope_before": None if fit_b is None else fit_b.slope,
                "slope_after": None if fit_a is None else fit_a.slope,
-               "status_before": status_b, "status_after": status_a,
-               "status": "pass" if ok else "gate-failure",
-               "seed": cfg["seed"]}
-    return rows, _RATE_HEADER, summary, ok
+               "status_before": status_b, "status_after": status_a}
+    return rows, _RATE_HEADER, summary, _gate_slope(fit_a,
+                                                     cfg.get("slope_range"))
 
 
-def _study_bias_limit(cfg):
-    model = mdl.model_from_config(cfg["model"])
+def _study_bias_limit(cfg, model, rng):
     f = _F_NAMES[cfg["f"]]()
-    x, t, N = float(cfg["x"]), float(cfg["t"]), int(cfg["N"])
-    ns = [int(n) for n in cfg["n_ladder"]]
-    rng = RngStream(int(cfg["seed"]), 0)
-    limit, ci = mc.bias_times_n_limit(model, f, [x], t, ns, N, rng)
+    x, t, N = float(cfg["x"]), float(cfg["t"]), cfg["N"]
+    limit, ci = mc.bias_times_n_limit(model, f, [x], t, cfg["n_ladder"], N,
+                                      rng)
     ct, qerr = ee.principal_term_Ct(model, f, t, x, tol=1e-8)
     if not math.isfinite(qerr):
         # an infinite error bar would pass any gate
@@ -244,17 +268,13 @@ def _study_bias_limit(cfg):
              "n_bias_limit", limit, ci, "richardson-mc-ladder"],
             [cfg["study"], cfg["model"]["model"], cfg["f"], t, x,
              "principal_term", ct, qerr, "semigroup-quadrature"]]
-    summary = {"study": cfg["study"], "bias_limit": limit, "bias_ci": ci,
-               "principal_term": ct, "quad_error": qerr,
-               "difference": limit - ct,
-               "status": "pass" if ok else "gate-failure",
-               "seed": cfg["seed"]}
+    summary = {"bias_limit": limit, "bias_ci": ci, "principal_term": ct,
+               "quad_error": qerr, "difference": limit - ct}
     return rows, header, summary, ok
 
 
-def _study_density(cfg):
-    model = mdl.model_from_config(cfg["model"])
-    n = int(cfg["n"])
+def _study_density(cfg, model, rng):
+    n = cfg["n"]
     tol_cfg = float(cfg.get("tolerance", 1e-3))
     tol = max(tol_cfg, 4.0 / n)
     header = ["study", "model", "t", "x", "y", "n", "n_density_error", "pi",
@@ -273,55 +293,36 @@ def _study_density(cfg):
                 if not pe.converged:
                     raise NonConvergence(
                         f"pi quadrature unconverged at (t={t},x={x},y={y})")
-    ok = worst <= tol
-    summary = {"study": cfg["study"], "max_abs_difference": worst,
-               "tolerance": tol, "n": n,
-               "status": "pass" if ok else "gate-failure",
-               "seed": cfg["seed"]}
-    return rows, header, summary, ok
+    summary = {"max_abs_difference": worst, "tolerance": tol, "n": n}
+    return rows, header, summary, worst <= tol
 
 
-def _study_tailbound(cfg):
-    model = mdl.model_from_config(cfg["model"])
-    which = cfg["kernel"]
-    if which not in ("p", "pi"):
-        raise ConfigError("kernel must be 'p' or 'pi'")
-    l = int(cfg["l"])
+def _study_tailbound(cfg, model, rng):
+    which, l = cfg["kernel"], cfg["l"]
     grid = [(float(t), float(x), float(y)) for t in cfg["t_grid"]
             for x in cfg["x_grid"] for y in cfg["y_grid"]]
     if which == "p":
         dens = model.exact_density
-        if dens is None:
-            raise ConfigError("tailbound on p needs an exact density")
         kernel = lambda t, x, y: float(dens.density(t, x, y))
     else:
         kernel = lambda t, x, y: ee.principal_density_pi(
             model, t, x, y, tol=1e-7).value
     spec = ee.fit_tail_bound(kernel, l, grid)
     report = ee.check_tail_bound(kernel, spec, grid)
-    ok = report["max_violation_ratio"] <= 1.0
     header = ["study", "model", "kernel", "l", "c1", "c2",
               "max_violation_ratio", "n_points", "oracle"]
     rows = [[cfg["study"], cfg["model"]["model"], which, l, spec.c1, spec.c2,
              report["max_violation_ratio"], report["n_points"],
              "grid-certificate"]]
-    summary = {"study": cfg["study"], "kernel": which, "l": l,
-               "c1": spec.c1, "c2": spec.c2,
-               "max_violation_ratio": report["max_violation_ratio"],
-               "status": "pass" if ok else "gate-failure",
-               "seed": cfg["seed"]}
-    return rows, header, summary, ok
+    summary = {"kernel": which, "l": l, "c1": spec.c1, "c2": spec.c2,
+               "max_violation_ratio": report["max_violation_ratio"]}
+    return rows, header, summary, report["max_violation_ratio"] <= 1.0
 
 
-def _study_greeks(cfg):
-    model = mdl.model_from_config(cfg["model"])
-    payoff = pricing.make_payoff(cfg["payoff"], strike=cfg.get("strike"),
-                                 power=cfg.get("power"))
-    opt = pricing.OptionSpec(payoff, t=float(cfg["t"]), v=float(cfg["v"]))
-    ns = [int(n) for n in cfg["n_ladder"]]
-    N = int(cfg["N"])
+def _study_greeks(cfg, model, rng):
+    opt = _option(cfg)
+    ns, N = cfg["n_ladder"], cfg["N"]
     bump = float(cfg.get("bump", 0.01))
-    rng = RngStream(int(cfg["seed"]), 0)
     ref = pricing.price_romberg(model, opt, 16 * max(ns), N,
                                 rng.substream(1000))
     header = ["study", "model", "payoff", "t", "v", "n", "N", "price",
@@ -330,28 +331,22 @@ def _study_greeks(cfg):
     for i, n in enumerate(ns):
         g = pricing.greeks_euler(model, opt, n, N, rng.substream(i),
                                  bump=bump)
-        rows.append([cfg["study"], cfg["model"]["model"], payoff.name, opt.t,
-                     opt.v, n, N, g.price, g.price_se, g.delta, g.delta_se,
-                     g.gamma, g.gamma_se,
+        rows.append([cfg["study"], cfg["model"]["model"], opt.payoff.name,
+                     opt.t, opt.v, n, N, g.price, g.price_se, g.delta,
+                     g.delta_se, g.gamma, g.gamma_se,
                      f"romberg-reference(n={16 * max(ns)})"])
         meas.append((n, g.price - ref.value,
                      3 * math.hypot(g.price_se, ref.std_error)))
     fit, status = _fit_or_exact(meas)
-    ok = _gate_slope(fit, cfg.get("slope_range"))
-    summary = {"study": cfg["study"], "payoff": payoff.name,
-               "reference_price": ref.value,
-               "price_slope": None if fit is None else fit.slope,
-               "status": status if fit is None
-               else ("pass" if ok else "gate-failure"),
-               "seed": cfg["seed"]}
-    return rows, header, summary, ok
+    summary = {"payoff": opt.payoff.name, "reference_price": ref.value,
+               "price_slope": None if fit is None else fit.slope}
+    if fit is None:
+        summary["status"] = status
+    return rows, header, summary, _gate_slope(fit, cfg.get("slope_range"))
 
 
-def _study_moments(cfg):
-    model = mdl.model_from_config(cfg["model"])
-    q, N = int(cfg["q"]), int(cfg["N"])
-    ns = [int(n) for n in cfg["n_ladder"]]
-    rng = RngStream(int(cfg["seed"]), 0)
+def _study_moments(cfg, model, rng):
+    q, N, ns = cfg["q"], cfg["N"], cfg["n_ladder"]
     header = ["study", "model", "q", "t", "x", "n", "N", "moment", "se",
               "c_ratio", "oracle"]
     rows, all_cs, spreads = [], [], []
@@ -372,35 +367,45 @@ def _study_moments(cfg):
             all_cs.extend(cs)
     stability = float(cfg.get("stability", 1.2))
     spread = max(spreads)
-    ok = spread <= stability ** 2  # +-20% around a central c
-    summary = {"study": cfg["study"], "q": q, "c_fitted": max(all_cs),
-               "worst_n_spread": spread,
-               "status": "pass" if ok else "gate-failure",
-               "seed": cfg["seed"]}
-    return rows, header, summary, ok
+    summary = {"q": q, "c_fitted": max(all_cs), "worst_n_spread": spread}
+    return rows, header, summary, spread <= stability ** 2  # +-20% around c
+
+
+@dataclass(frozen=True)
+class _Study:
+    fn: callable      # fn(cfg, model, rng) -> (rows, header, summary, ok)
+    required: str     # config keys besides model, seed and the two outputs
+    optional: str = ""
+    needs: tuple | None = None   # model requirement: (what, test)
 
 
 _STUDIES = {
-    "weak-rate": _study_weak_rate,
-    "romberg": _study_romberg,
-    "bias-limit": _study_bias_limit,
-    "density": _study_density,
-    "tailbound": _study_tailbound,
-    "greeks": _study_greeks,
-    "moments": _study_moments,
+    "weak-rate": _Study(_study_weak_rate, "f x t n_ladder",
+                        "N target_ci deterministic slope_range", _EULER_LAW),
+    "romberg": _Study(_study_romberg, "f x t n_ladder N", "slope_range"),
+    "bias-limit": _Study(_study_bias_limit, "f x t n_ladder N", "tolerance",
+                         _DENSITY),
+    "density": _Study(_study_density, "t_grid x_grid y_grid n", "tolerance",
+                      _AFFINE),
+    "tailbound": _Study(_study_tailbound, "kernel l t_grid x_grid y_grid",
+                        "n", _DENSITY),
+    "greeks": _Study(_study_greeks, "payoff v t n_ladder N",
+                     "strike power bump slope_range"),
+    "moments": _Study(_study_moments, "q t_grid x_grid n_ladder N",
+                      "stability"),
 }
 
 
 def run_study(cfg: dict) -> int:
-    validate_config(cfg)
+    model = validate_config(cfg)
     try:
-        rows, header, summary, ok = _STUDIES[cfg["study"]](cfg)
-    except (ConfigError, mdl.AssumptionViolation) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NonConvergence, QuadratureError, SimulationBlowup) as exc:
+        rows, header, summary, ok = _STUDIES[cfg["study"]].fn(
+            cfg, model, RngStream(cfg["seed"], 0))
+    except (NonConvergence, SimulationBlowup) as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
+    summary = {"study": cfg["study"], "seed": cfg["seed"],
+               "status": "pass" if ok else "gate-failure", **summary}
     write_csv(cfg["output_csv"], header, rows)
     write_json(cfg["output_json"], summary)
     print(f"{cfg['study']}: {summary['status']}")

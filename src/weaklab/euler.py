@@ -181,27 +181,34 @@ def euler_density_1d(model: SdeModel, n: int) -> AffineGaussianDensity:
 
 @dataclass
 class MeanAccumulator:
-    """Deterministic streaming mean/variance over ordered chunks."""
+    """Deterministic streaming mean/variance over ordered chunks.  Each
+    chunk's sum of squares about its own mean is merged in chunk order
+    (Chan, Golub and LeVeque), so the variance keeps its accuracy at large
+    means; the mean is the fsum of the chunk sums over the count."""
 
     total: int = 0
     parts_sum: list = None
-    parts_sq: list = None
+    mean: float = 0.0   # running mean, used only by the merge
+    m2: float = 0.0     # centred sum of squares of the chunks so far
 
     def __post_init__(self):
-        self.parts_sum, self.parts_sq = [], []
+        self.parts_sum = []
 
     def add(self, values: np.ndarray):
-        self.total += values.size
-        self.parts_sum.append(float(np.sum(values)))
-        self.parts_sq.append(float(np.sum(values * values)))
+        n, s = values.size, float(np.sum(values))
+        dev = values - s / n
+        delta = s / n - self.mean
+        total = self.total + n
+        self.m2 += float(np.sum(dev * dev)) \
+            + delta * delta * self.total * n / total
+        self.mean += delta * n / total
+        self.total = total
+        self.parts_sum.append(s)
 
     def result(self) -> tuple[float, float]:
-        s = math.fsum(self.parts_sum)
-        sq = math.fsum(self.parts_sq)
-        mean = s / self.total
-        var = max(sq / self.total - mean * mean, 0.0)
-        se = math.sqrt(var / self.total)
-        return mean, se
+        mean = math.fsum(self.parts_sum) / self.total
+        var = self.m2 / self.total
+        return mean, math.sqrt(var / self.total)
 
 
 def worker_count() -> int:

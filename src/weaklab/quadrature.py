@@ -16,10 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 
-class QuadratureError(RuntimeError):
-    """Raised when node doubling fails to converge below tolerance."""
-
-
 @lru_cache(maxsize=None)
 def hermgauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Physicists' Gauss-Hermite nodes h_i and weights w_i for the weight

@@ -16,7 +16,7 @@ def _render(value) -> str:
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
-        return repr(value)
+        return repr(float(value))  # numpy floats repr as np.float64(...)
     return str(value)
 
 

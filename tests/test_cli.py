@@ -1,7 +1,9 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -76,6 +78,90 @@ def test_bad_n_ladder_exits_3(tmp_path, capsys, command, n_ladder):
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert "n_ladder" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
+
+
+OU = {"model": "ou", "theta": 1.0, "sigma": 1.0}
+GBM = {"model": "gbm", "mu": 0.1, "sigma": 0.2}
+TANH = {"model": "tanh_vol", "a0": 0.05, "b0": 0.2, "c0": 0.1}
+CONSTANT_2D = {"model": "constant", "b": [0.1, 0.2],
+               "s": [[1.0, 0.0], [0.0, 1.0]]}
+GRIDS = {"t_grid": [0.5], "x_grid": [0.0], "y_grid": [0.1]}
+RATE = {"f": "identity", "x": 1.0, "t": 1.0, "n_ladder": [2, 4], "N": 256}
+GREEKS = {"study": "greeks", "model": OU, "payoff": "identity", "v": 2.0,
+          "t": 1.0, "n_ladder": [1, 2], "N": 256}
+UNSTARTABLE = {
+    "density-gbm": dict(study="density", model=GBM, n=64, **GRIDS),
+    "bias-limit-tanh": dict(study="bias-limit", model=TANH, **RATE),
+    "tailbound-pi-tanh": dict(study="tailbound", model=TANH, kernel="pi",
+                              l=0, **GRIDS),
+    "weak-rate-deterministic-tanh": dict(study="weak-rate", model=TANH,
+                                         deterministic=True, **RATE),
+    "tailbound-kernel-q": dict(study="tailbound", model=OU, kernel="q", l=0,
+                               **GRIDS),
+    "greeks-straddle": dict(GREEKS, payoff="straddle"),
+    "greeks-call-no-strike": dict(GREEKS, payoff="call"),
+    "greeks-t-2": dict(GREEKS, t=2.0),
+    "moments-q-3": dict(study="moments", model=OU, q=3, t_grid=[0.5],
+                        x_grid=[0.0], n_ladder=[2], N=256),
+    # the studies take scalar x, grids and spots
+    "romberg-2d": dict(study="romberg", model=CONSTANT_2D, **RATE),
+    "tailbound-p-2d": dict(study="tailbound", model=CONSTANT_2D, kernel="p",
+                           l=0, **GRIDS),
+    "greeks-bump-0.5": dict(GREEKS, bump=0.5),
+    "weak-rate-x-string": dict(study="weak-rate", model=OU,
+                               deterministic=True, **dict(RATE, x="a")),
+    "density-n-0": dict(study="density", model=OU, n=0, **GRIDS),
+    "density-string-grid": dict(study="density", model=OU, n=64,
+                                **dict(GRIDS, t_grid="ab")),
+    "weak-rate-negative-t": dict(study="weak-rate", model=OU,
+                                 deterministic=True, **dict(RATE, t=-1.0)),
+    "tailbound-t-0": dict(study="tailbound", model=OU, kernel="p", l=0,
+                          **dict(GRIDS, t_grid=[0.0])),
+    "moments-q-negative": dict(study="moments", model=OU, q=-2, t_grid=[0.5],
+                               x_grid=[0.0], n_ladder=[2], N=256),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name", list(UNSTARTABLE))
+def test_validate_rejects_what_run_cannot_start(tmp_path, capsys, command,
+                                                name):
+    cfg = dict(UNSTARTABLE[name], seed=1,
+               output_csv=str(tmp_path / "rows.csv"),
+               output_json=str(tmp_path / "summary.json"))
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_builds_the_model_once(tmp_path):
+    calls = []
+    build = cli.mdl.model_from_config
+
+    def counting(block):
+        calls.append(block)
+        return build(block)
+
+    path = write_cfg(tmp_path, weak_rate_cfg(tmp_path))
+    with mock.patch.object(cli.mdl, "model_from_config", counting):
+        assert cli.main(["run", path]) == 0
+    assert len(calls) == 1
+
+
+def test_greeks_csv_cells_are_numbers(tmp_path):
+    cfg = dict(GREEKS, model={"model": "ou", "theta": 1.75, "sigma": 0.5},
+               v=7.5, n_ladder=[1, 2, 4, 8], N=16384, seed=3,
+               output_csv=str(tmp_path / "rows.csv"),
+               output_json=str(tmp_path / "summary.json"))
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == 0
+    with open(tmp_path / "rows.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    text = {"study", "model", "payoff", "oracle"}
+    for row in rows:
+        for key, cell in zip(header, row):
+            if key not in text:
+                float(cell)
 
 
 def test_import_does_not_load_scipy_stats():

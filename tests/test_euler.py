@@ -154,6 +154,22 @@ def test_mc_reduce_worker_count_invariance():
     assert run("1") == run("4")
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_mc_reduce_standard_error_at_large_means(offset):
+    # E[x^2] - mean^2 cancels at a large mean: unit-sd samples at 1e8 read
+    # an sd of 0 or 1.41 depending on the draws
+    N, rng = 3 * CHUNK + 17, RngStream(3, 1)
+
+    def chunk(stream, size):
+        return offset + normals_from(stream.generator(), (size,))
+
+    mean, se = mc_reduce(chunk, N, rng)
+    z = np.concatenate([normals_from(rng.substream(i).generator(), (size,))
+                        for i, size in enumerate([CHUNK] * 3 + [17])])
+    assert se * math.sqrt(N) == pytest.approx(z.std(), rel=1e-9)
+    assert mean - offset == pytest.approx(z.mean(), abs=1e-7)
+
+
 def test_worker_count_defaults_to_affinity():
     env = {k: v for k, v in os.environ.items() if k != "WEAKLAB_WORKERS"}
     with mock.patch.dict(os.environ, env, clear=True):
