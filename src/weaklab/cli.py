@@ -68,8 +68,12 @@ _VALUES = {
     "bump": ("a number in (0, 0.1]", lambda v: _real(v) and 0 < v <= 0.1),
     **dict.fromkeys(("N", "n"), ("a positive integer", _count)),
     "l": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
-    "q": ("an even integer in [0, 8]",
-          lambda v: type(v) is int and v % 2 == 0 and 0 <= v <= 8),
+    "q": ("an even integer in [2, 8]",
+          lambda v: type(v) is int and v % 2 == 0 and 2 <= v <= 8),
+    "deterministic": ("true or false", lambda v: type(v) is bool),
+    **dict.fromkeys(("output_csv", "output_json"),
+                    ("a non-empty string",
+                     lambda v: isinstance(v, str) and bool(v))),
     "seed": ("an integer", lambda v: type(v) is int),
     "f": (f"one of {sorted(_F_NAMES)}",
           lambda v: isinstance(v, str) and v in _F_NAMES),
@@ -115,9 +119,13 @@ def validate_config(cfg: dict) -> mdl.SdeModel:
     for key, (what, ok) in _VALUES.items():
         if key in cfg and not ok(cfg[key]):
             raise ConfigError(f"{key} must be {what}")
-    if name == "weak-rate" and not ({"N", "target_ci", "deterministic"}
-                                    & keys):
-        raise ConfigError("weak-rate needs N, target_ci, or deterministic")
+    if name == "weak-rate":
+        modes = [k for k in ("N", "target_ci") if k in cfg]
+        if cfg.get("deterministic"):
+            modes.append("deterministic")
+        if len(modes) != 1:
+            raise ConfigError("weak-rate needs exactly one of N, target_ci "
+                              f"or deterministic true; got {modes}")
     if not isinstance(cfg["model"], dict) or "model" not in cfg["model"]:
         raise ConfigError("model block must be an object with a 'model' kind")
     try:
@@ -180,8 +188,8 @@ def _deterministic_bias(model, f, x, t, n):
 def _fit_or_exact(measurements):
     try:
         return mc.fit_rate(measurements), "fit"
-    except mc.InsufficientSignal:
-        if all(abs(e) <= 3.0 * ci for _, e, ci in measurements):
+    except mc.InsufficientSignal as exc:
+        if measurements and exc.cleared == 0:
             return None, "exact-scheme"
         raise NonConvergence(
             "rate fit: too few points above the noise gate") from None
@@ -388,7 +396,7 @@ _STUDIES = {
     "density": _Study(_study_density, "t_grid x_grid y_grid n", "tolerance",
                       _AFFINE),
     "tailbound": _Study(_study_tailbound, "kernel l t_grid x_grid y_grid",
-                        "n", _DENSITY),
+                        needs=_DENSITY),
     "greeks": _Study(_study_greeks, "payoff v t n_ladder N",
                      "strike power bump slope_range"),
     "moments": _Study(_study_moments, "q t_grid x_grid n_ladder N",

@@ -13,7 +13,9 @@ derivatives stay on the larger-time factor p(t-s, z, .); on the right
 half they are moved onto p(s, x, .) and the coefficient g*_g by
 integration by parts (sign (-1)^g, Leibniz rule), so the differentiated
 factor always has time bounded below by t/2 and the inner Gauss-Hermite
-rule is centered on whichever factor concentrates.  Each rule runs over
+rule is centered on whichever factor concentrates.  C_t f is the same
+split quadrature with P_{t-s} f in place of p(t-s, ., y), both halves
+centred on p(s, x, .).  Each rule runs over
 all of its nodes in one broadcast block: d^gamma P_tau f over every z
 node of the outer rule at once, and pi over an array of y.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import euler_density_1d
-from .gaussian import fd_derivative, fd_derivatives
+from .gaussian import fd_derivatives
 from .models import MissingDensity, SdeModel
 from .quadrature import adaptive_interval, gauss_hermite_rows, \
     hermgauss_rule, split_time_rows
@@ -98,13 +100,6 @@ def l2star_coefficients(model: SdeModel):
     return g1, g2, g3
 
 
-def _g_derivative(g, k: int, z, scale: float):
-    if k == 0:
-        return g(z)
-    return fd_derivative(g, np.asarray(z, dtype=float), k,
-                         4e-3 * max(1.0, scale))
-
-
 def _by_parts(dens, gs, s: float, x0: float, alpha: int, z):
     """sum_g (-1)^g d^g/dz^g [g*_g(z) d^alpha_x p(s, x0, z)] at the nodes z:
     the derivatives L2* produced, moved onto p(s, x0, .) and the
@@ -120,29 +115,18 @@ def _by_parts(dens, gs, s: float, x0: float, alpha: int, z):
     return acc
 
 
-def _resolve_target(g):
-    """Derivative oracle dg(k, z) for a thrice-differentiable target."""
-    if hasattr(g, "deriv"):
-        return lambda k, z: g.deriv(k, z)
-    if isinstance(g, (tuple, list)):
-        return lambda k, z: g[k](np.asarray(z, dtype=float))
-    return lambda k, z: _g_derivative(
-        g, k, z, float(np.max(np.abs(np.atleast_1d(z)))))
-
-
 def apply_L2star(model: SdeModel, g, z):
-    """The principal error operator applied to a target g at z (1-D).
-
-    g may expose .deriv(order, z), be a (g, g', g'', g''') tuple, or be a
-    plain callable (finite-difference fallback).  Constant-coefficient
-    models return 0 identically.
+    """The principal error operator applied to a callable target g at z
+    (1-D), with g's derivatives by finite differences; g must act
+    elementwise on arrays.  Constant-coefficient models return 0
+    identically.
     """
     if _is_constant(model):
         return 0.0 if np.isscalar(z) else np.zeros_like(np.asarray(z, dtype=float))
     gs = l2star_coefficients(model)
-    dg = _resolve_target(g)
     zz = np.asarray(z, dtype=float)
-    out = sum(gs[k - 1](zz) * dg(k, zz) for k in (1, 2, 3))
+    dg = fd_derivatives(g, zz, 3, 4e-3 * max(1.0, float(np.max(np.abs(zz)))))
+    out = sum(gs[k - 1](zz) * dg[k] for k in (1, 2, 3))
     return float(out) if np.isscalar(z) else out
 
 
@@ -153,15 +137,60 @@ def _require_density(model: SdeModel):
     return model.exact_density
 
 
+def _principal_rows(dens, gs, t: float, x0: float, alpha: int, kernel,
+                    inner_err: np.ndarray, tol: float, split: float = 0.5,
+                    target=None):
+    """1/2 int_0^t int d^alpha_x p(s, x0, z) L2*[K(t-s, .)](z) dz ds for
+    every row of inner_err.
+
+    kernel(gamma, tau, z, rows) is d^gamma_z K(tau, z) for the given rows
+    at their nodes z.  On the left half the derivatives of L2* stay on K;
+    on the right half they move onto p(s, x0, .) by parts.  Both halves
+    centre on p(s, x0, .), unless the target y of each row is given: then
+    the right half centres one rule per row on p(t-s, ., y).  inner_err
+    holds each row's worst Gauss-Hermite error, which a kernel may raise
+    too; non-finite errors are kept.  Returns (values, quad_errors).
+    """
+    def integrand(s: float, rows: np.ndarray) -> np.ndarray:
+        tau, left_half = t - s, s <= split * t
+        if left_half or target is None:
+            mean, std, push, dpush = dens.gauss_coords(s, x0)
+            mean = np.full(rows.size, mean)
+        else:
+            mean, std, push, dpush = dens.center_on_target(tau, target[rows])
+        if left_half:
+            def fn(z, r):
+                acc = 0.0
+                for g in (1, 2, 3):
+                    acc = acc + gs[g - 1](z) * kernel(g, tau, z, rows[r])
+                left = dens.density(s, x0, z) if alpha == 0 \
+                    else dens.deriv(alpha, 0, s, x0, z)
+                return left * acc
+        else:
+            def fn(z, r):
+                return kernel(0, tau, z, rows[r]) \
+                    * _by_parts(dens, gs, s, x0, alpha, z)
+
+        val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
+                                      rtol=1e-10)
+        inner_err[rows] = np.maximum(inner_err[rows], err)
+        return val
+
+    val, terr = split_time_rows(
+        lambda ss, rows: np.stack([integrand(si, rows) for si in ss],
+                                  axis=-1),
+        t, tol=tol, split=split, size=inner_err.size)
+    return 0.5 * val, 0.5 * terr + t * inner_err
+
+
 def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
                       tol: float = 1e-8) -> tuple[float, float]:
     """Principal 1/n coefficient of the weak error for the target f at x.
 
-    Computed as 1/2 int_0^t P_s L2* P_{t-s} f (x) ds with the time
-    integral split at t/2; for s > t/2 the derivatives produced by L2*
-    are moved onto p(s, x, .) by integration by parts.  Returns
-    (value, quad_error); a non-finite inner error makes quad_error
-    non-finite.  Dirac-type targets delegate to the kernel.
+    Computed as 1/2 int_0^t P_s L2* P_{t-s} f (x) ds, the one-row case of
+    _principal_rows with K = P_{t-s} f.  Returns (value, quad_error); a
+    non-finite inner error makes quad_error non-finite.  Dirac-type
+    targets delegate to the kernel.
     """
     x0 = float(np.atleast_1d(x)[0])
     if f.kind == tf.DIRAC:
@@ -173,93 +202,42 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     if _is_constant(model):
         return 0.0, 0.0
     dens = _require_density(model)
-    gs = l2star_coefficients(model)
-    inner_err = np.zeros(1)   # worst Gauss-Hermite error; NaN and inf kept
+    inner_err = np.zeros(1)
 
-    def gauss_hermite(fn, mean, std, push, dpush):
-        val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
-                                      rtol=1e-10)
-        inner_err[:] = np.maximum(inner_err, err.max())
-        return val
-
-    def pf_deriv(gamma: int, tau: float, z: np.ndarray) -> np.ndarray:
+    def pf_deriv(gamma: int, tau: float, z: np.ndarray, rows) -> np.ndarray:
         """d^gamma/dz^gamma of P_tau f at every node of z, by one
         Gauss-Hermite block over all of them."""
         zs = z.ravel()
         mean, std, push, dpush = dens.gauss_coords(tau, zs)
         # f reads a 2-D array as (N, d) paths, so it gets the block flat
-        return gauss_hermite(
-            lambda yy, rows: f(yy.ravel()).reshape(yy.shape)
-            * dens.deriv(gamma, 0, tau, zs[rows, None], yy),
-            mean, std, push, dpush).reshape(z.shape)
+        val, err = gauss_hermite_rows(
+            lambda yy, r: f(yy.ravel()).reshape(yy.shape)
+            * dens.deriv(gamma, 0, tau, zs[r, None], yy),
+            mean, std, push=push, dpush=dpush, rtol=1e-10)
+        inner_err[:] = np.maximum(inner_err, err.max())
+        return val.reshape(z.shape)
 
-    def integrand(s: float) -> float:
-        tau = t - s
-        mean, std, push, dpush = dens.gauss_coords(s, x0)
-
-        if s <= 0.5 * t:
-            def fn(z, rows):
-                acc = 0.0
-                for g in (1, 2, 3):
-                    acc = acc + gs[g - 1](z) * pf_deriv(g, tau, z)
-                return dens.density(s, x0, z) * acc
-        else:
-            def fn(z, rows):
-                return pf_deriv(0, tau, z) * _by_parts(dens, gs, s, x0, 0, z)
-
-        return gauss_hermite(fn, mean, std, push, dpush)[0]
-
-    val, terr = split_time_rows(
-        lambda ss, rows: np.array([[integrand(si) for si in ss]]), t, tol=tol)
-    return 0.5 * float(val[0]), 0.5 * float(terr[0]) + t * float(inner_err[0])
+    val, err = _principal_rows(dens, l2star_coefficients(model), t, x0, 0,
+                               pf_deriv, inner_err, tol)
+    return float(val[0]), float(err[0])
 
 
 def _pi_rows(model: SdeModel, t: float, x0: float, ys: np.ndarray,
              alpha: int, beta: int, tol: float, split: float):
-    """d^alpha_x d^beta_y pi(t, x0, y) at every y of the 1-D array ys.
-
-    Each y runs its own time and Gauss-Hermite node doubling, all of them
-    in one broadcast block: the left half shares the nodes of
-    p(s, x0, .), the right half centres one rule per y on p(t-s, ., y).
-    Returns (values, quad_errors); non-finite inner errors are kept.
+    """d^alpha_x d^beta_y pi(t, x0, y) at every y of the 1-D array ys:
+    _principal_rows with K = d^beta_y p(., ., y), each y running its own
+    time and Gauss-Hermite node doubling.  Returns (values, quad_errors);
+    non-finite inner errors are kept.
     """
     if _is_constant(model):
         return np.zeros(ys.size), np.zeros(ys.size)
     dens = _require_density(model)
-    gs = l2star_coefficients(model)
-    inner_err = np.zeros(ys.size)
 
-    def integrand(s: float, rows: np.ndarray) -> np.ndarray:
-        tau = t - s
-        y = ys[rows]
-        if s <= split * t:
-            mean, std, push, dpush = dens.gauss_coords(s, x0)
-            mean = np.full(y.size, mean)
+    def kernel(gamma, tau, z, rows):
+        return dens.deriv(gamma, beta, tau, z, ys[rows, None])
 
-            def fn(z, r):
-                left = dens.deriv(alpha, 0, s, x0, z)
-                acc = 0.0
-                for g in (1, 2, 3):
-                    acc = acc + gs[g - 1](z) \
-                        * dens.deriv(g, beta, tau, z, y[r, None])
-                return left * acc
-        else:
-            mean, std, push, dpush = dens.center_on_target(tau, y)
-
-            def fn(z, r):
-                return dens.deriv(0, beta, tau, z, y[r, None]) \
-                    * _by_parts(dens, gs, s, x0, alpha, z)
-
-        val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
-                                      rtol=1e-10)
-        inner_err[rows] = np.maximum(inner_err[rows], err)
-        return val
-
-    val, terr = split_time_rows(
-        lambda ss, rows: np.stack([integrand(si, rows) for si in ss],
-                                  axis=-1),
-        t, tol=tol, split=split, size=ys.size)
-    return 0.5 * val, 0.5 * terr + t * inner_err
+    return _principal_rows(dens, l2star_coefficients(model), t, x0, alpha,
+                           kernel, np.zeros(ys.size), tol, split, target=ys)
 
 
 def principal_density_pi(model: SdeModel, t: float, x: float, y: float,

@@ -269,8 +269,8 @@ def mc_reduce_multi(chunk_fn, N: int, rng: RngStream, k: int):
 def empirical_moment(model: SdeModel, x, n: int, t: float, q: int, N: int,
                      rng: RngStream):
     """Monte-Carlo estimate of E ||X_t^{n,x}||^q with standard error."""
-    if q % 2 or q > 8:
-        raise ValueError("q must be an even integer <= 8")
+    if q % 2 or not 2 <= q <= 8:
+        raise ValueError("q must be an even integer in [2, 8]")
 
     def chunk(stream, size):
         pts = simulate_euler(model, x, n, t, stream, size)

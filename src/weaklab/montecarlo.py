@@ -16,7 +16,12 @@ from .rng import RngStream
 
 
 class InsufficientSignal(RuntimeError):
-    """Too few measurements rise above their noise gate for a rate fit."""
+    """Too few measurements rise above their noise gate for a rate fit;
+    ``cleared`` counts those that did."""
+
+    def __init__(self, message: str, cleared: int):
+        super().__init__(message)
+        self.cleared = cleared
 
 
 @dataclass
@@ -112,7 +117,8 @@ def fit_rate(measurements, noise_gate: float = 3.0) -> RateFit:
     if len(usable) < 4:
         raise InsufficientSignal(
             f"only {len(usable)} of {len(measurements)} points exceed the "
-            f"{noise_gate}x CI noise gate; raise N or widen the n range")
+            f"{noise_gate}x CI noise gate; raise N or widen the n range",
+            cleared=len(usable))
     ln = np.log([n for n, _, _ in usable])
     le = np.log([abs(e) for _, e, _ in usable])
     # delta method: var(log|e|) ~ (ci/|e|)^2; zero-CI points get unit weight
@@ -147,8 +153,8 @@ def bias_ladder(model: SdeModel, f: tf.TestFunction, x, t: float, n_ladder,
     makes the difference variance strong-error sized, which is what lets
     small biases clear the noise gate.  Returns [(n, bias, std_error)].
     """
-    return _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple,
-                          romberg=False)
+    _require_pointwise(f)
+    return coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple)
 
 
 def romberg_ladder(model: SdeModel, f: tf.TestFunction, x, t: float,
@@ -160,14 +166,17 @@ def romberg_ladder(model: SdeModel, f: tf.TestFunction, x, t: float,
     the second-order residuals are measured with strong-error-sized
     noise.  Returns [(n, residual, std_error)].
     """
-    return _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple,
-                          romberg=True)
-
-
-def _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple, romberg):
-    """[(n, mean, std_error)] of each rung's per-path statistic, f(X^n) or
-    with romberg 2 f(X^{2n}) - f(X^n), minus the per-path reference."""
     _require_pointwise(f)
+    return coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple,
+                         romberg=True)
+
+
+def coupled_rungs(model, stat, x, t, n_ladder, N, rng, ref_multiple,
+                  romberg=False):
+    """[(n, mean, std_error)] of each rung's per-path statistic, stat(X^n)
+    or with romberg 2 stat(X^{2n}) - stat(X^n), minus the per-path
+    reference.  stat maps the endpoints of one level, every start point
+    of x, to one value per path."""
     ns = sorted(int(n) for n in n_ladder)
     n_ref = ref_multiple * ns[-1]
     levels = set(ns) | {n_ref, 2 * n_ref}
@@ -176,7 +185,7 @@ def _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple, romberg):
 
     def chunk(stream, size):
         lad = simulate_ladder(model, x, levels, t, stream, size)
-        vals = {n: f(pts) for n, pts in lad.items()}
+        vals = {n: stat(pts) for n, pts in lad.items()}
         ref = 2.0 * vals[2 * n_ref] - vals[n_ref]
         stats = [2.0 * vals[2 * n] - vals[n] if romberg else vals[n]
                  for n in ns]
@@ -184,6 +193,17 @@ def _coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple, romberg):
 
     means, ses = mc_reduce_multi(chunk, N, rng, len(ns))
     return [(n, float(m), float(s)) for n, m, s in zip(ns, means, ses)]
+
+
+def richardson_limit(rungs, order: int = 2):
+    """Richardson limit of n bias over coupled rungs [(n, bias, std_error)],
+    with a 3-sigma halfwidth propagated through the Richardson weights."""
+    order = min(order, len(rungs))
+    value = richardson_table([(n, n * b) for n, b, _ in rungs], order)
+    w = richardson_weights(len(rungs), order)
+    ci = 3.0 * math.sqrt(sum((wi * n * s) ** 2
+                             for wi, (n, _, s) in zip(w, rungs)))
+    return value, ci
 
 
 def bias_times_n_limit(model: SdeModel, f: tf.TestFunction, x, t: float,
@@ -194,13 +214,8 @@ def bias_times_n_limit(model: SdeModel, f: tf.TestFunction, x, t: float,
     Returns (value, ci_halfwidth) with a 3-sigma halfwidth propagated
     through the Richardson weights.
     """
-    rungs = bias_ladder(model, f, x, t, n_ladder, N, rng, ref_multiple)
-    order = min(order, len(rungs))
-    value = richardson_table([(n, n * b) for n, b, _ in rungs], order)
-    w = richardson_weights(len(rungs), order)
-    ci = 3.0 * math.sqrt(sum((wi * n * s) ** 2
-                             for wi, (n, _, s) in zip(w, rungs)))
-    return value, ci
+    return richardson_limit(bias_ladder(model, f, x, t, n_ladder, N, rng,
+                                        ref_multiple), order)
 
 
 def samples_for_ci(model: SdeModel, f: tf.TestFunction, x, n: int, t: float,

@@ -17,8 +17,8 @@ from scipy.special import ndtr
 
 from .euler import mc_reduce_multi, simulate_ladder
 from .models import SdeModel
-from .montecarlo import Estimate, estimate_expectation, richardson_table, \
-    richardson_weights, romberg_estimate
+from .montecarlo import Estimate, coupled_rungs, estimate_expectation, \
+    richardson_limit, romberg_estimate
 from .rng import RngStream
 from . import testfunctions as tf
 
@@ -120,26 +120,20 @@ def price_romberg(market: SdeModel, opt: OptionSpec, n: int, N: int,
     return romberg_estimate(market, f, [math.log(opt.v)], n, opt.t, N, rng)
 
 
-def _bumped_payoffs(market: SdeModel, opt: OptionSpec, ns, h: float,
-                    stream, size: int) -> dict:
-    """Per-path payoffs at spots v(1-h), v, v(1+h) on shared noise.
-
-    Returns {n: (size, 3) array} for each distinct n.  The three spots are
-    the start points of one ladder, so path i from each spot sees the same
-    Brownian increments, which is what makes the finite differences
-    common-random-number.
-    """
-    spots = [opt.v * (1.0 - h), opt.v, opt.v * (1.0 + h)]
-    lad = simulate_ladder(market, [[math.log(v)] for v in spots], ns, opt.t,
-                          stream, size)
-    return {n: opt.payoff(np.exp(pts[:, 0])).reshape(3, size).T
-            for n, pts in lad.items()}
+def _spots(opt: OptionSpec, h: float) -> list:
+    """Log start points of the spots v(1-h), v, v(1+h).  As the start
+    points of one ladder, path i from each spot sees the same Brownian
+    increments, which is what makes the finite differences
+    common-random-number."""
+    return [[math.log(v)] for v in (opt.v * (1.0 - h), opt.v,
+                                    opt.v * (1.0 + h))]
 
 
-def _fd_columns(vals: np.ndarray, v: float, h: float) -> np.ndarray:
-    """(price, delta, gamma) per path from the 3-point CRN stencil."""
-    lo, mid, hi = vals[:, 0], vals[:, 1], vals[:, 2]
-    dv = h * v
+def _fd_columns(opt: OptionSpec, h: float, pts: np.ndarray) -> np.ndarray:
+    """(price, delta, gamma) per path from the 3-point CRN stencil, given
+    one level's endpoints from the three _spots, start-major."""
+    lo, mid, hi = opt.payoff(np.exp(pts[:, 0])).reshape(3, -1)
+    dv = h * opt.v
     return np.stack([mid, (hi - lo) / (2.0 * dv),
                      (hi - 2.0 * mid + lo) / (dv * dv)], axis=1)
 
@@ -151,10 +145,11 @@ def greeks_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,
         raise ValueError("relative bump must lie in (0, 0.1]")
     if market.dim_d != 1:
         raise ValueError("greeks are implemented for 1-D markets")
+    spots = _spots(opt, bump)
 
     def chunk(stream, size):
-        vals = _bumped_payoffs(market, opt, [n], bump, stream, size)[n]
-        return _fd_columns(vals, opt.v, bump)
+        lad = simulate_ladder(market, spots, [n], opt.t, stream, size)
+        return _fd_columns(opt, bump, lad[n])
 
     means, ses = mc_reduce_multi(chunk, N, rng, 3)
     return GreeksReport(price=means[0], price_se=ses[0],
@@ -171,33 +166,23 @@ def correction_estimate(market: SdeModel, opt: OptionSpec, which: str,
                         ref_multiple: int = 16, full: bool = False):
     """Richardson limit of n (quantity^n - quantity^ref) for the 1/n bias.
 
-    The reference is a per-path Romberg pair at ref_multiple x the top
-    rung; every resolution shares one fine Brownian motion, so the bias
-    differences are low-variance.  Returns (value, ci_halfwidth), or with
-    full=True also the rung table [(n, n*bias, n*se), ...].
+    The coupled ladder of bias_ladder started at the three spots of
+    greeks_euler, with the quantity's stencil column as the per-path
+    statistic: the reference is a per-path Romberg pair at ref_multiple x
+    the top rung, and every resolution shares one fine Brownian motion.
+    Returns (value, ci_halfwidth), or with full=True also the rung table
+    [(n, n*bias, n*se), ...].
     """
     if which not in _WHICH_COLUMN:
         raise ValueError(f"unknown correction target {which!r}")
     col = _WHICH_COLUMN[which]
-    ns = sorted(int(n) for n in n_ladder)
-    n_ref = ref_multiple * ns[-1]
-    levels = set(ns) | {n_ref, 2 * n_ref}
-
-    def chunk(stream, size):
-        vals = _bumped_payoffs(market, opt, levels, bump, stream, size)
-        cols = {n: _fd_columns(v, opt.v, bump)[:, col]
-                for n, v in vals.items()}
-        ref = 2.0 * cols[2 * n_ref] - cols[n_ref]
-        return np.stack([cols[n] - ref for n in ns], axis=1)
-
-    means, ses = mc_reduce_multi(chunk, N, rng, len(ns))
-    rungs = [(n, n * m, n * s) for n, m, s in zip(ns, means, ses)]
-    order = min(2, len(ns))
-    value = richardson_table([(n, v) for n, v, _ in rungs], order)
-    w = richardson_weights(len(ns), order)
-    ci = 3.0 * math.sqrt(sum((wi * s) ** 2 for wi, (_, _, s) in zip(w, rungs)))
+    rungs = coupled_rungs(market,
+                          lambda pts: _fd_columns(opt, bump, pts)[:, col],
+                          _spots(opt, bump), opt.t, n_ladder, N, rng,
+                          ref_multiple)
+    value, ci = richardson_limit(rungs)
     if full:
-        return value, ci, rungs
+        return value, ci, [(n, n * m, n * s) for n, m, s in rungs]
     return value, ci
 
 

@@ -86,7 +86,8 @@ TANH = {"model": "tanh_vol", "a0": 0.05, "b0": 0.2, "c0": 0.1}
 CONSTANT_2D = {"model": "constant", "b": [0.1, 0.2],
                "s": [[1.0, 0.0], [0.0, 1.0]]}
 GRIDS = {"t_grid": [0.5], "x_grid": [0.0], "y_grid": [0.1]}
-RATE = {"f": "identity", "x": 1.0, "t": 1.0, "n_ladder": [2, 4], "N": 256}
+SAMPLELESS_RATE = {"f": "identity", "x": 1.0, "t": 1.0, "n_ladder": [2, 4]}
+RATE = dict(SAMPLELESS_RATE, N=256)
 GREEKS = {"study": "greeks", "model": OU, "payoff": "identity", "v": 2.0,
           "t": 1.0, "n_ladder": [1, 2], "N": 256}
 UNSTARTABLE = {
@@ -95,7 +96,8 @@ UNSTARTABLE = {
     "tailbound-pi-tanh": dict(study="tailbound", model=TANH, kernel="pi",
                               l=0, **GRIDS),
     "weak-rate-deterministic-tanh": dict(study="weak-rate", model=TANH,
-                                         deterministic=True, **RATE),
+                                         deterministic=True,
+                                         **SAMPLELESS_RATE),
     "tailbound-kernel-q": dict(study="tailbound", model=OU, kernel="q", l=0,
                                **GRIDS),
     "greeks-straddle": dict(GREEKS, payoff="straddle"),
@@ -119,6 +121,21 @@ UNSTARTABLE = {
                           **dict(GRIDS, t_grid=[0.0])),
     "moments-q-negative": dict(study="moments", model=OU, q=-2, t_grid=[0.5],
                                x_grid=[0.0], n_ladder=[2], N=256),
+    # weak-rate takes exactly one sample mode: N, target_ci or deterministic
+    "weak-rate-no-mode": dict(study="weak-rate", model=OU,
+                              deterministic=False, **SAMPLELESS_RATE),
+    "weak-rate-deterministic-string": dict(study="weak-rate", model=OU,
+                                           deterministic="no",
+                                           **SAMPLELESS_RATE),
+    "weak-rate-N-and-target-ci": dict(study="weak-rate", model=OU,
+                                      target_ci=0.01, **RATE),
+    "weak-rate-N-and-deterministic": dict(study="weak-rate", model=OU,
+                                          deterministic=True, **RATE),
+    # a vacuous gate: every moment of order 0 is 1
+    "moments-q-0": dict(study="moments", model=OU, q=0, t_grid=[0.5],
+                        x_grid=[0.0], n_ladder=[2], N=256),
+    "tailbound-n": dict(study="tailbound", model=OU, kernel="p", l=0, n=64,
+                        **GRIDS),
 }
 
 
@@ -133,6 +150,24 @@ def test_validate_rejects_what_run_cannot_start(tmp_path, capsys, command,
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key", ["output_csv", "output_json"])
+@pytest.mark.parametrize("value", [123, "", ["out.csv"]],
+                         ids=["number", "empty", "list"])
+def test_outputs_must_be_paths(tmp_path, capsys, command, key, value):
+    # open() reads a number as a file descriptor
+    cfg = weak_rate_cfg(tmp_path, **{key: value})
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_fit_or_exact_needs_a_measurement():
+    # no measurement is no evidence that the scheme is exact
+    with pytest.raises(cli.NonConvergence):
+        cli._fit_or_exact([])
 
 
 def test_run_builds_the_model_once(tmp_path):

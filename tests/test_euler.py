@@ -219,3 +219,6 @@ def test_empirical_moment_validates_order():
     m = make_ou_model(1.0, 1.0)
     with pytest.raises(ValueError):
         empirical_moment(m, [0.0], 4, 1.0, 3, 100, RngStream(0, 0))
+    # E ||X||^0 is 1 at every n, so no bound can fail on it
+    with pytest.raises(ValueError):
+        empirical_moment(m, [0.0], 4, 1.0, 0, 100, RngStream(0, 0))

@@ -66,8 +66,12 @@ def test_fit_rate_recovers_slope():
 
 def test_fit_rate_noise_gate_and_insufficient_signal():
     meas = [(n, 1e-9, 1.0) for n in (8, 16, 32, 64)]
-    with pytest.raises(mc.InsufficientSignal):
+    with pytest.raises(mc.InsufficientSignal) as exc:
         mc.fit_rate(meas)
+    assert exc.value.cleared == 0
+    with pytest.raises(mc.InsufficientSignal) as exc:
+        mc.fit_rate(meas[:2] + [(32, 1.0, 1e-3), (64, 0.5, 1e-3)])
+    assert exc.value.cleared == 2
     mixed = [(8, 1.0, 1e-3), (16, 0.5, 1e-3), (32, 0.25, 1e-3),
              (64, 0.125, 1e-3), (128, 1e-9, 1.0)]
     fit = mc.fit_rate(mixed)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from weaklab import montecarlo as mc
 from weaklab import pricing as pr
 from weaklab.models import make_bounded_vol_model, make_constant_model
 from weaklab.rng import RngStream
@@ -133,6 +134,19 @@ def test_correction_estimate_reproducible():
     assert math.isfinite(val) and ci > 0
     with pytest.raises(ValueError):
         pr.correction_estimate(m, opt, "vega", [8, 16], 100, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("ns, ref", [([4, 8, 16], 2), ([3, 6, 12], 1)])
+def test_correction_price_is_the_bias_limit_of_the_middle_spot(ns, ref):
+    # the middle spot's paths are those of a one-start ladder at log v
+    m = make_bounded_vol_model(0.05, 0.6, 0.5)
+    opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.1)
+    got = pr.correction_estimate(m, opt, "price", ns, 20_000,
+                                 RngStream(37, 0), ref_multiple=ref)
+    want = mc.bias_times_n_limit(m, pr.log_payoff_function(opt.payoff),
+                                 [math.log(opt.v)], opt.t, ns, 20_000,
+                                 RngStream(37, 0), ref_multiple=ref)
+    assert got == want
 
 
 def test_correction_full_returns_rungs():
