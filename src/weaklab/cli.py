@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import error_expansion as ee
 from . import models as mdl
 from . import montecarlo as mc
@@ -281,6 +283,22 @@ def _study_bias_limit(cfg, model, rng):
     return rows, header, summary, ok
 
 
+def _pi_grid(cfg, model, t, tol):
+    """pi at every (x, y) of the config's grid at time t, x-major, by one
+    pi_rows call: (points, values, quad_errors).  The first point in that
+    order whose value or error is non-finite, or whose quadrature did not
+    converge, raises NonConvergence."""
+    points = [(x, y) for x in cfg["x_grid"] for y in cfg["y_grid"]]
+    xs, ys = np.array(points, dtype=float).T
+    vals, errs = ee.pi_rows(model, t, xs, ys, tol=tol)
+    bad = ~(np.isfinite(vals) & ee.pi_converged(errs, tol))
+    if bad.any():
+        x, y = points[int(np.argmax(bad))]
+        raise NonConvergence(
+            f"pi quadrature unconverged at (t={t},x={x},y={y})")
+    return points, vals, errs
+
+
 def _study_density(cfg, model, rng):
     n = cfg["n"]
     tol_cfg = float(cfg.get("tolerance", 1e-3))
@@ -289,18 +307,15 @@ def _study_density(cfg, model, rng):
               "difference", "quad_error", "oracle"]
     rows, worst = [], 0.0
     for t in cfg["t_grid"]:
-        for x in cfg["x_grid"]:
-            for y in cfg["y_grid"]:
-                de = n * ee.density_error_exact(model, n, t, x, y)
-                pe = ee.principal_density_pi(model, t, x, y, tol=1e-8)
-                diff = de - pe.value
-                worst = max(worst, abs(diff))
-                rows.append([cfg["study"], cfg["model"]["model"], t, x, y, n,
-                             de, pe.value, diff, pe.quad_error,
-                             "exact-gaussian-laws"])
-                if not pe.converged:
-                    raise NonConvergence(
-                        f"pi quadrature unconverged at (t={t},x={x},y={y})")
+        points, pis, errs = _pi_grid(cfg, model, t, 1e-8)
+        des = n * ee.density_error_exact(model, n, t,
+                                         *np.array(points, dtype=float).T)
+        for (x, y), de, pi, qerr in zip(points, des.tolist(), pis.tolist(),
+                                        errs.tolist()):
+            diff = de - pi
+            worst = max(worst, abs(diff))
+            rows.append([cfg["study"], cfg["model"]["model"], t, x, y, n,
+                         de, pi, diff, qerr, "exact-gaussian-laws"])
     summary = {"max_abs_difference": worst, "tolerance": tol, "n": n}
     return rows, header, summary, worst <= tol
 
@@ -313,8 +328,13 @@ def _study_tailbound(cfg, model, rng):
         dens = model.exact_density
         kernel = lambda t, x, y: float(dens.density(t, x, y))
     else:
-        kernel = lambda t, x, y: ee.principal_density_pi(
-            model, t, x, y, tol=1e-7).value
+        # pi once per point, by one pi_rows call per t; fit and check read it
+        pi = {}
+        for t in cfg["t_grid"]:
+            points, pis, _ = _pi_grid(cfg, model, float(t), 1e-7)
+            pi.update(((float(t), float(x), float(y)), v)
+                      for (x, y), v in zip(points, pis.tolist()))
+        kernel = lambda t, x, y: pi[(t, x, y)]
     spec = ee.fit_tail_bound(kernel, l, grid)
     report = ee.check_tail_bound(kernel, spec, grid)
     header = ["study", "model", "kernel", "l", "c1", "c2",

@@ -17,7 +17,8 @@ rule is centered on whichever factor concentrates.  C_t f is the same
 split quadrature with P_{t-s} f in place of p(t-s, ., y), both halves
 centred on p(s, x, .).  Each rule runs over
 all of its nodes in one broadcast block: d^gamma P_tau f over every z
-node of the outer rule at once, and pi over an array of y.
+node of the outer rule at once, and pi over arrays of (x, y) points, one
+row each; a row's value and error do not depend on the rows beside it.
 """
 
 from __future__ import annotations
@@ -100,12 +101,13 @@ def l2star_coefficients(model: SdeModel):
     return g1, g2, g3
 
 
-def _by_parts(dens, gs, s: float, x0: float, alpha: int, z):
+def _by_parts(dens, gs, s: float, x0: np.ndarray, alpha: int, z):
     """sum_g (-1)^g d^g/dz^g [g*_g(z) d^alpha_x p(s, x0, z)] at the nodes z:
     the derivatives L2* produced, moved onto p(s, x0, .) and the
-    coefficients by the Leibniz rule."""
+    coefficients by the Leibniz rule.  x0 broadcasts against z, one start
+    point per row, and so does the finite-difference step."""
     dp = [dens.deriv(alpha, j, s, x0, z) for j in range(4)]
-    h = 4e-3 * max(1.0, abs(x0))
+    h = 4e-3 * np.maximum(1.0, np.abs(x0))
     acc = 0.0
     for g in (1, 2, 3):
         sign = (-1.0) ** g
@@ -137,25 +139,25 @@ def _require_density(model: SdeModel):
     return model.exact_density
 
 
-def _principal_rows(dens, gs, t: float, x0: float, alpha: int, kernel,
+def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
                     inner_err: np.ndarray, tol: float, split: float = 0.5,
                     target=None):
     """1/2 int_0^t int d^alpha_x p(s, x0, z) L2*[K(t-s, .)](z) dz ds for
-    every row of inner_err.
+    every row of inner_err, row k starting at x0[k].
 
     kernel(gamma, tau, z, rows) is d^gamma_z K(tau, z) for the given rows
     at their nodes z.  On the left half the derivatives of L2* stay on K;
     on the right half they move onto p(s, x0, .) by parts.  Both halves
     centre on p(s, x0, .), unless the target y of each row is given: then
-    the right half centres one rule per row on p(t-s, ., y).  inner_err
-    holds each row's worst Gauss-Hermite error, which a kernel may raise
-    too; non-finite errors are kept.  Returns (values, quad_errors).
+    the right half centres one rule per row on p(t-s, ., y).  Every row
+    shares one std, which depends on the time alone.  inner_err holds each
+    row's worst Gauss-Hermite error, which a kernel may raise too;
+    non-finite errors are kept.  Returns (values, quad_errors).
     """
     def integrand(s: float, rows: np.ndarray) -> np.ndarray:
         tau, left_half = t - s, s <= split * t
         if left_half or target is None:
-            mean, std, push, dpush = dens.gauss_coords(s, x0)
-            mean = np.full(rows.size, mean)
+            mean, std, push, dpush = dens.gauss_coords(s, x0[rows])
         else:
             mean, std, push, dpush = dens.center_on_target(tau, target[rows])
         if left_half:
@@ -163,13 +165,14 @@ def _principal_rows(dens, gs, t: float, x0: float, alpha: int, kernel,
                 acc = 0.0
                 for g in (1, 2, 3):
                     acc = acc + gs[g - 1](z) * kernel(g, tau, z, rows[r])
-                left = dens.density(s, x0, z) if alpha == 0 \
-                    else dens.deriv(alpha, 0, s, x0, z)
+                xr = x0[rows[r], None]
+                left = dens.density(s, xr, z) if alpha == 0 \
+                    else dens.deriv(alpha, 0, s, xr, z)
                 return left * acc
         else:
             def fn(z, r):
                 return kernel(0, tau, z, rows[r]) \
-                    * _by_parts(dens, gs, s, x0, alpha, z)
+                    * _by_parts(dens, gs, s, x0[rows[r], None], alpha, z)
 
         val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
                                       rtol=1e-10)
@@ -217,18 +220,27 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
         inner_err[:] = np.maximum(inner_err, err.max())
         return val.reshape(z.shape)
 
-    val, err = _principal_rows(dens, l2star_coefficients(model), t, x0, 0,
-                               pf_deriv, inner_err, tol)
+    val, err = _principal_rows(dens, l2star_coefficients(model), t,
+                               np.array([x0]), 0, pf_deriv, inner_err, tol)
     return float(val[0]), float(err[0])
 
 
-def _pi_rows(model: SdeModel, t: float, x0: float, ys: np.ndarray,
-             alpha: int, beta: int, tol: float, split: float):
-    """d^alpha_x d^beta_y pi(t, x0, y) at every y of the 1-D array ys:
-    _principal_rows with K = d^beta_y p(., ., y), each y running its own
-    time and Gauss-Hermite node doubling.  Returns (values, quad_errors);
-    non-finite inner errors are kept.
+def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
+            tol: float = 1e-8, split: float = 0.5):
+    """d^alpha_x d^beta_y pi(t, x_k, y_k) at every point of the 1-D arrays
+    x and y, which broadcast against each other (a whole (x, y) grid,
+    flattened, or one x with many y).
+
+    _principal_rows with K = d^beta_y p(., ., y): every point is one row,
+    running its own time and Gauss-Hermite node doubling, and equals the
+    one-point call principal_density_pi bit for bit.  Returns
+    (values, quad_errors); non-finite inner errors are kept, and
+    pi_converged tells which points converged.
     """
+    xs, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                                 np.atleast_1d(np.asarray(y, dtype=float)))
+    if xs.ndim != 1:
+        raise ValueError("pi_rows takes 1-D arrays of x and y")
     if _is_constant(model):
         return np.zeros(ys.size), np.zeros(ys.size)
     dens = _require_density(model)
@@ -236,41 +248,54 @@ def _pi_rows(model: SdeModel, t: float, x0: float, ys: np.ndarray,
     def kernel(gamma, tau, z, rows):
         return dens.deriv(gamma, beta, tau, z, ys[rows, None])
 
-    return _principal_rows(dens, l2star_coefficients(model), t, x0, alpha,
+    return _principal_rows(dens, l2star_coefficients(model), t, xs, alpha,
                            kernel, np.zeros(ys.size), tol, split, target=ys)
+
+
+def pi_converged(quad_errors, tol: float = 1e-8):
+    """Which pi values, by their quad_errors, met the tolerance tol they
+    were computed at; a non-finite error never does."""
+    return np.asarray(quad_errors) <= max(tol, 1e-12)
 
 
 def principal_density_pi(model: SdeModel, t: float, x: float, y: float,
                          alpha: int = 0, beta: int = 0, tol: float = 1e-8,
                          split: float = 0.5) -> PiEvaluation:
-    """d^alpha_x d^beta_y of the principal density-error kernel pi(t,x,y)."""
+    """d^alpha_x d^beta_y of the principal density-error kernel pi(t,x,y):
+    the one-point case of pi_rows."""
     x0, y0 = float(x), float(y)
-    val, err = _pi_rows(model, t, x0, np.array([y0]), alpha, beta, tol, split)
+    val, err = pi_rows(model, t, x0, y0, alpha, beta, tol, split)
     val, err = float(val[0]), float(err[0])
     return PiEvaluation(val, err, t, x0, y0, alpha, beta,
-                        converged=err <= max(tol, 1e-12))
+                        converged=bool(pi_converged(err, tol)))
 
 
-def density_error_exact(model: SdeModel, n: int, t: float, x: float,
-                        y: float, alpha: int = 0, beta: int = 0) -> float:
+def density_error_exact(model: SdeModel, n: int, t: float, x, y,
+                        alpha: int = 0, beta: int = 0):
     """d^alpha_x d^beta_y (p_n - p)(t, x, y) from the two Gaussian closed
-    forms, for 1-D affine models."""
+    forms, for 1-D affine models; x and y broadcast against each other, and
+    scalar x and y give a float."""
     if model.affine is None or model.dim_d != 1:
         raise ValueError("exact density error requires a 1-D affine model")
     dens = _require_density(model)
     pn = euler_density_1d(model, n)
-    return float(pn.deriv(alpha, beta, t, x, y)
-                 - dens.deriv(alpha, beta, t, x, y))
+    out = pn.deriv(alpha, beta, t, x, y) - dens.deriv(alpha, beta, t, x, y)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def check_tail_bound(kernel, spec: TailBoundSpec, grid) -> dict:
     """Max of |kernel| over the Gaussian envelope on a grid of (t, x, y).
 
-    A max_violation_ratio <= 1 certifies the bound on the grid.
+    A max_violation_ratio <= 1 certifies the bound on the grid.  A
+    non-finite kernel value or ratio (a NaN kernel, say, or a NaN c1) is
+    no certificate: the first one makes the ratio inf, at that point.
     """
     worst, argmax = 0.0, None
     for (t, x, y) in grid:
         ratio = abs(kernel(t, x, y)) / float(spec.envelope(t, x, y))
+        if not math.isfinite(ratio):
+            return {"max_violation_ratio": math.inf, "argmax": (t, x, y),
+                    "n_points": len(grid)}
         if ratio > worst:
             worst, argmax = ratio, (t, x, y)
     return {"max_violation_ratio": worst, "argmax": argmax,
@@ -377,7 +402,7 @@ def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,
     pi_err = np.zeros(1)   # worst kernel error; NaN and inf kept
 
     def fn(ys):
-        vals, errs = _pi_rows(model, t, x0, ys, 0, 0, pi_tol, 0.5)
+        vals, errs = pi_rows(model, t, x0, ys, 0, 0, pi_tol, 0.5)
         pi_err[:] = np.maximum(pi_err, errs.max())
         return vals * S(ys)
 

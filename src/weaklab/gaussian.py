@@ -90,7 +90,7 @@ _FD_STENCILS = {
 }
 
 
-def _fd_sum(at, x, order: int, h: float):
+def _fd_sum(at, x, order: int, h):
     """The order's stencil sum over the values at(o) = fn(x + o h)."""
     offsets, coeffs = _FD_STENCILS[order]
     acc = np.zeros_like(x)
@@ -107,14 +107,14 @@ def fd_derivative(fn, x, order: int, h: float):
     return _fd_sum(lambda o: fn(x + o * h), x, order, h)
 
 
-def fd_derivatives(fn, x, max_order: int, h: float) -> list:
+def fd_derivatives(fn, x, max_order: int, h) -> list:
     """[fn(x), fn'(x), ..., fn^(max_order)(x)], each equal to fd_derivative's,
     from one call of fn on every stencil point; fn must act elementwise on
-    arrays of any shape."""
+    arrays of any shape.  The step h may be an array broadcasting against
+    x, one step per row of x, say."""
     x = np.asarray(x, dtype=float)
-    offsets = np.arange(-3, 4)
-    at = dict(zip(offsets.tolist(),
-                  fn(x + (offsets * h).reshape((-1,) + (1,) * x.ndim))))
+    offsets = np.arange(-3, 4).reshape((-1,) + (1,) * max(x.ndim, np.ndim(h)))
+    at = dict(zip(range(-3, 4), fn(x + offsets * h)))
     return [at[0]] + [_fd_sum(at.__getitem__, x, k, h)
                       for k in range(1, max_order + 1)]
 

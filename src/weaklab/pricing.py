@@ -129,13 +129,22 @@ def _spots(opt: OptionSpec, h: float) -> list:
                                     opt.v * (1.0 + h))]
 
 
-def _fd_columns(opt: OptionSpec, h: float, pts: np.ndarray) -> np.ndarray:
-    """(price, delta, gamma) per path from the 3-point CRN stencil, given
-    one level's endpoints from the three _spots, start-major."""
+# each quantity's 3-point CRN stencil on the payoffs at the three spots
+_STENCILS = {
+    PRICE: lambda lo, mid, hi, dv: mid,
+    DELTA: lambda lo, mid, hi, dv: (hi - lo) / (2.0 * dv),
+    GAMMA: lambda lo, mid, hi, dv: (hi - 2.0 * mid + lo) / (dv * dv),
+}
+
+
+def _fd_columns(opt: OptionSpec, h: float, pts: np.ndarray,
+                which=(PRICE, DELTA, GAMMA)) -> np.ndarray:
+    """The quantities `which` per path, one column each, from the 3-point
+    CRN stencil, given one level's endpoints from the three _spots,
+    start-major."""
     lo, mid, hi = opt.payoff(np.exp(pts[:, 0])).reshape(3, -1)
     dv = h * opt.v
-    return np.stack([mid, (hi - lo) / (2.0 * dv),
-                     (hi - 2.0 * mid + lo) / (dv * dv)], axis=1)
+    return np.stack([_STENCILS[q](lo, mid, hi, dv) for q in which], axis=1)
 
 
 def greeks_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,
@@ -158,9 +167,6 @@ def greeks_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,
                         n_steps=n, n_samples=N, bump=bump)
 
 
-_WHICH_COLUMN = {PRICE: 0, DELTA: 1, GAMMA: 2}
-
-
 def correction_estimate(market: SdeModel, opt: OptionSpec, which: str,
                         n_ladder, N: int, rng: RngStream, bump: float = 0.01,
                         ref_multiple: int = 16, full: bool = False):
@@ -173,13 +179,11 @@ def correction_estimate(market: SdeModel, opt: OptionSpec, which: str,
     Returns (value, ci_halfwidth), or with full=True also the rung table
     [(n, n*bias, n*se), ...].
     """
-    if which not in _WHICH_COLUMN:
+    if which not in _STENCILS:
         raise ValueError(f"unknown correction target {which!r}")
-    col = _WHICH_COLUMN[which]
-    rungs = coupled_rungs(market,
-                          lambda pts: _fd_columns(opt, bump, pts)[:, col],
-                          _spots(opt, bump), opt.t, n_ladder, N, rng,
-                          ref_multiple)
+    rungs = coupled_rungs(
+        market, lambda pts: _fd_columns(opt, bump, pts, [which])[:, 0],
+        _spots(opt, bump), opt.t, n_ladder, N, rng, ref_multiple)
     value, ci = richardson_limit(rungs)
     if full:
         return value, ci, [(n, n * m, n * s) for n, m, s in rungs]

@@ -5,7 +5,10 @@ panel-doubling disagreement, used downstream as the quadrature error
 estimate.  The array forms (gauss_hermite_rows, adaptive_rows,
 split_time_rows) integrate many rows in one broadcast block, each row
 stopping on its own, and return arrays; the public scalar routines are
-their one-row case and return floats.
+their one-row case and return floats.  Each row's weighted sum is its own
+dot product (np.vecdot, not a matrix-vector product whose rounding
+depends on the block), so a row's value does not depend on which rows
+share its block.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def gauss_hermite_rows(fn, mean, std, push=None, dpush=None,
         pts = mean[rows, None] + scale * h
         vals = fn(pts, rows) if push is None else \
             fn(push(pts), rows) * dpush(pts)
-        return scale * (vals @ w), scale * (np.abs(vals) @ w)
+        return scale * np.vecdot(vals, w), scale * np.vecdot(np.abs(vals), w)
 
     val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes,
                                 mean.size)
@@ -149,7 +152,8 @@ def _composite_gl(fn, a: float, b: float, panels: int, order: int = 8):
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     vals = fn((mid[:, None] + half[:, None] * h).ravel())
     vals = vals.reshape(vals.shape[:-1] + (panels, order))
-    return (vals @ w) @ half, (np.abs(vals) @ w) @ half
+    return (np.vecdot(np.vecdot(vals, w), half),
+            np.vecdot(np.vecdot(np.abs(vals), w), half))
 
 
 def adaptive_rows(fn, a: float, b: float, tol: float = 1e-9,

@@ -119,19 +119,23 @@ def test_criterion_05_density_expansion():
     d128, d256 = euler_density_1d(m, 128), euler_density_1d(m, 256)
     worst = 0.0
     ratios = []
+    converged = True
+    xs, ys = (g.ravel() for g in np.meshgrid([-1.0, 0.0, 1.0],
+                                            [-1.0, 0.0, 1.0], indexing="ij"))
     for t in (0.25, 0.5, 1.0):
-        for x in (-1.0, 0.0, 1.0):
-            for y in (-1.0, 0.0, 1.0):
-                pi = ee.principal_density_pi(m, t, x, y).value
-                p = m.exact_density.density(t, x, y)
-                e128 = d128.density(t, x, y) - p
-                e256 = d256.density(t, x, y) - p
-                worst = max(worst, abs(256 * e256 - pi))
-                r128, r256 = e128 - pi / 128, e256 - pi / 256
-                ratios.append((128**2 * r128) / (256**2 * r256))
+        # pi on the whole (x, y) grid at once; every value must converge
+        pis, errs = ee.pi_rows(m, t, xs, ys)
+        converged = converged and bool(ee.pi_converged(errs).all())
+        for x, y, pi in zip(xs.tolist(), ys.tolist(), pis.tolist()):
+            p = m.exact_density.density(t, x, y)
+            e128 = d128.density(t, x, y) - p
+            e256 = d256.density(t, x, y) - p
+            worst = max(worst, abs(256 * e256 - pi))
+            r128, r256 = e128 - pi / 128, e256 - pi / 256
+            ratios.append((128**2 * r128) / (256**2 * r256))
     tol = max(1e-3, 4.0 / 256)
     ratio_ok = all(0.5 < r < 2.0 for r in ratios)
-    ok = worst <= tol and ratio_ok
+    ok = worst <= tol and ratio_ok and converged
     _report(5, "pointwise density expansion p_n = p + pi/n + O(1/n^2)", ok,
             f"max |n(p_n-p) - pi| {worst:.2e} (tol {tol:.2e}), "
             f"remainder ratios in [{min(ratios):.3f}, {max(ratios):.3f}]")

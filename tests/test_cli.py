@@ -9,6 +9,8 @@ import pytest
 
 import weaklab
 from weaklab import cli
+from weaklab import error_expansion as ee
+from weaklab.models import make_ou_model
 
 
 def weak_rate_cfg(tmp_path, **overrides):
@@ -294,3 +296,62 @@ def test_bias_limit_unconverged_quadrature_exits_4(tmp_path, capsys):
         cli.EXIT_NONCONVERGED
     assert "non-convergence" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+# OU(5, 1) at t = 1: pi does not converge at four (tol 1e-7) or five
+# (tol 1e-8) of these nine points
+UNCONVERGED_PI_GRID = {"model": {"model": "ou", "theta": 5.0, "sigma": 1.0},
+                       "t_grid": [1.0], "x_grid": [-2, 0, 3],
+                       "y_grid": [-2, 0.5, 3]}
+
+
+@pytest.mark.parametrize("study, extra, where", [
+    ("density", {"n": 256}, "(t=1.0,x=-2,y=-2)"),
+    ("tailbound", {"kernel": "pi", "l": 1}, "(t=1.0,x=-2,y=0.5)"),
+])
+def test_unconverged_pi_exits_4(tmp_path, capsys, study, extra, where):
+    # tailbound with kernel pi used to pass on these values (status pass,
+    # quad_error up to 10); density reports the first unconverged point in
+    # grid order
+    cfg = {"study": study, **UNCONVERGED_PI_GRID, **extra, "seed": 1,
+           "output_csv": str(tmp_path / "rows.csv"),
+           "output_json": str(tmp_path / "summary.json")}
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == \
+        cli.EXIT_NONCONVERGED
+    assert capsys.readouterr().err == \
+        f"non-convergence: pi quadrature unconverged at {where}\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_density_and_tailbound_grids_match_one_point_calls(tmp_path):
+    # one pi_rows and one density_error_exact call per t give, cell for
+    # cell, what one call per point gives
+    grid = {"model": {"model": "ou", "theta": 1.0, "sigma": 1.0},
+            "t_grid": [0.5, 1], "x_grid": [-1, 0.25], "y_grid": [0.0, 1.5],
+            "seed": 1, "output_csv": str(tmp_path / "rows.csv"),
+            "output_json": str(tmp_path / "summary.json")}
+    m = make_ou_model(1.0, 1.0)
+    points = [(t, x, y) for t in grid["t_grid"] for x in grid["x_grid"]
+              for y in grid["y_grid"]]
+
+    cfg = dict(grid, study="density", n=128)
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == cli.EXIT_PASS
+    with open(tmp_path / "rows.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(points)
+    for row, (t, x, y) in zip(rows, points):
+        pe = ee.principal_density_pi(m, t, x, y, tol=1e-8)
+        de = 128 * ee.density_error_exact(m, 128, t, x, y)
+        assert (row["t"], row["x"], row["y"]) == (str(t), str(x), str(y))
+        assert float(row["n_density_error"]) == de
+        assert (float(row["pi"]), float(row["quad_error"])) == \
+            (pe.value, pe.quad_error)
+        assert float(row["difference"]) == de - pe.value
+
+    cfg = dict(grid, study="tailbound", kernel="pi", l=1)
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == cli.EXIT_PASS
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    spec = ee.fit_tail_bound(
+        lambda t, x, y: ee.principal_density_pi(m, t, x, y, tol=1e-7).value,
+        1, [tuple(map(float, p)) for p in points])
+    assert (summary["c1"], summary["c2"]) == (spec.c1, spec.c2)

@@ -171,18 +171,49 @@ def test_pi_matches_richardson_of_euler_densities():
 ], ids=["ou", "gbm"])
 @pytest.mark.parametrize("beta", [0, 1])
 def test_pi_rows_match_per_y_pi(model, t, x, ys, beta):
-    vals, errs = ee._pi_rows(model, t, x, np.array(ys), 0, beta, 1e-8, 0.5)
+    vals, errs = ee.pi_rows(model, t, x, np.array(ys), 0, beta, 1e-8, 0.5)
     for y, v, e in zip(ys, vals, errs):
         pe = ee.principal_density_pi(model, t, x, y, beta=beta)
-        assert abs(v - pe.value) <= max(e, pe.quad_error)
-        assert e <= 1e-8 and pe.quad_error <= 1e-8
+        assert (v, e) == (pe.value, pe.quad_error)
+        assert e <= 1e-8
+
+
+def _grid_matches_one_point_pi(model, t, xs, ys, alpha, beta, tol):
+    x, y = (g.ravel() for g in np.meshgrid(xs, ys, indexing="ij"))
+    vals, errs = ee.pi_rows(model, t, x, y, alpha, beta, tol)
+    converged = ee.pi_converged(errs, tol)
+    for k in range(x.size):
+        pe = ee.principal_density_pi(model, t, x[k], y[k], alpha, beta, tol)
+        assert (vals[k], errs[k]) == (pe.value, pe.quad_error)
+        assert converged[k] == pe.converged
+    return converged
+
+
+@pytest.mark.parametrize("model, t, xs, ys", [
+    (ou(), 0.75, [-1.0, -0.2, 0.4, 1.3], [-0.7, 0.1, 0.9]),
+    (gbm(), 0.5, [0.9, 1.1, 1.6], [0.8, 1.0, 1.5]),
+], ids=["ou", "gbm"])
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (1, 0), (0, 1)])
+def test_pi_rows_on_a_grid_match_one_point_pi(model, t, xs, ys, alpha,
+                                              beta):
+    assert _grid_matches_one_point_pi(model, t, xs, ys, alpha, beta,
+                                      1e-8).all()
+
+
+def test_pi_rows_unconverged_grid_matches_one_point_pi():
+    # the grid of the CLI density and tailbound non-convergence tests: its
+    # unconverged rows run out of panels beside rows that converge
+    converged = _grid_matches_one_point_pi(
+        make_ou_model(5.0, 1.0), 1.0, [-2.0, 0.0, 3.0], [-2.0, 0.5, 3.0],
+        0, 0, 1e-7)
+    assert 0 < converged.sum() < converged.size
 
 
 def test_pi_is_one_element_case_of_pi_rows():
     m = ou()
     pe = ee.principal_density_pi(m, 0.6, -0.2, 0.5, 0, 1, tol=1e-7,
                                  split=0.4)
-    vals, errs = ee._pi_rows(m, 0.6, -0.2, np.array([0.5]), 0, 1, 1e-7, 0.4)
+    vals, errs = ee.pi_rows(m, 0.6, -0.2, np.array([0.5]), 0, 1, 1e-7, 0.4)
     assert (pe.value, pe.quad_error) == (vals[0], errs[0])
     assert type(pe.value) is float and type(pe.quad_error) is float
 
@@ -261,6 +292,33 @@ def test_fit_tail_bound_pi_kernel():
     rep = ee.check_tail_bound(kern, spec, grid)
     assert rep["max_violation_ratio"] <= 1.0
     assert spec.c2 > 0.0
+
+
+# criterion 6's grid
+TAIL_GRID = [(t, x, y) for t in (0.25, 0.5, 1.0) for x in (-1.5, 0.0, 1.5)
+             for y in (-1.5, 0.0, 1.5)]
+
+
+@pytest.mark.parametrize("nan_at", [None, TAIL_GRID[13]],
+                         ids=["all-nan", "one-nan"])
+def test_tail_bound_fails_on_nan_kernel(nan_at):
+    # NaN > worst is false, so a NaN kernel used to report ratio 0 and pass
+    dens = ou().exact_density
+
+    def kernel(t, x, y):
+        if nan_at is None or (t, x, y) == nan_at:
+            return math.nan
+        return float(dens.density(t, x, y))
+
+    spec = ee.fit_tail_bound(kernel, 0, TAIL_GRID)
+    rep = ee.check_tail_bound(kernel, spec, TAIL_GRID)
+    assert not rep["max_violation_ratio"] <= 1.0
+    assert rep["argmax"] == (TAIL_GRID[0] if nan_at is None else nan_at)
+    # with constants fitted on the finite kernel, the NaN still fails
+    rep = ee.check_tail_bound(kernel, ee.fit_tail_bound(
+        lambda t, x, y: float(dens.density(t, x, y)), 0, TAIL_GRID),
+        TAIL_GRID)
+    assert not rep["max_violation_ratio"] <= 1.0
 
 
 def test_seminorm_gaussian():

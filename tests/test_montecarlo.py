@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from weaklab import montecarlo as mc
 from weaklab import testfunctions as tf
@@ -127,3 +128,41 @@ def test_samples_for_ci_scales():
     n_big = mc.samples_for_ci(m, tf.identity(), [1.0], 4, 1.0, 1e-3,
                               RngStream(2, 2))
     assert n_big > 50 * n_small
+
+
+_COEF = st.floats(-100.0, 100.0)
+
+
+@given(c=_COEF, a=st.lists(_COEF, max_size=4),
+       n0=st.integers(1, 64), extra=st.integers(0, 2), data=st.data())
+def test_richardson_table_is_exact_on_polynomials_in_1_over_n(c, a, n0,
+                                                              extra, data):
+    # v(n) = c + sum_{k=1}^{order-1} a_k n^-k on a 2x ladder: the table of
+    # that order eliminates every a_k, leaving c up to rounding
+    order = len(a) + 1
+    ns = [n0 * 2 ** i for i in range(order + extra)]
+    vals = [(n, c + sum(ak * n ** -(k + 1) for k, ak in enumerate(a)))
+            for n in data.draw(st.permutations(ns))]
+    # rounding: a few ulps of the largest term, or of the subnormal range
+    scale = abs(c) + sum(map(abs, a))
+    assert abs(mc.richardson_table(vals, order) - c) \
+        <= 64 * np.finfo(float).eps * scale + np.finfo(float).tiny
+
+
+@given(gate=st.floats(0.5, 10.0), cleared=st.integers(0, 3),
+       noise=st.integers(0, 8), data=st.data())
+def test_fit_rate_never_fits_fewer_than_four_points(gate, cleared, noise,
+                                                    data):
+    ci = st.floats(0.0, 1e3)
+    meas = []
+    for i in range(cleared + noise):
+        n, c = data.draw(st.integers(1, 4096)), data.draw(ci)
+        if i < cleared:     # above the gate: |err| > gate * ci
+            err = data.draw(st.sampled_from([-1.0, 1.0])) \
+                * (gate * c + data.draw(st.floats(1e-3, 1e3)))
+        else:               # at or below it
+            err = data.draw(st.floats(-1.0, 1.0)) * (gate * c)
+        meas.append((n, err, c))
+    with pytest.raises(mc.InsufficientSignal) as exc:
+        mc.fit_rate(data.draw(st.permutations(meas)), noise_gate=gate)
+    assert exc.value.cleared == cleared

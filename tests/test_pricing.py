@@ -157,3 +157,19 @@ def test_correction_full_returns_rungs():
     assert [n for n, _, _ in rungs] == [8, 16]
     # constant-coefficient market: the scheme is exact, correction ~ 0
     assert abs(val) < ci + 1e-12
+
+
+@pytest.mark.parametrize("col, which", enumerate([pr.PRICE, pr.DELTA,
+                                                  pr.GAMMA]))
+def test_correction_estimate_is_its_column_of_the_full_stencil(col, which):
+    # the estimate computes only its own stencil column; it must equal the
+    # same column taken from all three, bit for bit
+    m = make_bounded_vol_model(0.05, 0.6, 0.5)
+    opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
+    got = pr.correction_estimate(m, opt, which, [2, 4], 20_000,
+                                 RngStream(38, 0), full=True)
+    rungs = mc.coupled_rungs(
+        m, lambda pts: pr._fd_columns(opt, 0.01, pts)[:, col],
+        pr._spots(opt, 0.01), opt.t, [2, 4], 20_000, RngStream(38, 0), 16)
+    value, ci = mc.richardson_limit(rungs)
+    assert got == (value, ci, [(n, n * v, n * s) for n, v, s in rungs])
