@@ -30,9 +30,9 @@ import numpy as np
 
 from .euler import euler_density_1d
 from .gaussian import fd_derivatives
-from .models import MissingDensity, SdeModel
+from .models import MissingDensity, SdeModel, pair_density
 from .quadrature import adaptive_interval, gauss_hermite_rows, \
-    hermgauss_rule, split_time_rows
+    split_time_rows
 from . import testfunctions as tf
 
 TestFunction = tf.TestFunction
@@ -193,13 +193,11 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     Computed as 1/2 int_0^t P_s L2* P_{t-s} f (x) ds, the one-row case of
     _principal_rows with K = P_{t-s} f.  Returns (value, quad_error); a
     non-finite inner error makes quad_error non-finite.  Dirac-type
-    targets delegate to the kernel.
+    targets delegate to the kernel: d^beta delta_y pairs to
+    (-1)^beta d^beta_y pi(t, x, y), beta = 0 for delta_y.
     """
     x0 = float(np.atleast_1d(x)[0])
-    if f.kind == tf.DIRAC:
-        pe = principal_density_pi(model, t, x0, f.y, 0, 0, tol=tol)
-        return pe.value, pe.quad_error
-    if f.kind == tf.DIRAC_DERIV:
+    if not f.pointwise:
         pe = principal_density_pi(model, t, x0, f.y, 0, f.beta, tol=tol)
         return ((-1.0) ** f.beta) * pe.value, pe.quad_error
     if _is_constant(model):
@@ -288,11 +286,13 @@ def check_tail_bound(kernel, spec: TailBoundSpec, grid) -> dict:
 
     A max_violation_ratio <= 1 certifies the bound on the grid.  A
     non-finite kernel value or ratio (a NaN kernel, say, or a NaN c1) is
-    no certificate: the first one makes the ratio inf, at that point.
+    no certificate, nor is a zero envelope (c1 = 0 for a kernel that
+    underflows to 0): the first one makes the ratio inf, at that point.
     """
     worst, argmax = 0.0, None
     for (t, x, y) in grid:
-        ratio = abs(kernel(t, x, y)) / float(spec.envelope(t, x, y))
+        env = float(spec.envelope(t, x, y))
+        ratio = abs(kernel(t, x, y)) / env if env > 0 else math.inf
         if not math.isfinite(ratio):
             return {"max_violation_ratio": math.inf, "argmax": (t, x, y),
                     "n_points": len(grid)}
@@ -350,36 +350,22 @@ def seminorm_Nq(kernel_deriv, q: int, grid) -> float:
 _PAIRING_NODES = 256
 
 
-def _pair_density(dens, S: tf.TestFunction, t: float, x: float) -> float:
-    if S.kind == tf.DIRAC:
-        return float(dens.density(t, x, S.y))
-    if S.kind == tf.DIRAC_DERIV:
-        return float(((-1.0) ** S.beta) * dens.deriv(0, S.beta, t, x, S.y))
-    mean, std, push, dpush = dens.gauss_coords(t, x)
-    if push is not None:
-        raise tf.UnsupportedFunctional(
-            "function pairings require a Gaussian law")
-    h, w = hermgauss_rule(_PAIRING_NODES)
-    pts = mean + math.sqrt(2.0) * std * h
-    # fixed shared rule: quadrature error cancels to first order in the
-    # difference of two nearby laws
-    return float(np.dot(w, S(pts))) / math.sqrt(math.pi)
-
-
 def distribution_pairing(model: SdeModel, S: tf.TestFunction, n: int,
                          t: float, x) -> tuple[float, float]:
-    """(<S, p_n(t,x,.)>, <S, p(t,x,.)>) for a 1-D affine model.
+    """(<S, p_n(t,x,.)>, <S, p(t,x,.)>) for a 1-D affine model, each by
+    pair_density.
 
-    Dirac kinds evaluate the densities (or their signed derivatives,
-    <d^b delta_y, phi> = (-1)^b phi^(b)(y)) directly; function kinds use
-    one fixed Gauss-Hermite rule against each Gaussian law.
+    Function kinds use one fixed Gauss-Hermite rule, shared by both
+    laws: its quadrature error cancels to first order in the difference
+    of two nearby laws.
     """
     if model.affine is None or model.dim_d != 1:
         raise ValueError("distribution pairing requires a 1-D affine model")
     dens = _require_density(model)
     pn = euler_density_1d(model, n)
     x0 = float(np.atleast_1d(x)[0])
-    return _pair_density(pn, S, t, x0), _pair_density(dens, S, t, x0)
+    return tuple(pair_density(d, S, t, x0, start=_PAIRING_NODES,
+                              max_nodes=_PAIRING_NODES) for d in (pn, dens))
 
 
 def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,

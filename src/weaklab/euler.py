@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import AffineGaussianDensity, GaussianLaw
+from .gaussian import AffineGaussianDensity
 from .models import SdeModel
 from .rng import RngStream, normals_from
 
@@ -147,12 +147,6 @@ def euler_affine_transport(model: SdeModel, n: int, t: float):
         cacc = G @ cacc + cvec * dt
         V = G @ V @ G.T + a * dt
     return A, cacc, V
-
-
-def euler_exact_law_affine(model: SdeModel, x, n: int, t: float) -> GaussianLaw:
-    A, c, V = euler_affine_transport(model, n, t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return GaussianLaw(A @ x + c, V)
 
 
 def gbm_euler_mean(mu: float, x: float, n: int, t: float) -> float:

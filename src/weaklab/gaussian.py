@@ -25,7 +25,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass
 class GaussianLaw:
-    """Mean vector and symmetric PSD covariance matrix."""
+    """Mean vector and symmetric PSD covariance matrix of a d-dim law; a
+    1-D law is described by its density's gauss_coords."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -42,18 +43,6 @@ class GaussianLaw:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @property
-    def var(self) -> float:
-        if self.dim != 1:
-            raise ValueError("var is defined for 1-D laws only")
-        return max(float(self.cov[0, 0]), 0.0)
-
-    @property
-    def mean1(self) -> float:
-        if self.dim != 1:
-            raise ValueError("mean1 is defined for 1-D laws only")
-        return float(self.mean[0])
 
 
 def hermite_He(k: int, u: np.ndarray) -> np.ndarray:
@@ -131,10 +120,6 @@ class AffineGaussianDensity:
     def coefficients(self, t: float) -> tuple[float, float, float]:
         return float(self._A(t)), float(self._c(t)), float(self._V(t))
 
-    def law(self, t: float, x: float) -> GaussianLaw:
-        A, c, V = self.coefficients(t)
-        return GaussianLaw(np.array([A * float(x) + c]), np.array([[V]]))
-
     def density(self, t: float, x, y):
         A, c, V = self.coefficients(t)
         return normal_pdf(y, A * np.asarray(x, dtype=float) + c, V)
@@ -195,8 +180,12 @@ class LognormalDensity:
         return np.exp(-0.5 * u * u) / (y * s * _SQRT2PI)
 
     def deriv(self, alpha: int, beta: int, t: float, x, y):
+        """d^alpha/dx^alpha d^beta/dy^beta of the density; at order 0,
+        the density itself."""
         if alpha > 6 or beta > 6:
             raise ValueError("lognormal derivatives implemented up to order 6")
+        if alpha == beta == 0:
+            return self.density(t, x, y)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         V = self.sigma**2 * t
@@ -217,14 +206,6 @@ class LognormalDensity:
                     inner = inner + math.comb(l, j) * ((-1.0) ** (l - j)) * G[j + k]
                 acc = acc + sa[k] * sb[l] * ((-1.0) ** k) * inner
         return acc / (x ** alpha * y ** (beta + 1))
-
-    def law(self, t: float, x: float) -> GaussianLaw:
-        # law of ln(X_t); the density itself is lognormal
-        m = math.log(float(x)) + self._drift(t)
-        return GaussianLaw(np.array([m]), np.array([[self.sigma**2 * t]]))
-
-    def mean_value(self, t: float, x: float) -> float:
-        return float(x) * math.exp(self.mu * t)
 
     def gauss_coords(self, t: float, x):
         m = np.log(np.asarray(x, dtype=float)) + self._drift(t)

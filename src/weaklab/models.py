@@ -224,27 +224,33 @@ class MissingDensity(RuntimeError):
     pass
 
 
+def pair_density(dens, f: tf.TestFunction, t: float, x: float,
+                 rtol: float = 1e-10, start: int = 32,
+                 max_nodes: int = 256) -> float:
+    """<f, p(t, x, .)> for a 1-D transition density dens.
+
+    A Dirac kind is read as (-1)^beta d^beta_y p(t, x, y), beta = 0 for
+    delta_y (pairing convention <d^b delta_y, phi> = (-1)^b phi^(b)(y));
+    a function is expect_gaussian on dens.gauss_coords(t, x), with the
+    given tolerance and rule sizes (start = max_nodes is one fixed rule).
+    """
+    if not f.pointwise:
+        return float(((-1.0) ** f.beta) * dens.deriv(0, f.beta, t, x, f.y))
+    mean, std, push, _ = dens.gauss_coords(t, x)
+    return expect_gaussian(f, mean, std, push=push, rtol=rtol, start=start,
+                           max_nodes=max_nodes)[0]
+
+
 def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction, x,
                     rtol: float = 1e-10) -> float:
-    """P_t f(x) = E[f(X_t^x)] via quadrature against the exact density.
-
-    Dirac-type functionals return the density (or its signed derivative,
-    pairing convention <d^b delta_y, phi> = (-1)^b phi^(b)(y>) directly.
-    """
+    """P_t f(x) = E[f(X_t^x)] via quadrature against the exact density:
+    pair_density in 1-D, a tensor Gauss-Hermite rule for d <= 3, where
+    Dirac-type functionals raise UnsupportedFunctional."""
     if model.exact_density is None:
         raise MissingDensity(f"model {model.name!r} has no exact density oracle")
     dens = model.exact_density
-    if f.kind == tf.DIRAC:
-        x0 = float(np.atleast_1d(x)[0])
-        return float(np.asarray(dens.density(t, x0, f.y)))
-    if f.kind == tf.DIRAC_DERIV:
-        x0 = float(np.atleast_1d(x)[0])
-        return float(((-1.0) ** f.beta)
-                     * np.asarray(dens.deriv(0, f.beta, t, x0, f.y)))
     if model.dim_d == 1:
-        mean, std, push, _ = dens.gauss_coords(t, float(np.atleast_1d(x)[0]))
-        val, _ = expect_gaussian(f, mean, std, push=push, rtol=rtol)
-        return val
+        return pair_density(dens, f, t, float(np.atleast_1d(x)[0]), rtol)
     if model.dim_d > 3:
         raise ValueError("density-level quadrature is capped at d <= 3")
     return _tensor_semigroup(dens.law(t, x), f, rtol)

@@ -121,8 +121,9 @@ def fit_rate(measurements, noise_gate: float = 3.0) -> RateFit:
             cleared=len(usable))
     ln = np.log([n for n, _, _ in usable])
     le = np.log([abs(e) for _, e, _ in usable])
-    # delta method: var(log|e|) ~ (ci/|e|)^2; zero-CI points get unit weight
-    sig = np.array([ci / abs(e) if ci > 0 else 1e-6 for _, e, ci in usable])
+    # delta method: var(log|e|) ~ (ci/|e|)^2, floored at 1e-6 so that a
+    # zero or tiny CI gets one finite weight and the weights cannot overflow
+    sig = np.array([max(ci / abs(e), 1e-6) for _, e, ci in usable])
     w = 1.0 / sig
     slope, intercept = np.polyfit(ln, le, 1, w=w)
     pred = slope * ln + intercept

@@ -129,7 +129,15 @@ def integrate_gaussian(fn, mean: float, std: float, push=None, dpush=None,
 def expect_gaussian(fn, mean: float, std: float, push=None,
                     rtol: float = 1e-10, atol: float = 1e-14,
                     start: int = 32, max_nodes: int = 256):
-    """E[fn(push(W))], W ~ N(mean, std^2), by Gauss-Hermite node doubling."""
+    """E[fn(push(W))], W ~ N(mean, std^2), by Gauss-Hermite node doubling.
+
+    Not a case of gauss_hermite_rows, on purpose: this sums w_i fn / sqrt(pi)
+    with the raw weights, that sums w_i e^{h_i^2} (fn pdf) with the total
+    ones, and the two round differently.  Folding one into the other moves
+    the last bits of most expectations (56 of 72 OU and GBM ones in a
+    probe), hence every semigroup_apply truth and the CLI's truth and bias
+    columns.
+    """
     def value_at(m, rows):
         h, w = hermgauss_rule(m)
         pts = mean + math.sqrt(2.0) * std * h

@@ -146,7 +146,14 @@ def test_criterion_06_tail_bound_certificates():
     m = make_ou_model(1.0, 1.0)
     grid = [(t, x, y) for t in (0.25, 0.5, 1.0) for x in (-1.5, 0.0, 1.5)
             for y in (-1.5, 0.0, 1.5)]
-    pi_vals = {g: ee.principal_density_pi(m, *g).value for g in grid}
+    # pi on each t's (x, y) grid at once; every value must converge
+    pi_vals, converged = {}, True
+    for t in (0.25, 0.5, 1.0):
+        xs, ys = np.array([(x, y) for (s, x, y) in grid if s == t]).T
+        pis, errs = ee.pi_rows(m, t, xs, ys)
+        converged = converged and bool(ee.pi_converged(errs).all())
+        pi_vals.update(((t, x, y), v) for x, y, v in
+                       zip(xs.tolist(), ys.tolist(), pis.tolist()))
     pi_kernel = lambda t, x, y: pi_vals[(t, x, y)]
     pi_spec = ee.fit_tail_bound(pi_kernel, 1, grid)
     pi_rep = ee.check_tail_bound(pi_kernel, pi_spec, grid)
@@ -155,7 +162,7 @@ def test_criterion_06_tail_bound_certificates():
     p_rep = ee.check_tail_bound(p_kernel, p_spec, grid)
     ok = (pi_rep["max_violation_ratio"] <= 1.0
           and p_rep["max_violation_ratio"] <= 1.0
-          and pi_spec.c2 > 0 and p_spec.c2 > 0)
+          and pi_spec.c2 > 0 and p_spec.c2 > 0 and converged)
     _report(6, "Gaussian tail-bound certificates for p and pi", ok,
             f"pi: (c1,c2)=({pi_spec.c1:.3f},{pi_spec.c2:.2f}) "
             f"margin {pi_rep['max_violation_ratio']:.3f}; "

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weaklab
 from weaklab import cli
@@ -355,3 +357,81 @@ def test_density_and_tailbound_grids_match_one_point_calls(tmp_path):
         lambda t, x, y: ee.principal_density_pi(m, t, x, y, tol=1e-7).value,
         1, [tuple(map(float, p)) for p in points])
     assert (summary["c1"], summary["c2"]) == (spec.c1, spec.c2)
+
+
+# GBM from x = 0 stays at 0: every moment and density value is 0.  Both
+# runs used to die on 0 / 0 (exit 1) after validate accepted them.
+DEGENERATE = {
+    "moments-gbm-x-0": dict(study="moments", model=GBM, q=2, t_grid=[0.5],
+                            x_grid=[0.0], n_ladder=[2], N=256),
+    "tailbound-p-gbm-x-0": dict(study="tailbound", model=GBM, kernel="p",
+                                l=0, **GRIDS),
+}
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_zero_kernel_or_moment_fails_the_gate(tmp_path, name):
+    cfg = dict(DEGENERATE[name], seed=1,
+               output_csv=str(tmp_path / "rows.csv"),
+               output_json=str(tmp_path / "summary.json"))
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["validate", path]) == cli.EXIT_PASS
+    assert cli.main(["run", path]) == cli.EXIT_GATE
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "gate-failure"
+
+
+# one small valid config per study, cheap enough to run many times
+SMALL = {
+    "weak-rate": dict(study="weak-rate", model=OU, deterministic=True,
+                      **dict(SAMPLELESS_RATE, n_ladder=[1, 2, 4, 8])),
+    "weak-rate-N": dict(study="weak-rate", model=OU, **RATE),
+    "romberg": dict(study="romberg", model=OU, **RATE),
+    "bias-limit": dict(study="bias-limit", model=OU, **RATE),
+    "density": dict(study="density", model=OU, n=16, **GRIDS),
+    "tailbound": dict(study="tailbound", model=OU, kernel="p", l=0, **GRIDS),
+    "greeks": GREEKS,
+    "moments": dict(study="moments", model=OU, q=2, t_grid=[0.5],
+                    x_grid=[0.0], n_ladder=[2], N=256),
+}
+# every key some study takes, and one no study takes
+ANY_KEY = ("N", "bump", "deterministic", "f", "kernel", "l", "n", "n_ladder",
+           "payoff", "power", "q", "slope_range", "stability", "strike", "t",
+           "t_grid", "target_ci", "tolerance", "v", "x", "x_grid", "y_grid",
+           "typo")
+# small or malformed values for any key
+VALUE_POOL = (0, 1, 2, -1, 0.5, -0.5, 1e-3, 2.5, True, False, None,
+              float("nan"), float("inf"), "", "a", "p", "pi", "square",
+              "call", [], [1], [0, 1], [-1, 1], [0.5, 2], ["a"], {}, OU, GBM,
+              TANH, CONSTANT_2D, {"model": "ou", "theta": 0.0, "sigma": 1.0})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_validate_and_run_agree(tmp_path, monkeypatch, capsys, data):
+    # one key of a valid config dropped, added or set: validate rejects
+    # the config exactly when run does, and run otherwise ends in pass,
+    # gate failure or non-convergence
+    monkeypatch.chdir(tmp_path)   # pool strings may become output paths
+    cfg = dict(SMALL[data.draw(st.sampled_from(sorted(SMALL)))], seed=1)
+    out = tempfile.mkdtemp(dir=tmp_path)
+    cfg.update(output_csv=os.path.join(out, "rows.csv"),
+               output_json=os.path.join(out, "summary.json"))
+    change = data.draw(st.sampled_from(["drop", "add", "set"]))
+    if change == "drop":
+        del cfg[data.draw(st.sampled_from(sorted(set(cfg) - {"study"})))]
+    else:
+        keys = sorted(set(ANY_KEY) - set(cfg)) if change == "add" \
+            else sorted(set(cfg) - {"study"})
+        cfg[data.draw(st.sampled_from(keys))] = \
+            data.draw(st.sampled_from(VALUE_POOL))
+    path = os.path.join(out, "cfg.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    validated, ran = cli.main(["validate", path]), cli.main(["run", path])
+    capsys.readouterr()
+    assert (validated == cli.EXIT_CONFIG) == (ran == cli.EXIT_CONFIG), cfg
+    assert ran in (cli.EXIT_PASS, cli.EXIT_GATE, cli.EXIT_CONFIG,
+                   cli.EXIT_NONCONVERGED), cfg

@@ -321,6 +321,17 @@ def test_tail_bound_fails_on_nan_kernel(nan_at):
     assert not rep["max_violation_ratio"] <= 1.0
 
 
+def test_tail_bound_fails_on_zero_envelope():
+    # a kernel that is 0 on the whole grid (GBM's density from x = 0, say)
+    # fits c1 = 0; the check used to divide 0 by the zero envelope and raise
+    zero = lambda t, x, y: 0.0
+    spec = ee.fit_tail_bound(zero, 0, TAIL_GRID)
+    assert spec.c1 == 0.0
+    rep = ee.check_tail_bound(zero, spec, TAIL_GRID)
+    assert rep["max_violation_ratio"] == math.inf
+    assert rep["argmax"] == TAIL_GRID[0]
+
+
 def test_seminorm_gaussian():
     kern = lambda b, y: normal_pdf_dy(b, y, 0.0, 1.0)
     grid = np.linspace(-8.0, 8.0, 4001)

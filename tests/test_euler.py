@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weaklab.euler import (CHUNK, SimulationBlowup, ThreadPoolExecutor,
                            euler_affine_transport, euler_density_1d,
-                           euler_exact_law_affine, empirical_moment,
+                           empirical_moment,
                            gbm_euler_mean, mc_reduce, mc_reduce_multi,
                            simulate_coupled, simulate_euler, simulate_ladder,
                            worker_count)
@@ -30,9 +30,9 @@ def test_ou_euler_law_n4_frozen_oracle():
     # four quarter-steps of dX = -X dt + dB from x=1:
     # mean (3/4)^4, variance via V <- (3/4)^2 V + 1/4
     m = make_ou_model(1.0, 1.0)
-    law = euler_exact_law_affine(m, [1.0], 4, 1.0)
-    assert abs(law.mean1 - 0.31640625) < 1e-15
-    assert abs(law.var - 0.51422119140625) < 1e-15
+    A, c, V = euler_affine_transport(m, 4, 1.0)
+    assert abs(float(A[0, 0] * 1.0 + c[0]) - 0.31640625) < 1e-15
+    assert abs(float(V[0, 0]) - 0.51422119140625) < 1e-15
 
 
 def test_partial_last_step_transport():
@@ -47,18 +47,19 @@ def test_partial_last_step_transport():
 def test_constant_model_euler_is_exact_in_law():
     m = make_constant_model([0.3], [[0.7]])
     A, c, V = euler_affine_transport(m, 5, 1.0)
-    law = m.exact_density.law(1.0, 0.0)
-    assert abs(float(c[0]) - law.mean1) < 1e-14
-    assert abs(float(V[0, 0]) - law.var) < 1e-14
+    mean, _, _, _ = m.exact_density.gauss_coords(1.0, 0.0)
+    assert abs(float(c[0]) - mean) < 1e-14
+    assert abs(float(V[0, 0]) - m.exact_density.coefficients(1.0)[2]) < 1e-14
 
 
 def test_euler_endpoints_match_exact_law_moments():
     m = make_ou_model(1.0, 1.0)
     pts = simulate_euler(m, [1.0], 8, 1.0, RngStream(11, 0), 200_000)
-    law = euler_exact_law_affine(m, [1.0], 8, 1.0)
-    se_mean = math.sqrt(law.var / pts.shape[0])
-    assert abs(pts.mean() - law.mean1) < 4 * se_mean
-    assert abs(pts.var() - law.var) < 0.01
+    A, c, V = euler_affine_transport(m, 8, 1.0)
+    mean, var = float(A[0, 0] * 1.0 + c[0]), float(V[0, 0])
+    se_mean = math.sqrt(var / pts.shape[0])
+    assert abs(pts.mean() - mean) < 4 * se_mean
+    assert abs(pts.var() - var) < 0.01
 
 
 def test_ladder_shares_brownian_motion():
@@ -137,10 +138,11 @@ def test_gbm_euler_mean_recursion():
 def test_euler_density_matches_law():
     m = make_ou_model(1.0, 1.0)
     dens = euler_density_1d(m, 4)
-    law = euler_exact_law_affine(m, [1.0], 4, 1.0)
-    got = dens.law(1.0, 1.0)
-    assert abs(got.mean1 - law.mean1) < 1e-15
-    assert abs(got.var - law.var) < 1e-15
+    A, c, V = euler_affine_transport(m, 4, 1.0)
+    mean, std, push, _ = dens.gauss_coords(1.0, 1.0)
+    assert push is None and std == math.sqrt(dens.coefficients(1.0)[2])
+    assert abs(mean - float(A[0, 0] * 1.0 + c[0])) < 1e-15
+    assert abs(dens.coefficients(1.0)[2] - float(V[0, 0])) < 1e-15
 
 
 def test_mc_reduce_worker_count_invariance():

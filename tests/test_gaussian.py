@@ -11,8 +11,9 @@ from weaklab.gaussian import (AffineGaussianDensity, GaussianLaw,
 
 def test_gaussian_law_validation():
     law = GaussianLaw(np.array([1.0]), np.array([[2.0]]))
-    assert law.var == 2.0
-    assert law.mean1 == 1.0
+    assert law.dim == 1
+    assert law.cov[0, 0] == 2.0
+    assert law.mean[0] == 1.0
     with pytest.raises(ValueError):
         GaussianLaw(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValueError):
@@ -70,7 +71,9 @@ def test_lognormal_density_normalizes_and_means():
     p = dens.density(1.0, 1.0, y)
     assert abs(np.trapezoid(p, y) - 1.0) < 1e-6
     assert abs(np.trapezoid(y * p, y) - math.exp(0.1)) < 1e-5
-    assert abs(dens.mean_value(1.0, 1.0) - math.exp(0.1)) < 1e-15
+    # the law is exp(N(m, s^2)), whose mean is exp(m + s^2 / 2)
+    m, s, push, _ = dens.gauss_coords(1.0, 1.0)
+    assert abs(push(m + 0.5 * s * s) - math.exp(0.1)) < 1e-15
 
 
 def test_lognormal_derivatives_match_fd():
@@ -84,6 +87,14 @@ def test_lognormal_derivatives_match_fd():
                     lambda yy: dens.density(t, xx, yy), y, b, 2e-3),
                 x, a, 2e-3)
             assert abs(got - want) < 2e-4 * max(1.0, abs(got)), (a, b)
+
+
+def test_lognormal_deriv_order_zero_is_the_density():
+    # one formula for the plain density, so a routine may call either name
+    dens = LognormalDensity(0.05, 0.3)
+    y = np.linspace(0.3, 2.5, 200)
+    assert np.array_equal(dens.deriv(0, 0, 0.25, 0.8, y),
+                          dens.density(0.25, 0.8, y))
 
 
 def test_lognormal_deriv_order_cap():

@@ -12,9 +12,11 @@ from weaklab.models import (AssumptionViolation, MissingDensity,
 
 def test_constant_model_exact_density():
     m = make_constant_model([0.5], [[0.8]])
-    law = m.exact_density.law(2.0, 0.3)
-    assert abs(law.mean1 - (0.3 + 1.0)) < 1e-14
-    assert abs(law.var - 0.64 * 2.0) < 1e-14
+    mean, std, push, _ = m.exact_density.gauss_coords(2.0, 0.3)
+    A, c, V = m.exact_density.coefficients(2.0)
+    assert push is None and std == math.sqrt(V)
+    assert abs(mean - (0.3 + 1.0)) < 1e-14
+    assert abs(V - 0.64 * 2.0) < 1e-14
     assert m.flag_B and m.flag_C
 
 
@@ -25,9 +27,11 @@ def test_constant_model_rejects_singular_diffusion():
 
 def test_ou_law_matches_closed_form():
     m = make_ou_model(1.0, 1.0)
-    law = m.exact_density.law(1.0, 1.0)
-    assert abs(law.mean1 - math.exp(-1.0)) < 1e-14
-    assert abs(law.var - 0.5 * (1 - math.exp(-2.0))) < 1e-14
+    mean, std, push, _ = m.exact_density.gauss_coords(1.0, 1.0)
+    A, c, V = m.exact_density.coefficients(1.0)
+    assert push is None and std == math.sqrt(V)
+    assert abs(mean - math.exp(-1.0)) < 1e-14
+    assert abs(V - 0.5 * (1 - math.exp(-2.0))) < 1e-14
     assert not m.flag_B  # unbounded drift
 
 
@@ -75,12 +79,25 @@ def test_semigroup_gbm_mean():
 
 
 def test_semigroup_dirac_kinds():
-    m = make_ou_model(1.0, 1.0)
-    dens = m.exact_density
-    got = semigroup_apply(m, 0.5, tf.dirac(0.2), [1.0])
-    assert abs(got - float(dens.density(0.5, 1.0, 0.2))) < 1e-15
-    got = semigroup_apply(m, 0.5, tf.dirac_deriv(0.2, 1), [1.0])
-    assert abs(got + float(dens.deriv(0, 1, 0.5, 1.0, 0.2))) < 1e-15
+    for m, y in ((make_ou_model(1.0, 1.0), 0.2),
+                 (make_gbm_model(0.1, 0.2), 1.2)):
+        dens = m.exact_density
+        got = semigroup_apply(m, 0.5, tf.dirac(y), [1.0])
+        assert got == float(dens.density(0.5, 1.0, y)), m.name
+        got = semigroup_apply(m, 0.5, tf.dirac_deriv(y, 1), [1.0])
+        assert got == -float(dens.deriv(0, 1, 0.5, 1.0, y)), m.name
+        got = semigroup_apply(m, 0.5, tf.dirac_deriv(y, 2), [1.0])
+        assert got == float(dens.deriv(0, 2, 0.5, 1.0, y)), m.name
+
+
+@pytest.mark.parametrize("f", [tf.dirac(0.2), tf.dirac_deriv(0.2, 1)],
+                         ids=["dirac", "dirac_deriv"])
+def test_semigroup_multivariate_rejects_dirac(f):
+    # a d-dim Dirac pairing is not implemented: it must not read the
+    # density from the first coordinate of x alone
+    m = make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]])
+    with pytest.raises(tf.UnsupportedFunctional):
+        semigroup_apply(m, 1.0, f, [1.0, 2.0])
 
 
 def test_semigroup_multivariate_constant():

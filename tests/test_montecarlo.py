@@ -80,6 +80,18 @@ def test_fit_rate_noise_gate_and_insufficient_signal():
     assert abs(fit.slope + 1.0) < 1e-3
 
 
+def test_fit_rate_tiny_ci_does_not_overflow_weights():
+    # weight |e| / ci would be ~4.5e307 here: polyfit raised LinAlgError.
+    # The floor gives it the weight of a zero-CI point.
+    meas = [(1, -1.0, 0.0), (2, -1.0, 0.0), (55, -1.0, 2.2e-308),
+            (3, -1.0, 0.0)]
+    fit = mc.fit_rate(meas, noise_gate=1.0)
+    assert abs(fit.slope) < 1e-12 and not fit.excluded
+    tiny = mc.fit_rate([(n, 2.5 / n, 1e-300) for n in (8, 16, 32, 64)])
+    zero = mc.fit_rate([(n, 2.5 / n, 0.0) for n in (8, 16, 32, 64)])
+    assert tiny.slope == zero.slope
+
+
 def test_reference_value_prefers_quadrature():
     m = make_ou_model(1.0, 1.0)
     val, se, oracle = mc.reference_value(m, tf.square(), [1.0], 1.0, 64,
