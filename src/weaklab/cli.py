@@ -185,6 +185,9 @@ def _deterministic_bias(model, f, x, t, n):
 
 
 def _fit_or_exact(measurements):
+    if not all(math.isfinite(v) for _, e, ci in measurements for v in (e, ci)):
+        # a NaN bias clears no noise gate, which would read as exact
+        raise NonConvergence("rate fit: a bias or its CI is not finite")
     try:
         return mc.fit_rate(measurements), "fit"
     except mc.InsufficientSignal as exc:

@@ -54,14 +54,12 @@ class PiEvaluation:
 
 @dataclass
 class TailBoundSpec:
-    """Certificate constants for |k(t,x,y)| <= c1 t^{-e/2} exp(-c2 |x-y|^2/t)
-    with e = deriv_total + d + l."""
+    """Certificate constants for |k(t,x,y)| <= c1 t^{-e} exp(-c2 |x-y|^2/t)
+    with e = (1 + l) / 2 in one space dimension (l = 0 for p, 1 for pi)."""
 
     l: int
     c1: float
     c2: float
-    d: int = 1
-    deriv_total: int = 0
 
     def __post_init__(self):
         if self.c2 <= 0:
@@ -69,7 +67,7 @@ class TailBoundSpec:
 
     @property
     def exponent(self) -> float:
-        return 0.5 * (self.deriv_total + self.d + self.l)
+        return 0.5 * (1 + self.l)
 
     def envelope(self, t, x, y):
         r2 = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2
@@ -286,13 +284,15 @@ def check_tail_bound(kernel, spec: TailBoundSpec, grid) -> dict:
 
     A max_violation_ratio <= 1 certifies the bound on the grid.  A
     non-finite kernel value or ratio (a NaN kernel, say, or a NaN c1) is
-    no certificate, nor is a zero envelope (c1 = 0 for a kernel that
-    underflows to 0): the first one makes the ratio inf, at that point.
+    no certificate, nor is a zero or infinite envelope (c1 = 0 for a
+    kernel that underflows to 0, c1 = inf from an overflowing fit): the
+    first one makes the ratio inf, at that point.
     """
     worst, argmax = 0.0, None
     for (t, x, y) in grid:
         env = float(spec.envelope(t, x, y))
-        ratio = abs(kernel(t, x, y)) / env if env > 0 else math.inf
+        ratio = abs(kernel(t, x, y)) / env if 0 < env < math.inf \
+            else math.inf
         if not math.isfinite(ratio):
             return {"max_violation_ratio": math.inf, "argmax": (t, x, y),
                     "n_points": len(grid)}
@@ -302,33 +302,40 @@ def check_tail_bound(kernel, spec: TailBoundSpec, grid) -> dict:
             "n_points": len(grid)}
 
 
-def fit_tail_bound(kernel, l: int, grid, d: int = 1, deriv_total: int = 0,
-                   c2_step: float = 0.05, c2_max: float = 3.0,
-                   blowup_factor: float = 10.0) -> TailBoundSpec:
+def _exp_or_inf(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
+def fit_tail_bound(kernel, l: int, grid) -> TailBoundSpec:
     """Fit certificate constants on a grid.
 
-    c2 is grid-searched over {c2_step, 2 c2_step, ...}: the largest decay
-    rate is kept for which the implied scale constant has not blown up
-    (stays within blowup_factor of the scale at the smallest candidate),
-    then c1 is set 5% above the observed maximum so the certificate holds
-    on the fitting grid by construction.
+    c2 is grid-searched over {0.05, 0.10, ..., 3}: the largest decay rate
+    is kept for which the implied scale constant has not blown up (stays
+    within 10 times the scale at the smallest candidate), then c1 is set
+    5% above the observed maximum so the certificate holds on the fitting
+    grid by construction.  A scale past the float range is inf, so the
+    search stops there (or c1 is inf, which check_tail_bound fails).
     """
-    e = 0.5 * (deriv_total + d + l)
+    e = 0.5 * (1 + l)
     vals = [(t, (x - y) ** 2 / t, abs(kernel(t, x, y))) for (t, x, y) in grid]
 
     def scale(c2):
-        return max(v * t ** e * math.exp(c2 * r2) for (t, r2, v) in vals)
+        # a zero value scales to zero, not to 0 * inf = NaN
+        return max(v * t ** e * _exp_or_inf(c2 * r2) if v else 0.0
+                   for (t, r2, v) in vals)
 
-    candidates = np.arange(c2_step, c2_max + 0.5 * c2_step, c2_step)
+    candidates = np.arange(0.05, 3.025, 0.05)
     base = scale(candidates[0])
     best = candidates[0]
     for c2 in candidates[1:]:
-        if scale(c2) <= blowup_factor * base:
+        if scale(c2) <= 10.0 * base:
             best = c2
         else:
             break
-    return TailBoundSpec(l=l, c1=1.05 * scale(best), c2=float(best),
-                         d=d, deriv_total=deriv_total)
+    return TailBoundSpec(l=l, c1=1.05 * scale(best), c2=float(best))
 
 
 def seminorm_Nq(kernel_deriv, q: int, grid) -> float:

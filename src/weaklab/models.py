@@ -6,7 +6,9 @@ Ornstein-Uhlenbeck (Gaussian laws for both the diffusion and its Euler
 chain), geometric Brownian motion (lognormal law; constant coefficients
 after the log transform), and a bounded tanh-volatility model in log
 coordinates (smooth bounded coefficients, uniformly elliptic, no closed
-form).
+form).  A 1-D model's Euler drift and diffusion are its coefficient
+oracles b and sigma; the affine ones (constant, OU) take the oracles, the
+affine triple and the exact law from the three numbers of their SDE.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ class AssumptionViolation(ValueError):
 class Coeffs1d:
     """Scalar coefficient functions and their derivatives, vectorized in x.
 
-    a = sigma^2; derivative oracles up to second order, which is what the
-    principal error operator consumes.
+    a = sigma sigma^T; derivative oracles up to second order, which is what
+    the principal error operator consumes.  sigma(x) has the shape of x,
+    with a trailing axis of r entries for a model driven by r > 1 Brownian
+    motions.
     """
 
     b: Callable
@@ -58,7 +62,6 @@ class SdeModel:
     coeffs1d: Optional[Coeffs1d] = None
     # (M, c, S): affine drift b(x) = M x + c with constant diffusion S
     affine: Optional[tuple] = None
-    log_coefficients: Optional[tuple] = None  # (b, sigma) after log transform
 
     def cov(self, x):
         """a(x) = sigma(x) sigma(x)^T, shape (N, d, d)."""
@@ -66,23 +69,46 @@ class SdeModel:
         return np.einsum("nij,nkj->nik", s, s)
 
 
-def _tile_drift(b0):
-    b0 = np.atleast_1d(np.asarray(b0, dtype=float))
-
-    def drift(x):
-        return np.broadcast_to(b0, x.shape).copy()
-    return drift
-
-
-def _tile_diffusion(s0):
-    s0 = np.atleast_2d(np.asarray(s0, dtype=float))
-
-    def diffusion(x):
-        return np.broadcast_to(s0, (x.shape[0],) + s0.shape).copy()
-    return diffusion
+def _model_1d(name: str, coeffs: Coeffs1d, dim_r: int = 1,
+              **fields) -> SdeModel:
+    """A 1-D model whose Euler drift and diffusion are its b and sigma
+    oracles, so the scheme and the error expansion read one set of
+    coefficients."""
+    return SdeModel(
+        name=name, dim_d=1, dim_r=dim_r, drift=coeffs.b,
+        diffusion=lambda x: coeffs.sigma(x).reshape(x.shape[0], 1, dim_r),
+        coeffs1d=coeffs, **fields)
 
 
-def make_constant_model(b0, s0, require_elliptic: bool = True) -> SdeModel:
+def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
+    """dX = (m X + c) dt + s dB, with s a number or the row of r
+    diffusion coefficients: the oracles, the affine triple and the exact
+    Gaussian law p(t, x, .) = N(A x + c(t), V) all come from (m, c, s).
+    Both callers require a = s s^T > 0, so (C) holds with eta = a."""
+    S = np.array(s, dtype=float).reshape(1, -1)
+    a = float((S @ S.T)[0, 0])
+    row = S[0] if S.shape[1] > 1 else S[0, 0]
+
+    def const(v):
+        tail = np.shape(v)
+        return lambda x: np.full(np.asarray(x).shape + tail, v)
+
+    if m == 0:
+        law = (lambda t: 1.0, lambda t: c * t, lambda t: a * t)
+    else:
+        law = (lambda t: math.exp(m * t),
+               lambda t: c * (1.0 - math.exp(m * t)) / -m,
+               lambda t: a * (1.0 - math.exp(2.0 * m * t)) / (-2.0 * m))
+    coeffs = Coeffs1d(b=lambda x: m * np.asarray(x, dtype=float) + c,
+                      db=const(m), d2b=const(0.0), sigma=const(row),
+                      a=const(a), da=const(0.0), d2a=const(0.0))
+    return _model_1d(name, coeffs, dim_r=S.shape[1], flag_C=True,
+                     ellipticity_eta=a,
+                     exact_density=AffineGaussianDensity(*law),
+                     affine=(np.array([[m]]), np.array([c]), S), **flags)
+
+
+def make_constant_model(b0, s0) -> SdeModel:
     """Constant coefficients: the Euler scheme is exact in law."""
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     s0 = np.atleast_2d(np.asarray(s0, dtype=float))
@@ -91,30 +117,17 @@ def make_constant_model(b0, s0, require_elliptic: bool = True) -> SdeModel:
         raise ValueError("drift/diffusion dimensions disagree")
     a = s0 @ s0.T
     eta = float(np.linalg.eigvalsh(a).min())
-    if require_elliptic and eta <= 1e-12:
+    if eta <= 1e-12:
         raise AssumptionViolation("s0 s0* is singular; ellipticity (C) fails")
     if d == 1:
-        b, aa = float(b0[0]), float(a[0, 0])
-        density = AffineGaussianDensity(lambda t: 1.0, lambda t: b * t,
-                                        lambda t: aa * t)
-        coeffs = Coeffs1d(
-            b=lambda x: np.full_like(np.asarray(x, dtype=float), b),
-            db=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            d2b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            sigma=lambda x: np.full_like(np.asarray(x, dtype=float), float(s0[0, 0])),
-            a=lambda x: np.full_like(np.asarray(x, dtype=float), aa),
-            da=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            d2a=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
-    else:
-        density = MultivariateGaussianDensity(b0, a)
-        coeffs = None
+        return _affine_model_1d("constant", 0.0, float(b0[0]), s0[0],
+                                flag_B=True)
     return SdeModel(
         name="constant", dim_d=d, dim_r=r,
-        drift=_tile_drift(b0), diffusion=_tile_diffusion(s0),
-        flag_B=True, flag_C=require_elliptic and eta > 0,
-        ellipticity_eta=eta if eta > 0 else None,
-        exact_density=density, coeffs1d=coeffs,
+        drift=lambda x: np.broadcast_to(b0, x.shape).copy(),
+        diffusion=lambda x: np.broadcast_to(s0, (x.shape[0], d, r)).copy(),
+        flag_B=True, flag_C=True, ellipticity_eta=eta,
+        exact_density=MultivariateGaussianDensity(b0, a),
         affine=(np.zeros((d, d)), b0.copy(), s0.copy()),
     )
 
@@ -128,37 +141,14 @@ def make_ou_model(theta: float, sigma0: float) -> SdeModel:
     """
     if theta <= 0 or sigma0 <= 0:
         raise ValueError("theta and sigma0 must be positive")
-    a0 = sigma0 * sigma0
-
-    def V(t):
-        return a0 * (1.0 - math.exp(-2.0 * theta * t)) / (2.0 * theta)
-
-    density = AffineGaussianDensity(lambda t: math.exp(-theta * t),
-                                    lambda t: 0.0, V)
-    coeffs = Coeffs1d(
-        b=lambda x: -theta * np.asarray(x, dtype=float),
-        db=lambda x: np.full_like(np.asarray(x, dtype=float), -theta),
-        d2b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma0),
-        a=lambda x: np.full_like(np.asarray(x, dtype=float), a0),
-        da=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        d2a=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    return SdeModel(
-        name="ou", dim_d=1, dim_r=1,
-        drift=lambda x: -theta * x,
-        diffusion=lambda x: np.full((x.shape[0], 1, 1), sigma0),
-        flag_B=False, flag_C=True, ellipticity_eta=a0,
-        exact_density=density, coeffs1d=coeffs,
-        affine=(np.array([[-theta]]), np.zeros(1), np.array([[sigma0]])),
-    )
+    return _affine_model_1d("ou", -theta, 0.0, sigma0, flag_B=False)
 
 
 def make_gbm_model(mu: float, sigma0: float) -> SdeModel:
     """Geometric Brownian motion in natural coordinates on x > 0.
 
-    (B)/(C) hold only after the log transform; log_coefficients records
-    the transformed constants b = mu - sigma0^2/2, sigma = sigma0.
+    (B)/(C) hold only after the log transform, which makes the
+    coefficients the constants b = mu - sigma0^2/2 and sigma = sigma0.
     """
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
@@ -171,14 +161,8 @@ def make_gbm_model(mu: float, sigma0: float) -> SdeModel:
         da=lambda x: 2.0 * sigma0**2 * np.asarray(x, dtype=float),
         d2a=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0 * sigma0**2),
     )
-    return SdeModel(
-        name="gbm", dim_d=1, dim_r=1,
-        drift=lambda x: mu * x,
-        diffusion=lambda x: (sigma0 * x)[:, :, None],
-        flag_B=False, flag_C=False,
-        exact_density=LognormalDensity(mu, sigma0), coeffs1d=coeffs,
-        log_coefficients=(mu - 0.5 * sigma0**2, sigma0),
-    )
+    return _model_1d("gbm", coeffs, flag_B=False, flag_C=False,
+                     exact_density=LognormalDensity(mu, sigma0))
 
 
 def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
@@ -211,13 +195,8 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
         da=lambda x: 2.0 * sig(x) * dsig(x),
         d2a=lambda x: 2.0 * (dsig(x) ** 2 + sig(x) * d2sig(x)),
     )
-    return SdeModel(
-        name="tanh_vol", dim_d=1, dim_r=1,
-        drift=lambda x: a0 - 0.5 * sig(x) ** 2,
-        diffusion=lambda x: sig(x)[:, :, None],
-        flag_B=True, flag_C=True, ellipticity_eta=(b0 - abs(c0)) ** 2,
-        coeffs1d=coeffs,
-    )
+    return _model_1d("tanh_vol", coeffs, flag_B=True, flag_C=True,
+                     ellipticity_eta=(b0 - abs(c0)) ** 2)
 
 
 class MissingDensity(RuntimeError):
@@ -225,24 +204,23 @@ class MissingDensity(RuntimeError):
 
 
 def pair_density(dens, f: tf.TestFunction, t: float, x: float,
-                 rtol: float = 1e-10, start: int = 32,
-                 max_nodes: int = 256) -> float:
+                 start: int = 32, max_nodes: int = 256) -> float:
     """<f, p(t, x, .)> for a 1-D transition density dens.
 
     A Dirac kind is read as (-1)^beta d^beta_y p(t, x, y), beta = 0 for
     delta_y (pairing convention <d^b delta_y, phi> = (-1)^b phi^(b)(y));
     a function is expect_gaussian on dens.gauss_coords(t, x), with the
-    given tolerance and rule sizes (start = max_nodes is one fixed rule).
+    given rule sizes (start = max_nodes is one fixed rule).
     """
     if not f.pointwise:
         return float(((-1.0) ** f.beta) * dens.deriv(0, f.beta, t, x, f.y))
     mean, std, push, _ = dens.gauss_coords(t, x)
-    return expect_gaussian(f, mean, std, push=push, rtol=rtol, start=start,
+    return expect_gaussian(f, mean, std, push=push, start=start,
                            max_nodes=max_nodes)[0]
 
 
-def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction, x,
-                    rtol: float = 1e-10) -> float:
+def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction,
+                    x) -> float:
     """P_t f(x) = E[f(X_t^x)] via quadrature against the exact density:
     pair_density in 1-D, a tensor Gauss-Hermite rule for d <= 3, where
     Dirac-type functionals raise UnsupportedFunctional."""
@@ -250,13 +228,13 @@ def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction, x,
         raise MissingDensity(f"model {model.name!r} has no exact density oracle")
     dens = model.exact_density
     if model.dim_d == 1:
-        return pair_density(dens, f, t, float(np.atleast_1d(x)[0]), rtol)
+        return pair_density(dens, f, t, float(np.atleast_1d(x)[0]))
     if model.dim_d > 3:
         raise ValueError("density-level quadrature is capped at d <= 3")
-    return _tensor_semigroup(dens.law(t, x), f, rtol)
+    return _tensor_semigroup(dens.law(t, x), f)
 
 
-def _tensor_semigroup(law: GaussianLaw, f: tf.TestFunction, rtol: float) -> float:
+def _tensor_semigroup(law: GaussianLaw, f: tf.TestFunction) -> float:
     L = np.linalg.cholesky(law.cov + 1e-14 * np.eye(law.dim))
 
     def value_at(m, rows):
@@ -272,7 +250,7 @@ def _tensor_semigroup(law: GaussianLaw, f: tf.TestFunction, rtol: float) -> floa
         return (float(np.dot(wt, vals)) / norm,
                 float(np.dot(wt, np.abs(vals))) / norm)
 
-    return float(node_doubling(value_at, rtol, 1e-14, 16, 128)[0][0])
+    return float(node_doubling(value_at, 1e-10, 1e-14, 16, 128)[0][0])
 
 
 def model_from_config(cfg: dict) -> SdeModel:

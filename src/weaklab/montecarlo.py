@@ -196,10 +196,11 @@ def coupled_rungs(model, stat, x, t, n_ladder, N, rng, ref_multiple,
     return [(n, float(m), float(s)) for n, m, s in zip(ns, means, ses)]
 
 
-def richardson_limit(rungs, order: int = 2):
+def richardson_limit(rungs):
     """Richardson limit of n bias over coupled rungs [(n, bias, std_error)],
-    with a 3-sigma halfwidth propagated through the Richardson weights."""
-    order = min(order, len(rungs))
+    eliminating the 1/n term (or none, from one rung), with a 3-sigma
+    halfwidth propagated through the Richardson weights."""
+    order = min(2, len(rungs))
     value = richardson_table([(n, n * b) for n, b, _ in rungs], order)
     w = richardson_weights(len(rungs), order)
     ci = 3.0 * math.sqrt(sum((wi * n * s) ** 2
@@ -208,7 +209,7 @@ def richardson_limit(rungs, order: int = 2):
 
 
 def bias_times_n_limit(model: SdeModel, f: tf.TestFunction, x, t: float,
-                       n_ladder, N: int, rng: RngStream, order: int = 2,
+                       n_ladder, N: int, rng: RngStream,
                        ref_multiple: int = 4):
     """Richardson limit of n (E[f(X^{n})] - E[f(X)]) over the ladder.
 
@@ -216,13 +217,14 @@ def bias_times_n_limit(model: SdeModel, f: tf.TestFunction, x, t: float,
     through the Richardson weights.
     """
     return richardson_limit(bias_ladder(model, f, x, t, n_ladder, N, rng,
-                                        ref_multiple), order)
+                                        ref_multiple))
 
 
 def samples_for_ci(model: SdeModel, f: tf.TestFunction, x, n: int, t: float,
-                   target_ci: float, rng: RngStream, pilot: int = 10**4,
-                   cap: int = 10**8) -> int:
-    """Sample count whose 3-sigma CI halfwidth is below target, from a pilot."""
+                   target_ci: float, rng: RngStream) -> int:
+    """Sample count whose 3-sigma CI halfwidth is below target, from a
+    pilot run; at least the pilot's size, at most 10^8."""
+    pilot, cap = 10**4, 10**8
     est = estimate_expectation(model, f, x, n, t, pilot, rng)
     sd = est.std_error * math.sqrt(pilot)
     need = int(math.ceil((3.0 * sd / target_ci) ** 2))

@@ -38,10 +38,10 @@ class Payoff:
     def __call__(self, u):
         return self.fn(np.asarray(u, dtype=float))
 
-    def check_growth(self, probes, slack: float = 1.0 + 1e-9) -> bool:
+    def check_growth(self, probes) -> bool:
         u = np.asarray(probes, dtype=float)
         bound = self.growth_c * (1.0 + u ** self.growth_q)
-        return bool(np.all(np.abs(self(u)) <= bound * slack))
+        return bool(np.all(np.abs(self(u)) <= bound * (1.0 + 1e-9)))
 
 
 def make_payoff(name: str, strike: float | None = None,

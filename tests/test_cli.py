@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -298,6 +299,58 @@ def test_bias_limit_unconverged_quadrature_exits_4(tmp_path, capsys):
         cli.EXIT_NONCONVERGED
     assert "non-convergence" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+# GBM from x < 0: the lognormal oracle's truth is NaN, so is every bias,
+# no point clears the noise gate, and each run used to pass (exit 0) as
+# an exact scheme
+NAN_BIAS = {
+    "weak-rate-deterministic": dict(study="weak-rate", deterministic=True,
+                                    n_ladder=[8, 16, 32, 64]),
+    "weak-rate-mc": dict(study="weak-rate", N=20000,
+                         n_ladder=[8, 16, 32, 64]),
+    "romberg": dict(study="romberg", N=20000, n_ladder=[2, 4, 8, 16]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in log")
+@pytest.mark.parametrize("name", list(NAN_BIAS))
+def test_nan_bias_exits_4(tmp_path, capsys, name):
+    cfg = dict(NAN_BIAS[name], model=GBM, f="identity", x=-1.0, t=1.0,
+               seed=1, output_csv=str(tmp_path / "rows.csv"),
+               output_json=str(tmp_path / "summary.json"))
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == \
+        cli.EXIT_NONCONVERGED
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+@pytest.mark.parametrize("model, x, mode", [
+    ({"model": "constant", "b": [0.2], "s": [[0.5]]}, 0.4, {"N": 4096}),
+    (GBM, 0.0, {"deterministic": True})], ids=["constant-mc", "gbm-x-0"])
+def test_exact_scheme_stays_exact(tmp_path, model, x, mode):
+    # an Euler law equal to the true law: no bias clears the noise gate,
+    # and none is NaN
+    cfg = dict(study="weak-rate", model=model, f="identity", x=x, t=1.0,
+               n_ladder=[8, 16, 32, 64], seed=1, **mode,
+               output_csv=str(tmp_path / "rows.csv"),
+               output_json=str(tmp_path / "summary.json"))
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == cli.EXIT_PASS
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "exact-scheme"
+
+
+def test_tailbound_past_the_float_range_fails_the_gate(tmp_path):
+    # the kernel underflows to 0 and the c2 fit used to raise
+    # OverflowError (exit 1); a zero kernel certifies nothing
+    cfg = dict(study="tailbound", model=OU, kernel="p", l=0,
+               t_grid=[0.001], x_grid=[0], y_grid=[2.5], seed=1,
+               output_csv=str(tmp_path / "rows.csv"),
+               output_json=str(tmp_path / "summary.json"))
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == cli.EXIT_GATE
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["max_violation_ratio"] == math.inf
 
 
 # OU(5, 1) at t = 1: pi does not converge at four (tol 1e-7) or five

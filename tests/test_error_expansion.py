@@ -332,6 +332,28 @@ def test_tail_bound_fails_on_zero_envelope():
     assert rep["argmax"] == TAIL_GRID[0]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_fit_tail_bound_past_the_float_range():
+    # OU's density at t = 0.001 and |x - y| = 2.5 underflows to 0, so no
+    # blow-up stops the c2 search before c2 |x - y|^2 / t passes 709,
+    # where math.exp used to raise OverflowError
+    dens = ou().exact_density
+    grid = [(0.001, 0.0, 2.5)]
+    kernel = lambda t, x, y: float(dens.density(t, x, y))
+    spec = ee.fit_tail_bound(kernel, 0, grid)
+    assert spec.c1 == 0.0
+    assert ee.check_tail_bound(kernel, spec, grid)["max_violation_ratio"] \
+        == math.inf
+    # a non-zero value whose weight overflows at every candidate fits
+    # c1 = inf; an infinite envelope bounds anything, |k| / inf = 0, and
+    # used to pass the check
+    far, tiny = [(0.001, 0.0, 4.0)], lambda t, x, y: 1e-300
+    spec = ee.fit_tail_bound(tiny, 0, far)
+    assert spec.c1 == math.inf
+    assert ee.check_tail_bound(tiny, spec, far)["max_violation_ratio"] \
+        == math.inf
+
+
 def test_seminorm_gaussian():
     kern = lambda b, y: normal_pdf_dy(b, y, 0.0, 1.0)
     grid = np.linspace(-8.0, 8.0, 4001)

@@ -1,13 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from weaklab import testfunctions as tf
+from weaklab.error_expansion import pi_rows
+from weaklab.euler import simulate_ladder
+from weaklab.gaussian import AffineGaussianDensity
 from weaklab.models import (AssumptionViolation, MissingDensity,
                             make_bounded_vol_model, make_constant_model,
                             make_gbm_model, make_ou_model, model_from_config,
                             semigroup_apply)
+from weaklab.rng import RngStream
 
 
 def test_constant_model_exact_density():
@@ -35,12 +40,54 @@ def test_ou_law_matches_closed_form():
     assert not m.flag_B  # unbounded drift
 
 
-def test_gbm_log_coefficients():
+def test_gbm_is_not_elliptic():
     m = make_gbm_model(0.1, 0.2)
-    b, s = m.log_coefficients
-    assert abs(b - (0.1 - 0.02)) < 1e-15
-    assert s == 0.2
     assert not m.flag_C  # degenerate at the origin in natural coordinates
+
+
+@pytest.mark.parametrize("theta, sigma", [(1.0, 1.0), (2.0, 0.5), (0.3, 1.7)])
+def test_ou_law_is_the_closed_form_bit_for_bit(theta, sigma):
+    # _affine_model_1d's law (A, c, V) = (e^{mt}, c(1 - e^{mt})/(-m),
+    # a(1 - e^{2mt})/(-2m)) at m = -theta, c = 0, a = sigma^2 rounds
+    # exactly as OU's own closed forms
+    m = make_ou_model(theta, sigma)
+    a0 = sigma * sigma
+    for t in (1e-3, 0.1, 0.25, 0.5, 1.0, 2.0, 7.3):
+        want = (math.exp(-theta * t), 0.0,
+                a0 * (1.0 - math.exp(-2.0 * theta * t)) / (2.0 * theta))
+        assert m.exact_density.coefficients(t) == want
+
+
+@pytest.mark.parametrize("model", [
+    make_ou_model(2.0, 0.5), make_constant_model([0.2], [[0.5]]),
+    make_constant_model([0.1], [[0.3, 0.4]]), make_gbm_model(0.1, 0.2),
+    make_bounded_vol_model(0.05, 0.2, 0.1)], ids=lambda m: m.name)
+def test_euler_coefficients_are_the_oracles(model):
+    c = model.coeffs1d
+    x = np.linspace(0.1, 2.0, 7)[:, None]
+    assert model.drift is c.b
+    assert np.array_equal(model.diffusion(x),
+                          np.reshape(c.sigma(x), (7, 1, model.dim_r)))
+
+
+def test_constant_model_with_two_noises_is_1d_affine():
+    # d = 1 driven by r = 2 Brownian motions: a = s s^T = 0.25, and the
+    # model keeps the 1-D law, oracles and pi = 0 of any 1-D constant model
+    m = make_constant_model([0.1], [[0.3, 0.4]])
+    assert (m.dim_d, m.dim_r) == (1, 2)
+    assert isinstance(m.exact_density, AffineGaussianDensity)
+    assert m.exact_density.coefficients(2.0) == (1.0, 0.2, 0.5)
+    assert np.all(m.coeffs1d.a(np.linspace(-1, 1, 5)) == 0.25)
+    assert m.ellipticity_eta == 0.25 and m.flag_B and m.flag_C
+    vals, errs = pi_rows(m, 0.5, [0.0, 1.0], [0.2, 0.3])
+    assert not vals.any() and not errs.any()
+    # r normals per step: the seeded ladder endpoints, recorded with the
+    # tile-based constant model that _affine_model_1d replaced
+    lad = simulate_ladder(m, [[0.4], [1.1]], [4, 8, 16], 1.0,
+                          RngStream(5, 0), 256)
+    digest = hashlib.sha256(b"".join(lad[n].tobytes() for n in (4, 8, 16)))
+    assert digest.hexdigest() == \
+        "2e1149499da2ea7c1448d3753fb90e59f211f0f8dfe526bda81a1f4f310a46eb"
 
 
 def test_tanh_vol_flags_and_bounds():
