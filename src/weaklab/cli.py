@@ -322,21 +322,21 @@ def _study_density(cfg, model, rng):
 
 def _study_tailbound(cfg, model, rng):
     which, l = cfg["kernel"], cfg["l"]
-    grid = [(float(t), float(x), float(y)) for t in cfg["t_grid"]
-            for x in cfg["x_grid"] for y in cfg["y_grid"]]
-    if which == "p":
-        dens = model.exact_density
-        kernel = lambda t, x, y: float(dens.density(t, x, y))
-    else:
-        # pi once per point, by one pi_rows call per t; fit and check read it
-        pi = {}
-        for t in cfg["t_grid"]:
-            points, pis, _ = _pi_grid(cfg, model, float(t), 1e-7)
-            pi.update(((float(t), float(x), float(y)), v)
-                      for (x, y), v in zip(points, pis.tolist()))
-        kernel = lambda t, x, y: pi[(t, x, y)]
-    spec = ee.fit_tail_bound(kernel, l, grid)
-    report = ee.check_tail_bound(kernel, spec, grid)
+    # each point's kernel value once, in _pi_grid's x-major order: p by
+    # scalar calls (array exp may round differently), pi by one pi_rows
+    # call per t
+    points = [(float(x), float(y)) for x in cfg["x_grid"]
+              for y in cfg["y_grid"]]
+    grid, values = [], []
+    for t in map(float, cfg["t_grid"]):
+        if which == "p":
+            values += [float(model.exact_density.density(t, x, y))
+                       for x, y in points]
+        else:
+            values += _pi_grid(cfg, model, t, 1e-7)[1].tolist()
+        grid += [(t, x, y) for x, y in points]
+    spec = ee.fit_tail_bound(l, grid, values)
+    report = ee.check_tail_bound(spec, grid, values)
     header = ["study", "model", "kernel", "l", "c1", "c2",
               "max_violation_ratio", "n_points", "oracle"]
     rows = [[cfg["study"], cfg["model"]["model"], which, l, spec.c1, spec.c2,

@@ -44,11 +44,6 @@ class PiEvaluation:
 
     value: float
     quad_error: float
-    t: float
-    x: float
-    y: float
-    alpha: int = 0
-    beta: int = 0
     converged: bool = True
 
 
@@ -163,10 +158,7 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
                 acc = 0.0
                 for g in (1, 2, 3):
                     acc = acc + gs[g - 1](z) * kernel(g, tau, z, rows[r])
-                xr = x0[rows[r], None]
-                left = dens.density(s, xr, z) if alpha == 0 \
-                    else dens.deriv(alpha, 0, s, xr, z)
-                return left * acc
+                return dens.deriv(alpha, 0, s, x0[rows[r], None], z) * acc
         else:
             def fn(z, r):
                 return kernel(0, tau, z, rows[r]) \
@@ -262,37 +254,38 @@ def principal_density_pi(model: SdeModel, t: float, x: float, y: float,
     x0, y0 = float(x), float(y)
     val, err = pi_rows(model, t, x0, y0, alpha, beta, tol, split)
     val, err = float(val[0]), float(err[0])
-    return PiEvaluation(val, err, t, x0, y0, alpha, beta,
-                        converged=bool(pi_converged(err, tol)))
+    return PiEvaluation(val, err, converged=bool(pi_converged(err, tol)))
 
 
 def density_error_exact(model: SdeModel, n: int, t: float, x, y,
                         alpha: int = 0, beta: int = 0):
     """d^alpha_x d^beta_y (p_n - p)(t, x, y) from the two Gaussian closed
-    forms, for 1-D affine models; x and y broadcast against each other, and
-    scalar x and y give a float."""
-    if model.affine is None or model.dim_d != 1:
-        raise ValueError("exact density error requires a 1-D affine model")
-    dens = _require_density(model)
+    forms, for 1-D affine models (euler_density_1d rejects any other);
+    x and y broadcast against each other, and scalar x and y give a
+    float."""
     pn = euler_density_1d(model, n)
-    out = pn.deriv(alpha, beta, t, x, y) - dens.deriv(alpha, beta, t, x, y)
+    out = pn.deriv(alpha, beta, t, x, y) \
+        - model.exact_density.deriv(alpha, beta, t, x, y)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def check_tail_bound(kernel, spec: TailBoundSpec, grid) -> dict:
-    """Max of |kernel| over the Gaussian envelope on a grid of (t, x, y).
+def check_tail_bound(spec: TailBoundSpec, grid, values) -> dict:
+    """Max of |k| over the Gaussian envelope on a grid of (t, x, y), where
+    values[i] is the kernel k at grid[i].
 
     A max_violation_ratio <= 1 certifies the bound on the grid.  A
     non-finite kernel value or ratio (a NaN kernel, say, or a NaN c1) is
     no certificate, nor is a zero or infinite envelope (c1 = 0 for a
     kernel that underflows to 0, c1 = inf from an overflowing fit): the
-    first one makes the ratio inf, at that point.
+    first one makes the ratio inf, at that point.  A values list whose
+    length is not the grid's raises ValueError.
     """
+    if len(values) != len(grid):
+        raise ValueError("one kernel value per grid point required")
     worst, argmax = 0.0, None
-    for (t, x, y) in grid:
+    for (t, x, y), v in zip(grid, values):
         env = float(spec.envelope(t, x, y))
-        ratio = abs(kernel(t, x, y)) / env if 0 < env < math.inf \
-            else math.inf
+        ratio = abs(v) / env if 0 < env < math.inf else math.inf
         if not math.isfinite(ratio):
             return {"max_violation_ratio": math.inf, "argmax": (t, x, y),
                     "n_points": len(grid)}
@@ -309,8 +302,9 @@ def _exp_or_inf(u: float) -> float:
         return math.inf
 
 
-def fit_tail_bound(kernel, l: int, grid) -> TailBoundSpec:
-    """Fit certificate constants on a grid.
+def fit_tail_bound(l: int, grid, values) -> TailBoundSpec:
+    """Fit certificate constants to the kernel values values[i] at the
+    points grid[i] of (t, x, y); the lengths must agree (ValueError).
 
     c2 is grid-searched over {0.05, 0.10, ..., 3}: the largest decay rate
     is kept for which the implied scale constant has not blown up (stays
@@ -319,8 +313,11 @@ def fit_tail_bound(kernel, l: int, grid) -> TailBoundSpec:
     grid by construction.  A scale past the float range is inf, so the
     search stops there (or c1 is inf, which check_tail_bound fails).
     """
+    if len(values) != len(grid):
+        raise ValueError("one kernel value per grid point required")
     e = 0.5 * (1 + l)
-    vals = [(t, (x - y) ** 2 / t, abs(kernel(t, x, y))) for (t, x, y) in grid]
+    vals = [(t, (x - y) ** 2 / t, abs(v))
+            for (t, x, y), v in zip(grid, values)]
 
     def scale(c2):
         # a zero value scales to zero, not to 0 * inf = NaN
@@ -360,19 +357,17 @@ _PAIRING_NODES = 256
 def distribution_pairing(model: SdeModel, S: tf.TestFunction, n: int,
                          t: float, x) -> tuple[float, float]:
     """(<S, p_n(t,x,.)>, <S, p(t,x,.)>) for a 1-D affine model, each by
-    pair_density.
+    pair_density; euler_density_1d rejects any other model.
 
     Function kinds use one fixed Gauss-Hermite rule, shared by both
     laws: its quadrature error cancels to first order in the difference
     of two nearby laws.
     """
-    if model.affine is None or model.dim_d != 1:
-        raise ValueError("distribution pairing requires a 1-D affine model")
-    dens = _require_density(model)
     pn = euler_density_1d(model, n)
     x0 = float(np.atleast_1d(x)[0])
     return tuple(pair_density(d, S, t, x0, start=_PAIRING_NODES,
-                              max_nodes=_PAIRING_NODES) for d in (pn, dens))
+                              max_nodes=_PAIRING_NODES)
+                 for d in (pn, model.exact_density))
 
 
 def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,

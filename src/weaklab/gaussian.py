@@ -23,28 +23,6 @@ from numpy.polynomial import hermite_e
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-@dataclass
-class GaussianLaw:
-    """Mean vector and symmetric PSD covariance matrix of a d-dim law; a
-    1-D law is described by its density's gauss_coords."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if not np.allclose(self.cov, self.cov.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
-        w = np.linalg.eigvalsh(self.cov)
-        if w.min() < -1e-10 * max(1.0, w.max()):
-            raise ValueError("covariance must be positive semidefinite")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
 def hermite_He(k: int, u: np.ndarray) -> np.ndarray:
     """Probabilists' Hermite polynomial He_k evaluated elementwise."""
     coeffs = np.zeros(k + 1)
@@ -53,9 +31,8 @@ def hermite_He(k: int, u: np.ndarray) -> np.ndarray:
 
 
 def normal_pdf(y, mean, var):
-    s = np.sqrt(var)
-    u = (np.asarray(y, dtype=float) - mean) / s
-    return np.exp(-0.5 * u * u) / (s * _SQRT2PI)
+    """The N(mean, var) density, normal_pdf_dy at order 0."""
+    return normal_pdf_dy(0, y, mean, var)
 
 
 def normal_pdf_dy(k: int, y, mean, var):
@@ -121,11 +98,11 @@ class AffineGaussianDensity:
         return float(self._A(t)), float(self._c(t)), float(self._V(t))
 
     def density(self, t: float, x, y):
-        A, c, V = self.coefficients(t)
-        return normal_pdf(y, A * np.asarray(x, dtype=float) + c, V)
+        return self.deriv(0, 0, t, x, y)
 
     def deriv(self, alpha: int, beta: int, t: float, x, y):
-        """d^alpha/dx^alpha d^beta/dy^beta of the density, exact."""
+        """d^alpha/dx^alpha d^beta/dy^beta of the density, exact; at order
+        0, the density itself."""
         A, c, V = self.coefficients(t)
         mean = A * np.asarray(x, dtype=float) + c
         return ((-A) ** alpha) * normal_pdf_dy(alpha + beta, y, mean, V)
@@ -218,22 +195,12 @@ class LognormalDensity:
 
 @dataclass
 class MultivariateGaussianDensity:
-    """Exact Gaussian transition density for the d-dim constant model."""
+    """Exact Gaussian transition law of the d-dim constant model."""
 
     b0: np.ndarray
     a: np.ndarray  # sigma sigma^T
 
-    def law(self, t: float, x) -> GaussianLaw:
+    def law(self, t: float, x) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, cov) of X_t from x: (x + b0 t, a t)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return GaussianLaw(x + self.b0 * t, self.a * t)
-
-    def density(self, t: float, x, y):
-        law = self.law(t, x)
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        d = law.dim
-        diff = y - law.mean
-        prec = np.linalg.inv(law.cov)
-        quad = np.einsum("ni,ij,nj->n", diff, prec, diff)
-        norm = math.sqrt((2 * math.pi) ** d * np.linalg.det(law.cov))
-        out = np.exp(-0.5 * quad) / norm
-        return out if out.size > 1 else float(out[0])
+        return x + self.b0 * t, self.a * t

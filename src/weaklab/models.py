@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussian import (AffineGaussianDensity, GaussianLaw, LognormalDensity,
+from .gaussian import (AffineGaussianDensity, LognormalDensity,
                        MultivariateGaussianDensity)
 from .quadrature import expect_gaussian, hermgauss_rule, node_doubling
 from . import testfunctions as tf
@@ -62,11 +62,6 @@ class SdeModel:
     coeffs1d: Optional[Coeffs1d] = None
     # (M, c, S): affine drift b(x) = M x + c with constant diffusion S
     affine: Optional[tuple] = None
-
-    def cov(self, x):
-        """a(x) = sigma(x) sigma(x)^T, shape (N, d, d)."""
-        s = self.diffusion(np.atleast_2d(np.asarray(x, dtype=float)))
-        return np.einsum("nij,nkj->nik", s, s)
 
 
 def _model_1d(name: str, coeffs: Coeffs1d, dim_r: int = 1,
@@ -231,22 +226,27 @@ def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction,
         return pair_density(dens, f, t, float(np.atleast_1d(x)[0]))
     if model.dim_d > 3:
         raise ValueError("density-level quadrature is capped at d <= 3")
-    return _tensor_semigroup(dens.law(t, x), f)
+    return _tensor_semigroup(*dens.law(t, x), f)
 
 
-def _tensor_semigroup(law: GaussianLaw, f: tf.TestFunction) -> float:
-    L = np.linalg.cholesky(law.cov + 1e-14 * np.eye(law.dim))
+def _tensor_semigroup(mean: np.ndarray, cov: np.ndarray,
+                      f: tf.TestFunction) -> float:
+    """E f(Y) for Y ~ N(mean, cov) by a tensor Gauss-Hermite rule; a cov
+    that is not positive definite raises numpy's LinAlgError, a
+    ValueError."""
+    d = mean.shape[0]
+    L = np.linalg.cholesky(cov + 1e-14 * np.eye(d))
 
     def value_at(m, rows):
         h, w = hermgauss_rule(m)
-        grids = np.meshgrid(*([h] * law.dim), indexing="ij")
+        grids = np.meshgrid(*([h] * d), indexing="ij")
         zeta = math.sqrt(2.0) * np.stack([g.ravel() for g in grids], axis=1)
-        pts = law.mean + zeta @ L.T
+        pts = mean + zeta @ L.T
         wt = np.ones(pts.shape[0])
-        for g in np.meshgrid(*([w] * law.dim), indexing="ij"):
+        for g in np.meshgrid(*([w] * d), indexing="ij"):
             wt = wt * g.ravel()
         vals = f(pts)
-        norm = math.pi ** (law.dim / 2)
+        norm = math.pi ** (d / 2)
         return (float(np.dot(wt, vals)) / norm,
                 float(np.dot(wt, np.abs(vals))) / norm)
 

@@ -45,13 +45,9 @@ class RngStream:
         """Derive a child stream; children of distinct (stream_id, i) differ."""
         return RngStream(self.seed, splitmix64((self.stream_id ^ splitmix64(i)) & _MASK64))
 
-    def normals(self, shape) -> np.ndarray:
-        """Standard normal draws via inverse CDF of Philox uniforms."""
-        gen = self.generator()
-        return normals_from(gen, shape)
-
 
 def normals_from(gen: np.random.Generator, shape) -> np.ndarray:
+    """Standard normal draws via inverse CDF of the generator's uniforms."""
     u = gen.random(shape)
     np.maximum(u, _U_FLOOR, out=u)
     return ndtri(u)

@@ -146,20 +146,19 @@ def test_criterion_06_tail_bound_certificates():
     m = make_ou_model(1.0, 1.0)
     grid = [(t, x, y) for t in (0.25, 0.5, 1.0) for x in (-1.5, 0.0, 1.5)
             for y in (-1.5, 0.0, 1.5)]
-    # pi on each t's (x, y) grid at once; every value must converge
-    pi_vals, converged = {}, True
+    # pi on each t's (x, y) grid at once, in grid order; every value must
+    # converge
+    pi_vals, converged = [], True
     for t in (0.25, 0.5, 1.0):
         xs, ys = np.array([(x, y) for (s, x, y) in grid if s == t]).T
         pis, errs = ee.pi_rows(m, t, xs, ys)
         converged = converged and bool(ee.pi_converged(errs).all())
-        pi_vals.update(((t, x, y), v) for x, y, v in
-                       zip(xs.tolist(), ys.tolist(), pis.tolist()))
-    pi_kernel = lambda t, x, y: pi_vals[(t, x, y)]
-    pi_spec = ee.fit_tail_bound(pi_kernel, 1, grid)
-    pi_rep = ee.check_tail_bound(pi_kernel, pi_spec, grid)
-    p_kernel = m.exact_density.density
-    p_spec = ee.fit_tail_bound(p_kernel, 0, grid)
-    p_rep = ee.check_tail_bound(p_kernel, p_spec, grid)
+        pi_vals += pis.tolist()
+    pi_spec = ee.fit_tail_bound(1, grid, pi_vals)
+    pi_rep = ee.check_tail_bound(pi_spec, grid, pi_vals)
+    p_vals = [m.exact_density.density(*p) for p in grid]
+    p_spec = ee.fit_tail_bound(0, grid, p_vals)
+    p_rep = ee.check_tail_bound(p_spec, grid, p_vals)
     ok = (pi_rep["max_violation_ratio"] <= 1.0
           and p_rep["max_violation_ratio"] <= 1.0
           and pi_spec.c2 > 0 and p_spec.c2 > 0 and converged)

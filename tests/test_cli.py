@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import weaklab
 from weaklab import cli
 from weaklab import error_expansion as ee
+from weaklab.gaussian import AffineGaussianDensity
 from weaklab.models import make_ou_model
 
 
@@ -406,10 +407,31 @@ def test_density_and_tailbound_grids_match_one_point_calls(tmp_path):
     cfg = dict(grid, study="tailbound", kernel="pi", l=1)
     assert cli.main(["run", write_cfg(tmp_path, cfg)]) == cli.EXIT_PASS
     summary = json.loads((tmp_path / "summary.json").read_text())
+    fgrid = [tuple(map(float, p)) for p in points]
     spec = ee.fit_tail_bound(
-        lambda t, x, y: ee.principal_density_pi(m, t, x, y, tol=1e-7).value,
-        1, [tuple(map(float, p)) for p in points])
+        1, fgrid,
+        [ee.principal_density_pi(m, *p, tol=1e-7).value for p in fgrid])
     assert (summary["c1"], summary["c2"]) == (spec.c1, spec.c2)
+
+
+def test_tailbound_reads_each_density_value_once(tmp_path, monkeypatch):
+    # fit and check read one list of values, so kernel p is evaluated once
+    # per grid point, not once for the fit and again for the check
+    calls = []
+    density = AffineGaussianDensity.density
+
+    def counted(self, t, x, y):
+        calls.append((t, x, y))
+        return density(self, t, x, y)
+
+    monkeypatch.setattr(AffineGaussianDensity, "density", counted)
+    cfg = {"study": "tailbound", "model": OU, "kernel": "p", "l": 0,
+           "t_grid": [0.25, 0.5, 1.0], "x_grid": [-1.2, 0.3, 1.1],
+           "y_grid": [-0.9, 0.0, 1.4], "seed": 1,
+           "output_csv": str(tmp_path / "rows.csv"),
+           "output_json": str(tmp_path / "summary.json")}
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == cli.EXIT_PASS
+    assert len(calls) == 27 == len(set(calls))
 
 
 # GBM from x = 0 stays at 0: every moment and density value is 0.  Both

@@ -265,11 +265,12 @@ def test_check_tail_bound_heat_kernel():
     heat = lambda t, x, y: normal_pdf(y, x, t)
     grid = [(t, x, y) for t in (0.25, 0.5, 1.0) for x in (-1.0, 0.0, 1.0)
             for y in (-2.0, 0.0, 2.0)]
+    values = [heat(*p) for p in grid]
     ok = ee.TailBoundSpec(l=0, c1=0.5, c2=0.5)
-    rep = ee.check_tail_bound(heat, ok, grid)
+    rep = ee.check_tail_bound(ok, grid, values)
     assert rep["max_violation_ratio"] <= 1.0
     too_sharp = ee.TailBoundSpec(l=0, c1=0.35, c2=0.5)
-    rep2 = ee.check_tail_bound(heat, too_sharp, grid)
+    rep2 = ee.check_tail_bound(too_sharp, grid, values)
     assert rep2["max_violation_ratio"] > 1.0
 
 
@@ -277,9 +278,10 @@ def test_fit_tail_bound_heat_kernel_recovers_sharp_rate():
     heat = lambda t, x, y: normal_pdf(y, x, t)
     grid = [(t, x, y) for t in (0.25, 0.5, 1.0) for x in (-1.0, 0.0, 1.0)
             for y in (-2.5, -1.0, 0.0, 1.0, 2.5)]
-    spec = ee.fit_tail_bound(heat, 0, grid)
+    values = [heat(*p) for p in grid]
+    spec = ee.fit_tail_bound(0, grid, values)
     assert spec.c2 >= 0.45  # Gaussian admits the sharp rate 1/2
-    rep = ee.check_tail_bound(heat, spec, grid)
+    rep = ee.check_tail_bound(spec, grid, values)
     assert rep["max_violation_ratio"] <= 1.0
 
 
@@ -288,8 +290,9 @@ def test_fit_tail_bound_pi_kernel():
     kern = lambda t, x, y: ee.principal_density_pi(m, t, x, y).value
     grid = [(t, x, y) for t in (0.5, 1.0) for x in (-1.0, 1.0)
             for y in (-1.0, 0.0, 1.0)]
-    spec = ee.fit_tail_bound(kern, 1, grid)
-    rep = ee.check_tail_bound(kern, spec, grid)
+    values = [kern(*p) for p in grid]
+    spec = ee.fit_tail_bound(1, grid, values)
+    rep = ee.check_tail_bound(spec, grid, values)
     assert rep["max_violation_ratio"] <= 1.0
     assert spec.c2 > 0.0
 
@@ -310,24 +313,25 @@ def test_tail_bound_fails_on_nan_kernel(nan_at):
             return math.nan
         return float(dens.density(t, x, y))
 
-    spec = ee.fit_tail_bound(kernel, 0, TAIL_GRID)
-    rep = ee.check_tail_bound(kernel, spec, TAIL_GRID)
+    values = [kernel(*p) for p in TAIL_GRID]
+    spec = ee.fit_tail_bound(0, TAIL_GRID, values)
+    rep = ee.check_tail_bound(spec, TAIL_GRID, values)
     assert not rep["max_violation_ratio"] <= 1.0
     assert rep["argmax"] == (TAIL_GRID[0] if nan_at is None else nan_at)
     # with constants fitted on the finite kernel, the NaN still fails
-    rep = ee.check_tail_bound(kernel, ee.fit_tail_bound(
-        lambda t, x, y: float(dens.density(t, x, y)), 0, TAIL_GRID),
-        TAIL_GRID)
+    finite = [float(dens.density(*p)) for p in TAIL_GRID]
+    rep = ee.check_tail_bound(ee.fit_tail_bound(0, TAIL_GRID, finite),
+                              TAIL_GRID, values)
     assert not rep["max_violation_ratio"] <= 1.0
 
 
 def test_tail_bound_fails_on_zero_envelope():
     # a kernel that is 0 on the whole grid (GBM's density from x = 0, say)
     # fits c1 = 0; the check used to divide 0 by the zero envelope and raise
-    zero = lambda t, x, y: 0.0
-    spec = ee.fit_tail_bound(zero, 0, TAIL_GRID)
+    zero = [0.0] * len(TAIL_GRID)
+    spec = ee.fit_tail_bound(0, TAIL_GRID, zero)
     assert spec.c1 == 0.0
-    rep = ee.check_tail_bound(zero, spec, TAIL_GRID)
+    rep = ee.check_tail_bound(spec, TAIL_GRID, zero)
     assert rep["max_violation_ratio"] == math.inf
     assert rep["argmax"] == TAIL_GRID[0]
 
@@ -339,19 +343,30 @@ def test_fit_tail_bound_past_the_float_range():
     # where math.exp used to raise OverflowError
     dens = ou().exact_density
     grid = [(0.001, 0.0, 2.5)]
-    kernel = lambda t, x, y: float(dens.density(t, x, y))
-    spec = ee.fit_tail_bound(kernel, 0, grid)
+    values = [float(dens.density(*p)) for p in grid]
+    spec = ee.fit_tail_bound(0, grid, values)
     assert spec.c1 == 0.0
-    assert ee.check_tail_bound(kernel, spec, grid)["max_violation_ratio"] \
+    assert ee.check_tail_bound(spec, grid, values)["max_violation_ratio"] \
         == math.inf
     # a non-zero value whose weight overflows at every candidate fits
     # c1 = inf; an infinite envelope bounds anything, |k| / inf = 0, and
     # used to pass the check
-    far, tiny = [(0.001, 0.0, 4.0)], lambda t, x, y: 1e-300
-    spec = ee.fit_tail_bound(tiny, 0, far)
+    far, tiny = [(0.001, 0.0, 4.0)], [1e-300]
+    spec = ee.fit_tail_bound(0, far, tiny)
     assert spec.c1 == math.inf
-    assert ee.check_tail_bound(tiny, spec, far)["max_violation_ratio"] \
+    assert ee.check_tail_bound(spec, far, tiny)["max_violation_ratio"] \
         == math.inf
+
+
+def test_tail_bound_rejects_values_one_short_of_the_grid():
+    # check_tail_bound returns at the first non-finite ratio, so a short
+    # list must be caught before any point is read
+    short = [math.nan] * (len(TAIL_GRID) - 1)
+    with pytest.raises(ValueError):
+        ee.fit_tail_bound(0, TAIL_GRID, short)
+    with pytest.raises(ValueError):
+        ee.check_tail_bound(ee.TailBoundSpec(l=0, c1=1.0, c2=0.5), TAIL_GRID,
+                            short)
 
 
 def test_seminorm_gaussian():

@@ -3,21 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from weaklab.gaussian import (AffineGaussianDensity, GaussianLaw,
-                              LognormalDensity, fd_derivative,
-                              fd_derivatives, hermite_He,
+from weaklab.gaussian import (AffineGaussianDensity, LognormalDensity,
+                              fd_derivative, fd_derivatives, hermite_He,
                               normal_pdf, normal_pdf_dy)
-
-
-def test_gaussian_law_validation():
-    law = GaussianLaw(np.array([1.0]), np.array([[2.0]]))
-    assert law.dim == 1
-    assert law.cov[0, 0] == 2.0
-    assert law.mean[0] == 1.0
-    with pytest.raises(ValueError):
-        GaussianLaw(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
-    with pytest.raises(ValueError):
-        GaussianLaw(np.zeros(1), np.array([[-1.0]]))
 
 
 def test_hermite_values():

@@ -148,12 +148,21 @@ def test_semigroup_multivariate_rejects_dirac(f):
 
 
 def test_semigroup_multivariate_constant():
-    m = make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]])
+    s0 = np.array([[0.5, 0.0], [0.1, 0.4]])
+    m = make_constant_model([0.1, -0.2], s0)
     f = tf.smooth_poly(lambda v: v[:, 0] + v[:, 1] ** 2, 1.0, 2, "mix")
     got = semigroup_apply(m, 1.0, f, [0.0, 0.0])
-    a = m.cov([0.0, 0.0])[0]
+    a = s0 @ s0.T
     want = 0.1 + (-0.2) ** 2 + a[1, 1]
     assert abs(got - want) < 1e-10
+
+
+def test_semigroup_multivariate_rejects_negative_time():
+    # a t < 0 gives a negative definite covariance a t
+    m = make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]])
+    f = tf.smooth_poly(lambda v: v[:, 0], 1.0, 1, "first")
+    with pytest.raises(ValueError):
+        semigroup_apply(m, -0.5, f, [0.0, 0.0])
 
 
 def test_semigroup_requires_density():

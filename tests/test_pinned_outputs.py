@@ -7,8 +7,8 @@ commit" is checked by the suite rather than by hand.  A change that moves
 outputs on purpose re-records the digests and says which moved and why.
 
 The configs are one per study shape of the benchmark's cli-mix workload,
-the two of acceptance criterion 10, and a romberg run on a constant model
-driven by two Brownian motions.  The digests were recorded with numpy
+the two of acceptance criterion 10, a romberg run on a constant model
+driven by two Brownian motions, and a tailbound run on the kernel pi.  The digests were recorded with numpy
 2.4.6 and scipy 1.17.1 on x86-64 Linux; other versions may round
 differently.  `PYTHONPATH=src python tests/test_pinned_outputs.py`
 prints the digests of the code it imports, in the form of DIGESTS.
@@ -60,6 +60,10 @@ CONFIGS = {
         "study": "tailbound", "model": OU, "kernel": "p", "l": 0,
         "t_grid": [0.25, 0.5, 1.0], "x_grid": [-1.2, 0.3, 1.1],
         "y_grid": [-0.9, 0.0, 1.4]},
+    # integer grid values check that pi is read at the float points
+    "tailbound-pi": {
+        "study": "tailbound", "model": OU, "kernel": "pi", "l": 1,
+        "t_grid": [0.5, 1], "x_grid": [-1, 0.25], "y_grid": [0.0, 1.5]},
     "criterion-10-weak-rate": {
         "study": "weak-rate", "model": GBM, "f": "identity", "x": 1.0,
         "t": 1.0, "n_ladder": [8, 16, 32, 64], "deterministic": True},
@@ -118,6 +122,12 @@ DIGESTS = {
     ("tailbound", 2): (
         0, "0a0db4c0a3f6d17beb582eb72375f2fa55bd135caab4cb27239e81c356bcfcb8",
         "b5f6016d18ae20f9e11d4dc6c2d5dd1e345e353105596564935e5dfc7d87da15"),
+    ("tailbound-pi", 1): (
+        0, "4a4dabc09e7d23afaf229089da789c3e5a8cf0bb2e9811a2f69a4c7baab48026",
+        "16c7ca9f2b0cef35955c0d7948965dfe3a01bcf4b926c57a2160dfe6233c2e7c"),
+    ("tailbound-pi", 2): (
+        0, "4a4dabc09e7d23afaf229089da789c3e5a8cf0bb2e9811a2f69a4c7baab48026",
+        "94437ea3f3bef6ac1daccb099493d9ee3d7962190dccfae2acb88315d43bb8ba"),
     ("criterion-10-weak-rate", 1): (
         0, "297409ea43d206f0d89f7b70cc7868f6df02ac5dfffce6c9acb895a0ac300eb8",
         "2a074764b5dc3c4d607de9339b644f98259d5873fbc1a3649395a0f42900e7f2"),
