@@ -63,8 +63,10 @@ def _list_of(ok):
 
 # config key: (what its value must be, test)
 _VALUES = {
-    **dict.fromkeys(("x", "v", "strike", "power", "tolerance", "stability"),
+    **dict.fromkeys(("x", "v", "strike", "power", "tolerance"),
                     ("a finite number", _real)),
+    # the moments gate compares a max/min spread, at least 1, to its square
+    "stability": ("a number >= 1", lambda v: _real(v) and v >= 1),
     **dict.fromkeys(("t", "target_ci"), ("a positive number", _positive)),
     "bump": ("a number in (0, 0.1]", lambda v: _real(v) and 0 < v <= 0.1),
     **dict.fromkeys(("N", "n"), ("a positive integer", _count)),

@@ -30,12 +30,10 @@ import numpy as np
 
 from .euler import euler_density_1d
 from .gaussian import fd_derivatives
-from .models import MissingDensity, SdeModel, pair_density
+from .models import SdeModel, pair_density, require_density
 from .quadrature import adaptive_interval, gauss_hermite_rows, \
     split_time_rows
 from . import testfunctions as tf
-
-TestFunction = tf.TestFunction
 
 
 @dataclass
@@ -110,28 +108,6 @@ def _by_parts(dens, gs, s: float, x0: np.ndarray, alpha: int, z):
     return acc
 
 
-def apply_L2star(model: SdeModel, g, z):
-    """The principal error operator applied to a callable target g at z
-    (1-D), with g's derivatives by finite differences; g must act
-    elementwise on arrays.  Constant-coefficient models return 0
-    identically.
-    """
-    if _is_constant(model):
-        return 0.0 if np.isscalar(z) else np.zeros_like(np.asarray(z, dtype=float))
-    gs = l2star_coefficients(model)
-    zz = np.asarray(z, dtype=float)
-    dg = fd_derivatives(g, zz, 3, 4e-3 * max(1.0, float(np.max(np.abs(zz)))))
-    out = sum(gs[k - 1](zz) * dg[k] for k in (1, 2, 3))
-    return float(out) if np.isscalar(z) else out
-
-
-def _require_density(model: SdeModel):
-    if model.exact_density is None:
-        raise MissingDensity(
-            f"model {model.name!r} has no exact density oracle")
-    return model.exact_density
-
-
 def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
                     inner_err: np.ndarray, tol: float, split: float = 0.5,
                     target=None):
@@ -192,7 +168,7 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
         return ((-1.0) ** f.beta) * pe.value, pe.quad_error
     if _is_constant(model):
         return 0.0, 0.0
-    dens = _require_density(model)
+    dens = require_density(model)
     inner_err = np.zeros(1)
 
     def pf_deriv(gamma: int, tau: float, z: np.ndarray, rows) -> np.ndarray:
@@ -231,7 +207,7 @@ def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
         raise ValueError("pi_rows takes 1-D arrays of x and y")
     if _is_constant(model):
         return np.zeros(ys.size), np.zeros(ys.size)
-    dens = _require_density(model)
+    dens = require_density(model)
 
     def kernel(gamma, tau, z, rows):
         return dens.deriv(gamma, beta, tau, z, ys[rows, None])
@@ -335,21 +311,6 @@ def fit_tail_bound(l: int, grid, values) -> TailBoundSpec:
     return TailBoundSpec(l=l, c1=1.05 * scale(best), c2=float(best))
 
 
-def seminorm_Nq(kernel_deriv, q: int, grid) -> float:
-    """Grid approximation of N_q: max over |a|,|b| <= q of |y^a d^b k(y)|.
-
-    kernel_deriv(order, y) must return the order-th derivative of the
-    kernel slice, vectorized in y.
-    """
-    ys = np.asarray(grid, dtype=float)
-    worst = 0.0
-    for b in range(q + 1):
-        dk = np.abs(np.asarray(kernel_deriv(b, ys), dtype=float))
-        for a in range(q + 1):
-            worst = max(worst, float(np.max(np.abs(ys) ** a * dk)))
-    return worst
-
-
 # largest rule whose total weights w_i e^{h_i^2} stay inside double range
 _PAIRING_NODES = 256
 
@@ -359,7 +320,7 @@ def distribution_pairing(model: SdeModel, S: tf.TestFunction, n: int,
     """(<S, p_n(t,x,.)>, <S, p(t,x,.)>) for a 1-D affine model, each by
     pair_density; euler_density_1d rejects any other model.
 
-    Function kinds use one fixed Gauss-Hermite rule, shared by both
+    Functions use one fixed Gauss-Hermite rule, shared by both
     laws: its quadrature error cancels to first order in the difference
     of two nearby laws.
     """
@@ -374,14 +335,14 @@ def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,
                     tol: float = 1e-6) -> tuple[float, float]:
     """<S, pi(t, x, .)>, the predicted limit of n <S, p_n - p>.
 
-    Returns (value, quad_error).  Function kinds integrate S(y) pi(t,x,y)
+    Returns (value, quad_error).  Functions integrate S(y) pi(t,x,y)
     over the Gaussian-decay support of the law, with a breakpoint at
     y = 0 so kinked integrands (|y|-type growth) stay panel-smooth.
     """
     x0 = float(np.atleast_1d(x)[0])
     if not S.pointwise:
         return principal_term_Ct(model, S, t, x0, tol=tol)
-    dens = _require_density(model)
+    dens = require_density(model)
     mean, std, push, dpush = dens.gauss_coords(t, x0)
     if push is not None:
         raise tf.UnsupportedFunctional("function pairings require a Gaussian law")

@@ -198,11 +198,20 @@ class MissingDensity(RuntimeError):
     pass
 
 
+def require_density(model: SdeModel):
+    """The model's exact transition density; MissingDensity if it has
+    none."""
+    if model.exact_density is None:
+        raise MissingDensity(
+            f"model {model.name!r} has no exact density oracle")
+    return model.exact_density
+
+
 def pair_density(dens, f: tf.TestFunction, t: float, x: float,
                  start: int = 32, max_nodes: int = 256) -> float:
     """<f, p(t, x, .)> for a 1-D transition density dens.
 
-    A Dirac kind is read as (-1)^beta d^beta_y p(t, x, y), beta = 0 for
+    A Dirac functional is read as (-1)^beta d^beta_y p(t, x, y), beta = 0 for
     delta_y (pairing convention <d^b delta_y, phi> = (-1)^b phi^(b)(y));
     a function is expect_gaussian on dens.gauss_coords(t, x), with the
     given rule sizes (start = max_nodes is one fixed rule).
@@ -219,9 +228,7 @@ def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction,
     """P_t f(x) = E[f(X_t^x)] via quadrature against the exact density:
     pair_density in 1-D, a tensor Gauss-Hermite rule for d <= 3, where
     Dirac-type functionals raise UnsupportedFunctional."""
-    if model.exact_density is None:
-        raise MissingDensity(f"model {model.name!r} has no exact density oracle")
-    dens = model.exact_density
+    dens = require_density(model)
     if model.dim_d == 1:
         return pair_density(dens, f, t, float(np.atleast_1d(x)[0]))
     if model.dim_d > 3:

@@ -27,43 +27,33 @@ PRICE, DELTA, GAMMA = "price", "delta", "gamma"
 
 @dataclass(frozen=True)
 class Payoff:
-    """Measurable payoff on the positive underlying with a polynomial
-    growth certificate |phi(u)| <= c (1 + u^q)."""
+    """Measurable payoff on the positive underlying."""
 
     fn: callable
-    growth_c: float
-    growth_q: int
     name: str = ""
 
     def __call__(self, u):
         return self.fn(np.asarray(u, dtype=float))
-
-    def check_growth(self, probes) -> bool:
-        u = np.asarray(probes, dtype=float)
-        bound = self.growth_c * (1.0 + u ** self.growth_q)
-        return bool(np.all(np.abs(self(u)) <= bound * (1.0 + 1e-9)))
 
 
 def make_payoff(name: str, strike: float | None = None,
                 power: float | None = None) -> Payoff:
     if name == "call":
         k = float(strike)
-        return Payoff(lambda u: np.maximum(u - k, 0.0), 1.0, 1, f"call(K={k})")
+        return Payoff(lambda u: np.maximum(u - k, 0.0), f"call(K={k})")
     if name == "put":
         k = float(strike)
-        return Payoff(lambda u: np.maximum(k - u, 0.0), max(k, 1.0), 0,
-                      f"put(K={k})")
+        return Payoff(lambda u: np.maximum(k - u, 0.0), f"put(K={k})")
     if name == "digital":
         k = float(strike)
-        return Payoff(lambda u: (u > k).astype(float), 1.0, 0,
-                      f"digital(K={k})")
+        return Payoff(lambda u: (u > k).astype(float), f"digital(K={k})")
     if name == "constant":
-        return Payoff(lambda u: np.ones_like(u), 1.0, 0, "constant")
+        return Payoff(lambda u: np.ones_like(u), "constant")
     if name == "identity":
-        return Payoff(lambda u: u, 1.0, 1, "identity")
+        return Payoff(lambda u: u, "identity")
     if name == "power":
         q = int(power)
-        return Payoff(lambda u: u ** q, 1.0, q, f"power({q})")
+        return Payoff(lambda u: u ** q, f"power({q})")
     raise ValueError(f"unknown payoff {name!r}")
 
 
@@ -101,10 +91,7 @@ def log_payoff_function(payoff: Payoff) -> tf.TestFunction:
         if x.ndim > 1:
             x = x[:, 0]
         return payoff(np.exp(x))
-    if payoff.growth_q == 0:
-        return tf.bounded(fn, payoff.growth_c, name=f"log[{payoff.name}]")
-    return tf.exp_growth(fn, mu=1.0, c1=2.0 * payoff.growth_c,
-                         c2=float(payoff.growth_q), name=f"log[{payoff.name}]")
+    return tf.TestFunction(fn, name=f"log[{payoff.name}]")
 
 
 def price_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,

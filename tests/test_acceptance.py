@@ -175,10 +175,10 @@ def test_criterion_07_distribution_pairings():
     t, x, y0 = 1.0, 1.0, 0.5
     functionals = [
         ("dirac", tf.dirac(y0)),
-        ("dirac-deriv", tf.dirac_deriv(y0, 1)),
+        ("dirac-deriv", tf.dirac(y0, 1)),
         ("square", tf.square()),
-        ("exp-abs", tf.exp_growth(lambda v: np.exp(np.abs(v)), mu=1.0,
-                                  c1=1.0, c2=1.0, name="exp-abs")),
+        ("exp-abs", tf.TestFunction(lambda v: np.exp(np.abs(v)),
+                                    name="exp-abs")),
     ]
     details, ok = [], True
     for name, S in functionals:

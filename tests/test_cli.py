@@ -142,6 +142,13 @@ UNSTARTABLE = {
                         x_grid=[0.0], n_ladder=[2], N=256),
     "tailbound-n": dict(study="tailbound", model=OU, kernel="p", l=0, n=64,
                         **GRIDS),
+    # the moments gate is spread <= stability^2 with spread = max/min >= 1:
+    # a negative stability used to pass as its absolute value does, and one
+    # below 1 can never pass
+    **{f"moments-stability-{v}": dict(study="moments", model=OU, q=2,
+                                      t_grid=[0.5], x_grid=[0.5],
+                                      n_ladder=[2, 4], N=4096, stability=v)
+       for v in (-1.2, 0.5)},
 }
 
 

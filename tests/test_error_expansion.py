@@ -6,7 +6,7 @@ import pytest
 from weaklab import error_expansion as ee
 from weaklab import testfunctions as tf
 from weaklab.euler import euler_density_1d
-from weaklab.gaussian import normal_pdf, normal_pdf_dy
+from weaklab.gaussian import normal_pdf
 from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
 
 # Frozen reference values, each computed by an independent route:
@@ -47,23 +47,6 @@ def test_l2star_constant_model_vanishes():
     g1, g2, g3 = ee.l2star_coefficients(make_constant_model([0.3], [[0.7]]))
     for z in (-2.0, 0.0, 1.5):
         assert abs(g1(z)) + abs(g2(z)) + abs(g3(z)) < 1e-12
-
-
-def test_apply_l2star_polynomial():
-    # OU, g(z) = z^3: L2* g = -z * 3z^2 + 1 * 6z = -3 z^3 + 6 z
-    out = ee.apply_L2star(ou(), lambda z: z**3, np.array([-1.0, 0.5, 2.0]))
-    want = -3.0 * np.array([-1.0, 0.5, 2.0]) ** 3 + 6.0 * np.array(
-        [-1.0, 0.5, 2.0])
-    assert np.allclose(out, want, atol=1e-6)
-
-
-def test_apply_l2star_linear_in_g():
-    z = np.array([-0.4, 0.9])
-    m = gbm()
-    a = ee.apply_L2star(m, lambda y: y**2, z)
-    b = ee.apply_L2star(m, lambda y: np.sin(y), z)
-    both = ee.apply_L2star(m, lambda y: 2 * y**2 + 3 * np.sin(y), z)
-    assert np.allclose(both, 2 * a + 3 * b, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +116,7 @@ def test_kernels_keep_nonfinite_inner_errors(monkeypatch, bad):
     assert not math.isfinite(pe.quad_error) and not pe.converged
 
 
-@pytest.mark.parametrize("f", [tf.dirac(0.3), tf.dirac_deriv(0.3, 1)],
+@pytest.mark.parametrize("f", [tf.dirac(0.3), tf.dirac(0.3, 1)],
                          ids=["dirac", "dirac-deriv"])
 def test_ct_dirac_accepts_list_x(f):
     m = ou()
@@ -369,13 +352,6 @@ def test_tail_bound_rejects_values_one_short_of_the_grid():
                             short)
 
 
-def test_seminorm_gaussian():
-    kern = lambda b, y: normal_pdf_dy(b, y, 0.0, 1.0)
-    grid = np.linspace(-8.0, 8.0, 4001)
-    val = ee.seminorm_Nq(kern, 0, grid)
-    assert abs(val - 1.0 / math.sqrt(2 * math.pi)) < 1e-6
-
-
 # ---------------------------------------------------------------------------
 # distribution pairings
 
@@ -385,8 +361,7 @@ def test_pairing_dirac_identities():
     approx, exact = ee.distribution_pairing(m, tf.dirac(0.5), 64, 1.0, 1.0)
     assert abs(approx - euler_density_1d(m, 64).density(1.0, 1.0, 0.5)) < 1e-12
     assert abs(exact - m.exact_density.density(1.0, 1.0, 0.5)) < 1e-12
-    da, de = ee.distribution_pairing(m, tf.dirac_deriv(0.5, 1), 64, 1.0,
-                                     1.0)
+    da, de = ee.distribution_pairing(m, tf.dirac(0.5, 1), 64, 1.0, 1.0)
     h = 1e-4
     fd = -(m.exact_density.density(1.0, 1.0, 0.5 + h) - m.exact_density.density(1.0, 1.0, 0.5 - h)) / (
         2 * h)
@@ -402,7 +377,8 @@ def test_pairing_with_pi_square():
 
 def test_pairing_with_pi_exp_abs_oracle():
     m = ou()
-    val, err = ee.pairing_with_pi(m, tf.exp_growth(lambda v: np.exp(np.abs(v)), mu=1.0, c1=1.0, c2=1.0, name='exp-abs'), 1.0, 1.0, tol=1e-5)
+    exp_abs = tf.TestFunction(lambda v: np.exp(np.abs(v)), name="exp-abs")
+    val, err = ee.pairing_with_pi(m, exp_abs, 1.0, 1.0, tol=1e-5)
     assert abs(val - PAIR_EXPABS) < 1e-4
 
 

@@ -131,13 +131,13 @@ def test_semigroup_dirac_kinds():
         dens = m.exact_density
         got = semigroup_apply(m, 0.5, tf.dirac(y), [1.0])
         assert got == float(dens.density(0.5, 1.0, y)), m.name
-        got = semigroup_apply(m, 0.5, tf.dirac_deriv(y, 1), [1.0])
+        got = semigroup_apply(m, 0.5, tf.dirac(y, 1), [1.0])
         assert got == -float(dens.deriv(0, 1, 0.5, 1.0, y)), m.name
-        got = semigroup_apply(m, 0.5, tf.dirac_deriv(y, 2), [1.0])
+        got = semigroup_apply(m, 0.5, tf.dirac(y, 2), [1.0])
         assert got == float(dens.deriv(0, 2, 0.5, 1.0, y)), m.name
 
 
-@pytest.mark.parametrize("f", [tf.dirac(0.2), tf.dirac_deriv(0.2, 1)],
+@pytest.mark.parametrize("f", [tf.dirac(0.2), tf.dirac(0.2, 1)],
                          ids=["dirac", "dirac_deriv"])
 def test_semigroup_multivariate_rejects_dirac(f):
     # a d-dim Dirac pairing is not implemented: it must not read the
@@ -150,7 +150,7 @@ def test_semigroup_multivariate_rejects_dirac(f):
 def test_semigroup_multivariate_constant():
     s0 = np.array([[0.5, 0.0], [0.1, 0.4]])
     m = make_constant_model([0.1, -0.2], s0)
-    f = tf.smooth_poly(lambda v: v[:, 0] + v[:, 1] ** 2, 1.0, 2, "mix")
+    f = tf.TestFunction(lambda v: v[:, 0] + v[:, 1] ** 2, name="mix")
     got = semigroup_apply(m, 1.0, f, [0.0, 0.0])
     a = s0 @ s0.T
     want = 0.1 + (-0.2) ** 2 + a[1, 1]
@@ -160,7 +160,7 @@ def test_semigroup_multivariate_constant():
 def test_semigroup_multivariate_rejects_negative_time():
     # a t < 0 gives a negative definite covariance a t
     m = make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]])
-    f = tf.smooth_poly(lambda v: v[:, 0], 1.0, 1, "first")
+    f = tf.TestFunction(lambda v: v[:, 0], name="first")
     with pytest.raises(ValueError):
         semigroup_apply(m, -0.5, f, [0.0, 0.0])
 

@@ -118,7 +118,7 @@ def test_coupled_rungs_evaluate_each_level_once():
         calls.append(len(v))
         return np.asarray(v, dtype=float)[:, 0] ** 2
 
-    f = tf.smooth_poly(fn, 1.0, 2, name="counting-square")
+    f = tf.TestFunction(fn, name="counting-square")
     rungs = mc.bias_ladder(make_ou_model(1.0, 1.0), f, [1.0], 1.0, [4, 8],
                            1000, RngStream(3, 0), ref_multiple=1)
     assert calls == [1000] * 3

@@ -41,12 +41,11 @@ RUNGS = [2, 4]
 
 
 def exp_abs():
-    return tf.exp_growth(lambda v: np.exp(np.abs(v)), mu=1.0, c1=1.0,
-                         c2=1.0, name="exp-abs")
+    return tf.TestFunction(lambda v: np.exp(np.abs(v)), name="exp-abs")
 
 
 def dirac_prime(y):
-    return tf.dirac_deriv(y, 1)
+    return tf.dirac(y, 1)
 
 
 def _pi(model_name, alpha, beta):

@@ -20,7 +20,6 @@ def test_make_payoff_values_and_growth():
     u = np.array([0.5, 1.0, 1.5, 4.0])
     call = pr.make_payoff("call", strike=1.0)
     assert np.allclose(call(u), [0.0, 0.0, 0.5, 3.0])
-    assert call.check_growth(u)
     put = pr.make_payoff("put", strike=1.0)
     assert np.allclose(put(u), [0.5, 0.0, 0.0, 0.0])
     dig = pr.make_payoff("digital", strike=1.0)

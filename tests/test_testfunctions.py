@@ -4,35 +4,13 @@ import pytest
 from weaklab import testfunctions as tf
 
 
-def test_growth_certificates_hold_on_probes():
-    probes = np.linspace(-20, 20, 401)
-    assert tf.identity().check_growth(probes)
-    assert tf.square().check_growth(probes)
-    f = tf.bounded(np.tanh, 1.0, "tanh")
-    assert f.check_growth(probes)
-    g = tf.exp_growth(lambda y: np.exp(np.abs(y)), 1.0, 1.0, 1.0)
-    assert g.check_growth(probes)
-
-
-def test_growth_certificate_violation_detected():
-    f = tf.smooth_poly(lambda y: y**3, c=1.0, q=1, name="lied")
-    assert not f.check_growth(np.linspace(-20, 20, 401))
-
-
-def test_exp_growth_mu_range():
-    with pytest.raises(ValueError):
-        tf.exp_growth(np.exp, mu=2.0, c1=1.0, c2=1.0)
-    with pytest.raises(ValueError):
-        tf.exp_growth(np.exp, mu=0.0, c1=1.0, c2=1.0)
-
-
 def test_dirac_kinds_not_pointwise():
     d = tf.dirac(0.5)
     assert not d.pointwise
     with pytest.raises(tf.UnsupportedFunctional):
         d(np.zeros(3))
     with pytest.raises(ValueError):
-        tf.dirac_deriv(0.0, 3)
+        tf.dirac(0.0, 3)
 
 
 def test_identity_and_square_accept_path_arrays():
