@@ -1,6 +1,6 @@
 """Euler scheme simulation: single-resolution paths, coupled ladders sharing
-one Brownian motion, exact Gaussian laws for affine models, and moment
-estimation.
+one Brownian motion, the exact Gaussian law of a 1-D affine model's chain,
+and moment estimation.
 
 Monte-Carlo reductions are chunked over fixed-size substreams and merged
 in stream order with compensated summation, so results are bit-identical
@@ -131,22 +131,20 @@ def simulate_coupled(model: SdeModel, x, n: int, t: float, rng: RngStream,
 
 
 def euler_affine_transport(model: SdeModel, n: int, t: float):
-    """(A, c, V) with law of X_t^{n,x} = N(A x + c, V) for affine models."""
-    if model.affine is None:
-        raise ValueError(f"model {model.name!r} is not affine with constant diffusion")
+    """(A, c, V), three floats, with law of X_t^{n,x} = N(A x + c, V) for a
+    1-D affine model; ValueError for any other model."""
+    if model.affine is None or model.dim_d != 1:
+        raise ValueError("exact Euler law requires a 1-D affine model")
     M, cvec, S = model.affine
-    d = model.dim_d
-    a = S @ S.T
-    A = np.eye(d)
-    cacc = np.zeros(d)
-    V = np.zeros((d, d))
+    m, b, a = float(M[0, 0]), float(cvec[0]), float((S @ S.T)[0, 0])
+    A, c, V = 1.0, 0.0, 0.0
     k, dt_last = _steps(n, t)
     for dt in [1.0 / n] * k + ([dt_last] if dt_last > 1e-14 else []):
-        G = np.eye(d) + M * dt
-        A = G @ A
-        cacc = G @ cacc + cvec * dt
-        V = G @ V @ G.T + a * dt
-    return A, cacc, V
+        g = 1.0 + m * dt
+        A = g * A
+        c = g * c + b * dt
+        V = g * V * g + a * dt
+    return A, c, V
 
 
 def gbm_euler_mean(mu: float, x: float, n: int, t: float) -> float:
@@ -160,17 +158,12 @@ def gbm_euler_mean(mu: float, x: float, n: int, t: float) -> float:
 
 
 def euler_density_1d(model: SdeModel, n: int) -> AffineGaussianDensity:
-    """Exact transition density of the 1-D Euler chain of an affine model."""
-    if model.affine is None or model.dim_d != 1:
-        raise ValueError("exact Euler density requires a 1-D affine model")
-
-    @lru_cache(maxsize=None)
-    def coef(t: float) -> tuple[float, float, float]:
-        A, c, V = euler_affine_transport(model, n, t)
-        return float(A[0, 0]), float(c[0]), float(V[0, 0])
-
-    return AffineGaussianDensity(lambda t: coef(t)[0], lambda t: coef(t)[1],
-                                 lambda t: coef(t)[2])
+    """Exact transition density of the 1-D Euler chain of an affine model;
+    euler_affine_transport rejects any other model, here at once."""
+    law = lru_cache(maxsize=None)(
+        lambda t: euler_affine_transport(model, n, t))
+    law(0.0)
+    return AffineGaussianDensity(law)
 
 
 @dataclass
@@ -215,14 +208,27 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _reduce(chunk_fn, N: int, rng: RngStream, absorb) -> None:
-    """Feed each chunk_fn(stream, size) result, N samples in all, to absorb
-    in substream order.  Chunk boundaries are fixed by CHUNK, so what is
-    absorbed is independent of the worker count.  At most one thread per
-    chunk runs; a single chunk runs on the calling thread."""
+def _reduce(chunk_fn, N: int, rng: RngStream):
+    """Columnwise (means, standard errors) of chunk_fn(stream, size), one
+    value or row per sample, over N samples.  One MeanAccumulator per
+    column of the first chunk merges the chunks in substream order; chunk
+    boundaries are fixed by CHUNK, so the result is independent of the
+    worker count.  At most one thread per chunk runs; a single chunk runs
+    on the calling thread."""
+    if N < 1:
+        raise ValueError("N >= 1 samples required")
     sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
     streams = [rng.substream(i) for i in range(len(sizes))]
     workers = min(worker_count(), len(sizes))
+    accs = []
+
+    def absorb(vals):
+        cols = np.reshape(vals, (len(vals), -1))
+        if not accs:
+            accs.extend(MeanAccumulator() for _ in range(cols.shape[1]))
+        for j, acc in enumerate(accs):
+            acc.add(cols[:, j])
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for vals in pool.map(chunk_fn, streams, sizes):
@@ -230,34 +236,24 @@ def _reduce(chunk_fn, N: int, rng: RngStream, absorb) -> None:
     else:
         for vals in map(chunk_fn, streams, sizes):
             absorb(vals)
+    out = [acc.result() for acc in accs]
+    return np.array([m for m, _ in out]), np.array([s for _, s in out])
 
 
 def mc_reduce(chunk_fn, N: int, rng: RngStream) -> tuple[float, float]:
-    """Mean and standard error of chunk_fn(stream, size) over N samples.
-
-    Chunk boundaries are fixed by CHUNK, and partial results are merged in
-    substream order, so the value is independent of the worker count.
-    """
-    acc = MeanAccumulator()
-    _reduce(chunk_fn, N, rng, acc.add)
-    return acc.result()
+    """Mean and standard error of chunk_fn(stream, size), one value per
+    sample, over N samples: the one-column case of _reduce."""
+    means, ses = _reduce(chunk_fn, N, rng)
+    return float(means[0]), float(ses[0])
 
 
-def mc_reduce_multi(chunk_fn, N: int, rng: RngStream, k: int):
-    """Columnwise mean/standard error of chunk_fn(stream, size) -> (size, k).
-
-    Same chunking and merge order as mc_reduce, so each column is
-    bit-identical to a standalone run on the same stream.
-    """
-    accs = [MeanAccumulator() for _ in range(k)]
-
-    def absorb(vals):
-        for j, acc in enumerate(accs):
-            acc.add(vals[:, j])
-
-    _reduce(chunk_fn, N, rng, absorb)
-    out = [a.result() for a in accs]
-    return np.array([m for m, _ in out]), np.array([s for _, s in out])
+def mc_reduce_multi(chunk_fn, N: int, rng: RngStream):
+    """Columnwise means and standard errors of chunk_fn(stream, size) ->
+    (size, k); each column is bit-identical to a standalone mc_reduce on
+    the same stream."""
+    # a def, not an alias: perfbench's tracer rebinds every alias of this
+    # function, and an alias would make it wrap _reduce as well
+    return _reduce(chunk_fn, N, rng)
 
 
 def empirical_moment(model: SdeModel, x, n: int, t: float, q: int, N: int,

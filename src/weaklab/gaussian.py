@@ -88,14 +88,16 @@ def fd_derivatives(fn, x, max_order: int, h) -> list:
 class AffineGaussianDensity:
     """1-D transition density p(t, x, y) = N(y; A(t) x + c(t), V(t)).
 
-    A, c, V are callables of t.  All mixed spatial derivatives are exact.
+    law is one callable t -> (A, c, V).  All mixed spatial derivatives are
+    exact.
     """
 
-    def __init__(self, A, c, V):
-        self._A, self._c, self._V = A, c, V
+    def __init__(self, law):
+        self._law = law
 
     def coefficients(self, t: float) -> tuple[float, float, float]:
-        return float(self._A(t)), float(self._c(t)), float(self._V(t))
+        A, c, V = self._law(t)
+        return float(A), float(c), float(V)
 
     def density(self, t: float, x, y):
         return self.deriv(0, 0, t, x, y)
@@ -173,11 +175,7 @@ class LognormalDensity:
         sa, sb = _STIRLING1[alpha], _STIRLING1[beta]
         acc = 0.0
         for k in range(0 if alpha == 0 else 1, alpha + 1):
-            if sa[k] == 0.0 and alpha > 0:
-                continue
             for l in range(0 if beta == 0 else 1, beta + 1):
-                if sb[l] == 0.0 and beta > 0:
-                    continue
                 inner = 0.0
                 for j in range(l + 1):
                     inner = inner + math.comb(l, j) * ((-1.0) ** (l - j)) * G[j + k]

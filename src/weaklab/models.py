@@ -88,18 +88,18 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
         tail = np.shape(v)
         return lambda x: np.full(np.asarray(x).shape + tail, v)
 
-    if m == 0:
-        law = (lambda t: 1.0, lambda t: c * t, lambda t: a * t)
-    else:
-        law = (lambda t: math.exp(m * t),
-               lambda t: c * (1.0 - math.exp(m * t)) / -m,
-               lambda t: a * (1.0 - math.exp(2.0 * m * t)) / (-2.0 * m))
+    def law(t):
+        if m == 0:
+            return 1.0, c * t, a * t
+        return (math.exp(m * t), c * (1.0 - math.exp(m * t)) / -m,
+                a * (1.0 - math.exp(2.0 * m * t)) / (-2.0 * m))
+
     coeffs = Coeffs1d(b=lambda x: m * np.asarray(x, dtype=float) + c,
                       db=const(m), d2b=const(0.0), sigma=const(row),
                       a=const(a), da=const(0.0), d2a=const(0.0))
     return _model_1d(name, coeffs, dim_r=S.shape[1], flag_C=True,
                      ellipticity_eta=a,
-                     exact_density=AffineGaussianDensity(*law),
+                     exact_density=AffineGaussianDensity(law),
                      affine=(np.array([[m]]), np.array([c]), S), **flags)
 
 

@@ -34,10 +34,8 @@ class Estimate:
 
 @dataclass
 class RateFit:
-    points: list            # (n, error, ci_halfwidth) actually used
     excluded: list           # noise-dominated points, recorded not fitted
     slope: float
-    intercept: float
     r_squared: float
 
 
@@ -130,8 +128,7 @@ def fit_rate(measurements, noise_gate: float = 3.0) -> RateFit:
     ss_res = float(np.sum((w * (le - pred)) ** 2))
     ss_tot = float(np.sum((w * (le - np.average(le, weights=w**2))) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(points=usable, excluded=excluded, slope=float(slope),
-                   intercept=float(intercept), r_squared=r2)
+    return RateFit(excluded=excluded, slope=float(slope), r_squared=r2)
 
 
 def reference_value(model: SdeModel, f: tf.TestFunction, x, t: float,
@@ -192,7 +189,7 @@ def coupled_rungs(model, stat, x, t, n_ladder, N, rng, ref_multiple,
                  for n in ns]
         return np.stack([v - ref for v in stats], axis=1)
 
-    means, ses = mc_reduce_multi(chunk, N, rng, len(ns))
+    means, ses = mc_reduce_multi(chunk, N, rng)
     return [(n, float(m), float(s)) for n, m, s in zip(ns, means, ses)]
 
 

@@ -79,19 +79,12 @@ class GreeksReport:
     delta_se: float
     gamma: float
     gamma_se: float
-    n_steps: int
-    n_samples: int
-    bump: float
 
 
 def log_payoff_function(payoff: Payoff) -> tf.TestFunction:
     """phi composed with exp, as a test function on the log-underlying."""
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            x = x[:, 0]
-        return payoff(np.exp(x))
-    return tf.TestFunction(fn, name=f"log[{payoff.name}]")
+    return tf.TestFunction(lambda x: payoff(np.exp(tf.first_coordinate(x))),
+                           name=f"log[{payoff.name}]")
 
 
 def price_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,
@@ -147,11 +140,10 @@ def greeks_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,
         lad = simulate_ladder(market, spots, [n], opt.t, stream, size)
         return _fd_columns(opt, bump, lad[n])
 
-    means, ses = mc_reduce_multi(chunk, N, rng, 3)
+    means, ses = mc_reduce_multi(chunk, N, rng)
     return GreeksReport(price=means[0], price_se=ses[0],
                         delta=means[1], delta_se=ses[1],
-                        gamma=means[2], gamma_se=ses[2],
-                        n_steps=n, n_samples=N, bump=bump)
+                        gamma=means[2], gamma_se=ses[2])
 
 
 def correction_estimate(market: SdeModel, opt: OptionSpec, which: str,

@@ -29,20 +29,8 @@ def write_csv(path, header, rows):
             writer.writerow([_render(v) for v in row])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return obj.item()
-        except (AttributeError, ValueError):
-            pass
-    return obj
-
-
 def write_json(path, summary: dict):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        json.dump(_jsonable(summary), fh, sort_keys=True, indent=2)
+        json.dump(summary, fh, sort_keys=True, indent=2,
+                  default=lambda v: v.item())
         fh.write("\n")

@@ -36,22 +36,23 @@ class TestFunction:
 
 def dirac(y: float, beta: int = 0) -> TestFunction:
     """d^beta delta_y, beta = 0 for delta_y."""
-    if not 0 <= beta <= 2:
-        raise ValueError("Dirac derivative order limited to |beta| <= 2")
+    if beta not in (0, 1, 2):
+        raise ValueError("Dirac derivative order must be 0, 1 or 2")
     return TestFunction(y=float(y), beta=int(beta), name=f"dirac({y},{beta})")
 
 
+def first_coordinate(v) -> np.ndarray:
+    """v[:, 0] for (N, d) paths; v itself when v is 1-D."""
+    v = np.asarray(v, dtype=float)
+    return v[:, 0] if v.ndim > 1 else v
+
+
 def identity() -> TestFunction:
-    def fn(v):
-        v = np.asarray(v, dtype=float)
-        return v.reshape(v.shape[0], -1)[:, 0] if v.ndim > 1 else v
-    return TestFunction(fn, name="identity")
+    return TestFunction(first_coordinate, name="identity")
 
 
 def square() -> TestFunction:
     def fn(v):
-        v = np.asarray(v, dtype=float)
-        if v.ndim > 1:
-            v = v[:, 0]
+        v = first_coordinate(v)
         return v * v
     return TestFunction(fn, name="square")

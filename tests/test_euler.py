@@ -31,8 +31,8 @@ def test_ou_euler_law_n4_frozen_oracle():
     # mean (3/4)^4, variance via V <- (3/4)^2 V + 1/4
     m = make_ou_model(1.0, 1.0)
     A, c, V = euler_affine_transport(m, 4, 1.0)
-    assert abs(float(A[0, 0] * 1.0 + c[0]) - 0.31640625) < 1e-15
-    assert abs(float(V[0, 0]) - 0.51422119140625) < 1e-15
+    assert abs(A * 1.0 + c - 0.31640625) < 1e-15
+    assert abs(V - 0.51422119140625) < 1e-15
 
 
 def test_partial_last_step_transport():
@@ -40,23 +40,32 @@ def test_partial_last_step_transport():
     A, c, V = euler_affine_transport(m, 4, 0.9)  # 3 full steps + 0.15
     want_A = 0.75**3 * (1 - 0.15)
     want_V = ((0.25 * 0.75**2 + 0.25) * 0.75**2 + 0.25) * 0.85**2 + 0.15
-    assert abs(float(A[0, 0]) - want_A) < 1e-15
-    assert abs(float(V[0, 0]) - want_V) < 1e-15
+    assert abs(A - want_A) < 1e-15
+    assert abs(V - want_V) < 1e-15
 
 
 def test_constant_model_euler_is_exact_in_law():
     m = make_constant_model([0.3], [[0.7]])
     A, c, V = euler_affine_transport(m, 5, 1.0)
     mean, _, _, _ = m.exact_density.gauss_coords(1.0, 0.0)
-    assert abs(float(c[0]) - mean) < 1e-14
-    assert abs(float(V[0, 0]) - m.exact_density.coefficients(1.0)[2]) < 1e-14
+    assert abs(c - mean) < 1e-14
+    assert abs(V - m.exact_density.coefficients(1.0)[2]) < 1e-14
+
+
+@pytest.mark.parametrize("model", [make_gbm_model(0.1, 0.2),
+                                   make_constant_model([0.1, 0.2], np.eye(2))])
+def test_euler_law_rejects_models_without_a_1d_affine_one(model):
+    with pytest.raises(ValueError):
+        euler_affine_transport(model, 4, 1.0)
+    with pytest.raises(ValueError):
+        euler_density_1d(model, 4)
 
 
 def test_euler_endpoints_match_exact_law_moments():
     m = make_ou_model(1.0, 1.0)
     pts = simulate_euler(m, [1.0], 8, 1.0, RngStream(11, 0), 200_000)
     A, c, V = euler_affine_transport(m, 8, 1.0)
-    mean, var = float(A[0, 0] * 1.0 + c[0]), float(V[0, 0])
+    mean, var = A * 1.0 + c, V
     se_mean = math.sqrt(var / pts.shape[0])
     assert abs(pts.mean() - mean) < 4 * se_mean
     assert abs(pts.var() - var) < 0.01
@@ -141,8 +150,8 @@ def test_euler_density_matches_law():
     A, c, V = euler_affine_transport(m, 4, 1.0)
     mean, std, push, _ = dens.gauss_coords(1.0, 1.0)
     assert push is None and std == math.sqrt(dens.coefficients(1.0)[2])
-    assert abs(mean - float(A[0, 0] * 1.0 + c[0])) < 1e-15
-    assert abs(dens.coefficients(1.0)[2] - float(V[0, 0])) < 1e-15
+    assert abs(mean - (A * 1.0 + c)) < 1e-15
+    assert abs(dens.coefficients(1.0)[2] - V) < 1e-15
 
 
 def test_mc_reduce_worker_count_invariance():
@@ -170,6 +179,12 @@ def test_mc_reduce_standard_error_at_large_means(offset):
                         for i, size in enumerate([CHUNK] * 3 + [17])])
     assert se * math.sqrt(N) == pytest.approx(z.std(), rel=1e-9)
     assert mean - offset == pytest.approx(z.mean(), abs=1e-7)
+
+
+@pytest.mark.parametrize("reduce", [mc_reduce, mc_reduce_multi])
+def test_reduce_rejects_zero_samples(reduce):
+    with pytest.raises(ValueError):
+        reduce(lambda stream, size: np.zeros((size, 2)), 0, RngStream(1, 1))
 
 
 def test_worker_count_defaults_to_affinity():
@@ -209,7 +224,7 @@ def test_mc_reduce_multi_columns_match_scalar_runs(N, workers):
         return np.stack([z, z * z], axis=1)
 
     with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers):
-        means, ses = mc_reduce_multi(chunk2, N, rng, 2)
+        means, ses = mc_reduce_multi(chunk2, N, rng)
         m0, s0 = mc_reduce(chunk, N, rng)
     # Python floats: the CSV writer renders values with repr
     assert type(m0) is float and type(s0) is float

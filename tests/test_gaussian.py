@@ -32,8 +32,8 @@ def test_fd_stencils_exact_on_polynomials():
 
 
 def test_affine_density_derivatives_match_fd():
-    dens = AffineGaussianDensity(lambda t: math.exp(-t), lambda t: 0.1 * t,
-                                 lambda t: 0.5 * (1 - math.exp(-2 * t)))
+    dens = AffineGaussianDensity(lambda t: (math.exp(-t), 0.1 * t,
+                                            0.5 * (1 - math.exp(-2 * t))))
     t, x, y = 0.7, 0.4, -0.3
     for a in range(3):
         for b in range(3):
@@ -46,7 +46,7 @@ def test_affine_density_derivatives_match_fd():
 
 
 def test_affine_center_on_target_inverts_law():
-    dens = AffineGaussianDensity(lambda t: 2.0, lambda t: 1.0, lambda t: t)
+    dens = AffineGaussianDensity(lambda t: (2.0, 1.0, t))
     mean, std, push, dpush = dens.center_on_target(0.25, 3.0)
     assert push is None
     assert abs(mean - 1.0) < 1e-14          # (3 - 1) / 2

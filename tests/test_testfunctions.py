@@ -9,8 +9,9 @@ def test_dirac_kinds_not_pointwise():
     assert not d.pointwise
     with pytest.raises(tf.UnsupportedFunctional):
         d(np.zeros(3))
-    with pytest.raises(ValueError):
-        tf.dirac(0.0, 3)
+    for beta in (3, 1.5):
+        with pytest.raises(ValueError):
+            tf.dirac(0.0, beta)
 
 
 def test_identity_and_square_accept_path_arrays():
