@@ -96,8 +96,7 @@ _DENSITY = ("a model with an exact density",
             lambda model, cfg: model.exact_density is not None)
 _EULER_LAW = ("an affine model, or GBM with f identity, when deterministic",
               lambda model, cfg: not cfg.get("deterministic")
-              or model.affine is not None
-              or (model.name == "gbm" and cfg["f"] == "identity"))
+              or _euler_mean(model, cfg["f"]) is not None)
 
 
 def validate_config(cfg: dict) -> mdl.SdeModel:
@@ -175,25 +174,33 @@ def _reference_and_rungs(model, f, x, t, ns, N, rng):
     return truth, tse, oracle, ests
 
 
-def _deterministic_bias(model, f, x, t, n):
-    """Exact E[f(X^n)] - E[f(X)] where the Euler law is itself closed-form:
-    an affine model, or GBM with f identity (validate_config checks)."""
-    truth = semigroup_apply(model, t, f, [x])
+def _euler_mean(model, f_name):
+    """(mean, oracle) with mean(n, f, x, t) the exact Euler mean
+    E f(X_t^{n,x}) where the Euler law is itself closed-form: an affine
+    model, or GBM with f identity; None for any other model."""
     if model.affine is not None:
-        return pair_density(euler_density_1d(model, n), f, t, x), truth, \
-            "exact-euler-law"
-    mu = model.coeffs1d.db(0.0)  # drift slope = mu for GBM
-    return gbm_euler_mean(float(mu), x, n, t), truth, "gbm-mean-recursion"
+        return (lambda n, f, x, t: pair_density(euler_density_1d(model, n),
+                                                f, t, x)), "exact-euler-law"
+    if model.name == "gbm" and f_name == "identity":
+        mu = float(model.coeffs1d.db(0.0))  # drift slope = mu for GBM
+        return (lambda n, f, x, t: gbm_euler_mean(mu, x, n, t)), \
+            "gbm-mean-recursion"
+    return None
 
 
-def _fit_or_exact(measurements):
+def _fit_or_exact(measurements, model):
+    """The rate fit of [(n, bias, ci)], or None with "exact-scheme" when no
+    bias clears its noise gate and the scheme is exact: the model has
+    constant coefficients, or every bias is exactly 0."""
     if not all(math.isfinite(v) for _, e, ci in measurements for v in (e, ci)):
         # a NaN bias clears no noise gate, which would read as exact
         raise NonConvergence("rate fit: a bias or its CI is not finite")
     try:
         return mc.fit_rate(measurements), "fit"
     except mc.InsufficientSignal as exc:
-        if measurements and exc.cleared == 0:
+        if measurements and exc.cleared == 0 and (
+                mdl.is_constant(model)
+                or all(e == 0 for _, e, _ in measurements)):
             return None, "exact-scheme"
         raise NonConvergence(
             "rate fit: too few points above the noise gate") from None
@@ -218,21 +225,17 @@ def _study_weak_rate(cfg, model, rng):
     f = _F_NAMES[cfg["f"]]()
     x, t, ns = float(cfg["x"]), float(cfg["t"]), cfg["n_ladder"]
     if cfg.get("deterministic"):
-        rows, meas = [], []
-        for n in ns:
-            est, truth, oracle = _deterministic_bias(model, f, x, t, n)
-            rows.append([cfg["study"], cfg["model"]["model"], cfg["f"], t, x,
-                         n, 0, est, truth, est - truth, 0.0, oracle])
-            meas.append((n, est - truth, 0.0))
+        mean, oracle = _euler_mean(model, cfg["f"])
+        truth, tse = semigroup_apply(model, t, f, [x]), 0.0
+        ests = [mc.Estimate(mean(n, f, x, t), 0.0, 0, n) for n in ns]
     else:
         N = cfg["N"] if "N" in cfg else mc.samples_for_ci(
             model, f, [x], max(ns), t, float(cfg["target_ci"]),
             rng.substream(999))
         truth, tse, oracle, ests = _reference_and_rungs(model, f, x, t, ns, N,
                                                         rng)
-        rows = _rate_rows(cfg, ests, truth, oracle)
-        meas = _rate_points(ests, truth, tse)
-    fit, status = _fit_or_exact(meas)
+    rows = _rate_rows(cfg, ests, truth, oracle)
+    fit, status = _fit_or_exact(_rate_points(ests, truth, tse), model)
     summary = {"slope": None if fit is None else fit.slope,
                "r_squared": None if fit is None else fit.r_squared,
                "n_excluded": 0 if fit is None else len(fit.excluded)}
@@ -253,8 +256,8 @@ def _study_romberg(cfg, model, rng):
     rows = _rate_rows(cfg, plain, truth, oracle) \
         + _rate_rows(dict(cfg, study="romberg-extrapolated"), romb, truth,
                      oracle)
-    fit_b, status_b = _fit_or_exact(_rate_points(plain, truth, tse))
-    fit_a, status_a = _fit_or_exact(_rate_points(romb, truth, tse))
+    fit_b, status_b = _fit_or_exact(_rate_points(plain, truth, tse), model)
+    fit_a, status_a = _fit_or_exact(_rate_points(romb, truth, tse), model)
     summary = {"slope_before": None if fit_b is None else fit_b.slope,
                "slope_after": None if fit_a is None else fit_a.slope,
                "status_before": status_b, "status_after": status_a}
@@ -367,7 +370,7 @@ def _study_greeks(cfg, model, rng):
                      f"romberg-reference(n={16 * max(ns)})"])
         meas.append((n, g.price - ref.value,
                      3 * math.hypot(g.price_se, ref.std_error)))
-    fit, status = _fit_or_exact(meas)
+    fit, status = _fit_or_exact(meas, model)
     summary = {"payoff": opt.payoff.name, "reference_price": ref.value,
                "price_slope": None if fit is None else fit.slope}
     if fit is None:

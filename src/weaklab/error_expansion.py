@@ -30,7 +30,7 @@ import numpy as np
 
 from .euler import euler_density_1d
 from .gaussian import fd_derivatives
-from .models import SdeModel, pair_density, require_density
+from .models import SdeModel, is_constant, pair_density, require_density
 from .quadrature import adaptive_interval, gauss_hermite_rows, \
     split_time_rows
 from . import testfunctions as tf
@@ -66,10 +66,6 @@ class TailBoundSpec:
         r2 = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2
         return self.c1 * np.asarray(t, dtype=float) ** (-self.exponent) \
             * np.exp(-self.c2 * r2 / t)
-
-
-def _is_constant(model: SdeModel) -> bool:
-    return model.affine is not None and not np.any(model.affine[0])
 
 
 def l2star_coefficients(model: SdeModel):
@@ -166,7 +162,7 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     if not f.pointwise:
         pe = principal_density_pi(model, t, x0, f.y, 0, f.beta, tol=tol)
         return ((-1.0) ** f.beta) * pe.value, pe.quad_error
-    if _is_constant(model):
+    if is_constant(model):
         return 0.0, 0.0
     dens = require_density(model)
     inner_err = np.zeros(1)
@@ -205,7 +201,7 @@ def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
                                  np.atleast_1d(np.asarray(y, dtype=float)))
     if xs.ndim != 1:
         raise ValueError("pi_rows takes 1-D arrays of x and y")
-    if _is_constant(model):
+    if is_constant(model):
         return np.zeros(ys.size), np.zeros(ys.size)
     dens = require_density(model)
 
@@ -311,7 +307,8 @@ def fit_tail_bound(l: int, grid, values) -> TailBoundSpec:
     return TailBoundSpec(l=l, c1=1.05 * scale(best), c2=float(best))
 
 
-# largest rule whose total weights w_i e^{h_i^2} stay inside double range
+# one fixed Gauss-Hermite rule, pair_density's largest, shared by both laws
+# of a pairing so that its error cancels to first order in the difference
 _PAIRING_NODES = 256
 
 

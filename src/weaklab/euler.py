@@ -48,8 +48,6 @@ def simulate_euler(model: SdeModel, x, n: int, t: float, rng: RngStream,
                    size: int) -> np.ndarray:
     """Endpoints X_t^{n,x} for `size` independent paths, shape (size, d);
     k start points, shape (k, d), give (k size, d) as in simulate_ladder."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
     return _simulate(model, x, [n], t, rng, size)[n]
 
 
@@ -57,8 +55,8 @@ def simulate_ladder(model: SdeModel, x, ns, t: float, rng: RngStream,
                     size: int) -> dict[int, np.ndarray]:
     """Endpoints at every resolution in `ns`, driven by one Brownian motion.
 
-    Every n must divide max(ns); coarse increments are the exact sums of
-    the fine increments they span.
+    Every n must be a positive integer that divides max(ns); coarse
+    increments are the exact sums of the fine increments they span.
 
     `x` is one start point, shape (d,), or k start points, shape (k, d).
     Path i from every start uses the same Brownian increments, so each
@@ -66,22 +64,26 @@ def simulate_ladder(model: SdeModel, x, ns, t: float, rng: RngStream,
     [j size, (j + 1) size); that block is bit-identical to a run from
     start j alone on the same stream.
     """
+    return _simulate(model, x, ns, t, rng, size)
+
+
+def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
+              size: int) -> dict[int, np.ndarray]:
+    """The Euler loop behind simulate_euler and simulate_ladder.
+
+    Every resolution in `ns` must be a positive integer that divides the
+    finest.
+    Normals are drawn once per fine step for `size` paths and repeated for
+    each start.  The finest level steps on the raw increment; each coarser
+    level sums the increments it spans in a buffer that is reset in place
+    after its step.
+    """
+    if any(n != int(n) or n < 1 for n in ns):
+        raise ValueError(f"resolutions must be positive integers; got {ns}")
     ns = sorted(set(int(n) for n in ns))
     for n in ns:
         if ns[-1] % n:
             raise ValueError(f"resolution {n} does not divide finest {ns[-1]}")
-    return _simulate(model, x, ns, t, rng, size)
-
-
-def _simulate(model: SdeModel, x, ns: list, t: float, rng: RngStream,
-              size: int) -> dict[int, np.ndarray]:
-    """The Euler loop behind simulate_euler and simulate_ladder.
-
-    `ns` is sorted and every entry divides the last.  Normals are drawn
-    once per fine step for `size` paths and repeated for each start.  The
-    finest level steps on the raw increment; each coarser level sums the
-    increments it spans in a buffer that is reset in place after its step.
-    """
     n_fine, coarse = ns[-1], ns[:-1]
     gen = rng.generator()
     d, r = model.dim_d, model.dim_r
@@ -133,10 +135,9 @@ def simulate_coupled(model: SdeModel, x, n: int, t: float, rng: RngStream,
 def euler_affine_transport(model: SdeModel, n: int, t: float):
     """(A, c, V), three floats, with law of X_t^{n,x} = N(A x + c, V) for a
     1-D affine model; ValueError for any other model."""
-    if model.affine is None or model.dim_d != 1:
+    if model.affine is None:
         raise ValueError("exact Euler law requires a 1-D affine model")
-    M, cvec, S = model.affine
-    m, b, a = float(M[0, 0]), float(cvec[0]), float((S @ S.T)[0, 0])
+    m, b, a = model.affine
     A, c, V = 1.0, 0.0, 0.0
     k, dt_last = _steps(n, t)
     for dt in [1.0 / n] * k + ([dt_last] if dt_last > 1e-14 else []):

@@ -60,7 +60,8 @@ class SdeModel:
     ellipticity_eta: Optional[float] = None
     exact_density: Optional[object] = None
     coeffs1d: Optional[Coeffs1d] = None
-    # (M, c, S): affine drift b(x) = M x + c with constant diffusion S
+    # (m, c, a), three floats, of a 1-D affine model: drift m x + c and
+    # constant diffusion with a = sigma sigma^T
     affine: Optional[tuple] = None
 
 
@@ -77,9 +78,10 @@ def _model_1d(name: str, coeffs: Coeffs1d, dim_r: int = 1,
 
 def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     """dX = (m X + c) dt + s dB, with s a number or the row of r
-    diffusion coefficients: the oracles, the affine triple and the exact
-    Gaussian law p(t, x, .) = N(A x + c(t), V) all come from (m, c, s).
-    Both callers require a = s s^T > 0, so (C) holds with eta = a."""
+    diffusion coefficients: the oracles, the affine triple (m, c, a) and
+    the exact Gaussian law p(t, x, .) = N(A x + c(t), V) all come from
+    (m, c, s).  Both callers require a = s s^T > 0, so (C) holds with
+    eta = a."""
     S = np.array(s, dtype=float).reshape(1, -1)
     a = float((S @ S.T)[0, 0])
     row = S[0] if S.shape[1] > 1 else S[0, 0]
@@ -100,7 +102,7 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     return _model_1d(name, coeffs, dim_r=S.shape[1], flag_C=True,
                      ellipticity_eta=a,
                      exact_density=AffineGaussianDensity(law),
-                     affine=(np.array([[m]]), np.array([c]), S), **flags)
+                     affine=(float(m), float(c), a), **flags)
 
 
 def make_constant_model(b0, s0) -> SdeModel:
@@ -123,8 +125,13 @@ def make_constant_model(b0, s0) -> SdeModel:
         diffusion=lambda x: np.broadcast_to(s0, (x.shape[0], d, r)).copy(),
         flag_B=True, flag_C=True, ellipticity_eta=eta,
         exact_density=MultivariateGaussianDensity(b0, a),
-        affine=(np.zeros((d, d)), b0.copy(), s0.copy()),
     )
+
+
+def is_constant(model: SdeModel) -> bool:
+    """Whether the model has constant coefficients, in any dimension: its
+    Euler scheme is exact in law, so every weak-error term is zero."""
+    return model.name == "constant"
 
 
 def make_ou_model(theta: float, sigma0: float) -> SdeModel:

@@ -39,17 +39,8 @@ class RateFit:
     r_squared: float
 
 
-def _require_pointwise(f: tf.TestFunction):
-    if not f.pointwise:
-        raise tf.UnsupportedFunctional(
-            "Dirac-type functionals are density-level questions; "
-            "use the error-expansion operations instead")
-
-
 def estimate_expectation(model: SdeModel, f: tf.TestFunction, x, n: int,
                          t: float, N: int, rng: RngStream) -> Estimate:
-    _require_pointwise(f)
-
     def chunk(stream, size):
         return f(simulate_euler(model, x, n, t, stream, size))
 
@@ -60,7 +51,6 @@ def estimate_expectation(model: SdeModel, f: tf.TestFunction, x, n: int,
 def romberg_estimate(model: SdeModel, f: tf.TestFunction, x, n: int,
                      t: float, N: int, rng: RngStream) -> Estimate:
     """Average of 2 f(X^{2n}) - f(X^n) over coupled pairs; bias O(1/n^2)."""
-    _require_pointwise(f)
 
     def chunk(stream, size):
         coarse, fine = simulate_coupled(model, x, n, t, stream, size)
@@ -151,7 +141,6 @@ def bias_ladder(model: SdeModel, f: tf.TestFunction, x, t: float, n_ladder,
     makes the difference variance strong-error sized, which is what lets
     small biases clear the noise gate.  Returns [(n, bias, std_error)].
     """
-    _require_pointwise(f)
     return coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple)
 
 
@@ -164,7 +153,6 @@ def romberg_ladder(model: SdeModel, f: tf.TestFunction, x, t: float,
     the second-order residuals are measured with strong-error-sized
     noise.  Returns [(n, residual, std_error)].
     """
-    _require_pointwise(f)
     return coupled_rungs(model, f, x, t, n_ladder, N, rng, ref_multiple,
                          romberg=True)
 

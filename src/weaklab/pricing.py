@@ -132,8 +132,6 @@ def greeks_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,
     """Price/delta/gamma by central differences with common random numbers."""
     if not 0.0 < bump <= 0.1:
         raise ValueError("relative bump must lie in (0, 0.1]")
-    if market.dim_d != 1:
-        raise ValueError("greeks are implemented for 1-D markets")
     spots = _spots(opt, bump)
 
     def chunk(stream, size):

@@ -30,7 +30,8 @@ class TestFunction:
     def __call__(self, values):
         if not self.pointwise:
             raise UnsupportedFunctional(
-                f"{self.name} cannot be evaluated pointwise")
+                f"{self.name} is a distribution: it pairs with a density, "
+                "not with paths; use the error-expansion operations")
         return self.fn(np.asarray(values, dtype=float))
 
 

@@ -180,7 +180,7 @@ def test_outputs_must_be_paths(tmp_path, capsys, command, key, value):
 def test_fit_or_exact_needs_a_measurement():
     # no measurement is no evidence that the scheme is exact
     with pytest.raises(cli.NonConvergence):
-        cli._fit_or_exact([])
+        cli._fit_or_exact([], make_ou_model(1.0, 1.0))
 
 
 def test_run_builds_the_model_once(tmp_path):
@@ -347,6 +347,19 @@ def test_exact_scheme_stays_exact(tmp_path, model, x, mode):
     assert cli.main(["run", write_cfg(tmp_path, cfg)]) == cli.EXIT_PASS
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "exact-scheme"
+
+
+def test_biases_inside_the_noise_are_no_exact_scheme(tmp_path, capsys):
+    # tanh-vol is the model the theorem covers: at this N no bias clears
+    # its noise gate, which used to pass (exit 0) as exact-scheme
+    cfg = dict(study="weak-rate", model=dict(TANH, b0=0.3, c0=0.25),
+               f="square", x=0.0, t=1.0, n_ladder=[1, 2, 3, 4], N=40000,
+               seed=1, output_csv=str(tmp_path / "rows.csv"),
+               output_json=str(tmp_path / "summary.json"))
+    assert cli.main(["run", write_cfg(tmp_path, cfg)]) == \
+        cli.EXIT_NONCONVERGED
+    assert "noise gate" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_tailbound_past_the_float_range_fails_the_gate(tmp_path):

@@ -70,6 +70,15 @@ def test_ct_constant_model_zero():
     assert abs(val) < 1e-10
 
 
+def test_two_dim_constant_model_has_no_principal_term():
+    # the Euler scheme is exact in law in any dimension; C_t f and pi are
+    # zero without a 1-D density to integrate
+    m = make_constant_model([0.1, -0.2], np.eye(2))
+    assert ee.principal_term_Ct(m, tf.square(), 1.0, [0.0, 0.0]) == (0.0, 0.0)
+    vals, errs = ee.pi_rows(m, 1.0, [0.0, 0.5], 0.2)
+    assert not vals.any() and not errs.any()
+
+
 def test_ct_dirac_matches_pi():
     m = ou()
     direct = ee.principal_density_pi(m, 1.0, 1.0, 0.5).value

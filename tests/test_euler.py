@@ -13,7 +13,9 @@ from weaklab.euler import (CHUNK, SimulationBlowup, ThreadPoolExecutor,
                            simulate_coupled, simulate_euler, simulate_ladder,
                            worker_count)
 from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
+from weaklab.montecarlo import bias_ladder
 from weaklab.rng import RngStream, normals_from
+from weaklab.testfunctions import identity
 
 
 def test_rng_streams_reproducible_and_distinct():
@@ -128,6 +130,24 @@ def test_ladder_requires_divisibility():
     m = make_gbm_model(0.1, 0.2)
     with pytest.raises(ValueError):
         simulate_ladder(m, [1.0], [3, 8], 1.0, RngStream(0, 0), 16)
+
+
+@pytest.mark.parametrize("ns", [[-2, 8], [0, 4]])
+def test_rungs_must_be_positive(ns):
+    # at [-2, 8] a rung at n = -2 was returned, at [0, 4] the divisibility
+    # check divided by zero
+    with pytest.raises(ValueError, match="positive"):
+        bias_ladder(make_ou_model(1.0, 1.0), identity(), [1.0], 1.0, ns, 64,
+                    RngStream(0, 0))
+
+
+def test_resolutions_must_be_integers():
+    # simulate_euler used to step at 1/4.5, simulate_ladder to run n = 4
+    m = make_ou_model(1.0, 1.0)
+    with pytest.raises(ValueError, match="integers"):
+        simulate_euler(m, [0.0], 4.5, 1.0, RngStream(0, 0), 8)
+    with pytest.raises(ValueError, match="integers"):
+        simulate_ladder(m, [0.0], [4.5], 1.0, RngStream(0, 0), 8)
 
 
 def test_simulation_blowup_reported():

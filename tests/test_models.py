@@ -76,6 +76,7 @@ def test_constant_model_with_two_noises_is_1d_affine():
     m = make_constant_model([0.1], [[0.3, 0.4]])
     assert (m.dim_d, m.dim_r) == (1, 2)
     assert isinstance(m.exact_density, AffineGaussianDensity)
+    assert m.affine == (0.0, 0.1, 0.25)
     assert m.exact_density.coefficients(2.0) == (1.0, 0.2, 0.5)
     assert np.all(m.coeffs1d.a(np.linspace(-1, 1, 5)) == 0.25)
     assert m.ellipticity_eta == 0.25 and m.flag_B and m.flag_C

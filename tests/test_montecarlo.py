@@ -15,6 +15,10 @@ def test_estimate_rejects_dirac():
     with pytest.raises(tf.UnsupportedFunctional):
         mc.estimate_expectation(m, tf.dirac(0.0), [0.0], 4, 1.0, 100,
                                 RngStream(0, 0))
+    # a ladder's per-path statistic is the functional too
+    with pytest.raises(tf.UnsupportedFunctional):
+        mc.bias_ladder(m, tf.dirac(0.0), [0.0], 1.0, [2, 4], 100,
+                       RngStream(0, 0))
 
 
 def test_estimate_matches_exact_euler_mean():

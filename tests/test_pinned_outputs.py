@@ -8,10 +8,13 @@ outputs on purpose re-records the digests and says which moved and why.
 
 The configs are one per study shape of the benchmark's cli-mix workload,
 the two of acceptance criterion 10, a romberg run on a constant model
-driven by two Brownian motions, and a tailbound run on the kernel pi.  The digests were recorded with numpy
-2.4.6 and scipy 1.17.1 on x86-64 Linux; other versions may round
-differently.  `PYTHONPATH=src python tests/test_pinned_outputs.py`
-prints the digests of the code it imports, in the form of DIGESTS.
+driven by two Brownian motions, a tailbound run on the kernel pi, and the
+two weak-rate paths the others leave out: a sample count from target_ci,
+and a Romberg reference for a model without an exact density.  The
+digests were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux;
+other versions may round differently.
+`PYTHONPATH=src python tests/test_pinned_outputs.py` prints the digests
+of the code it imports, in the form of DIGESTS.
 """
 
 import contextlib
@@ -75,6 +78,17 @@ CONFIGS = {
                                       "s": [[0.3, 0.4]]},
         "f": "square", "x": 0.4, "t": 1.0, "n_ladder": [2, 4, 8, 16],
         "N": 4096},
+    "weak-rate-target-ci": {
+        "study": "weak-rate", "model": {"model": "ou", "theta": 2.75,
+                                        "sigma": 1.0},
+        "f": "square", "x": 0.75, "t": 1.0, "n_ladder": [1, 2, 3, 4],
+        "target_ci": 0.01},
+    # no exact density: the truth is reference_value's Romberg estimate
+    "weak-rate-romberg-reference": {
+        "study": "weak-rate", "model": {"model": "tanh_vol", "a0": 0.05,
+                                        "b0": 1.0, "c0": 0.9},
+        "f": "square", "x": 0.0, "t": 1.0, "n_ladder": [1, 2, 3, 4],
+        "N": 40000},
 }
 SEEDS = (1, 2)
 
@@ -146,6 +160,18 @@ DIGESTS = {
     ("romberg-two-noises", 2): (
         0, "6689c455b24447679ea66176c9eef7187e25da8e73c850e40982920069816a9a",
         "4b31372a3f210a6d44ad3f548edeaf9eb545f067ea8ddc0b87eba418292ba988"),
+    ("weak-rate-target-ci", 1): (
+        0, "6cc6f5f796f2487faa66fd6df9ffc494c65b643ff7f920a28ebd6de8bfcbdcb3",
+        "7b0f017b284d4261136659194fcfc182dcec74b19a068b1c3fc8f98df6ec982f"),
+    ("weak-rate-target-ci", 2): (
+        0, "43ada8a80d049025481a3e90b87ce9e5aa4af10b459e091d3bba514fe3b5986a",
+        "b3ea4cbd5930e1e9fa72cd66b7a742090205686e7a3fa97edaa0e2f445bf7072"),
+    ("weak-rate-romberg-reference", 1): (
+        0, "e21a16adb812a0607a993912e342497487c1b2d65d66e72e23fbee01189d3500",
+        "2dfaaee47580b04bd798a73201295da9461a8a08dbd0292871b3cd6725b82fcd"),
+    ("weak-rate-romberg-reference", 2): (
+        0, "6e57efde06dca8817660030567f942b20ad8312b7ec61fbf759f179838b03c30",
+        "b08014a8b91ff01734c356460a4f61c047087a2b68a6ab80e9eff09f1cc19d33"),
 }
 
 

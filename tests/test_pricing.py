@@ -101,6 +101,10 @@ def test_greeks_validation():
     opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
     with pytest.raises(ValueError):
         pr.greeks_euler(m, opt, 8, 100, RngStream(0, 0), bump=0.5)
+    # the spots are 1-D start points, which a 2-D market rejects
+    with pytest.raises(ValueError):
+        pr.greeks_euler(make_constant_model([0.0, 0.0], np.eye(2)), opt, 8,
+                        100, RngStream(0, 0))
 
 
 def test_crn_reproducibility():
