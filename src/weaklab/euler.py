@@ -2,6 +2,13 @@
 one Brownian motion, the exact Gaussian law of a 1-D affine model's chain,
 and moment estimation.
 
+One Euler step evaluates the coefficients once: tanh-vol, the one model
+with a drift_diffusion, fills drift and diffusion from one tanh into
+arrays the loop reuses; every other model steps on its drift and
+diffusion.  For d = r = 1 the step is scalar: b dt, then sigma dB, added in
+place, with the increment broadcast over the start points; other models
+step with an einsum over increments repeated per start.
+
 Monte-Carlo reductions are chunked over fixed-size substreams and merged
 in stream order with compensated summation, so results are bit-identical
 regardless of how many workers run the chunks.  Chunks run on one thread
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -73,10 +81,12 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
 
     Every resolution in `ns` must be a positive integer that divides the
     finest.
-    Normals are drawn once per fine step for `size` paths and repeated for
-    each start.  The finest level steps on the raw increment; each coarser
+    Normals are drawn once per fine step for `size` paths and shared by
+    every start.  The finest level steps on the raw increment; each coarser
     level sums the increments it spans in a buffer that is reset in place
-    after its step.
+    after its step.  For d = r = 1 a step adds b dt, then sigma dB, in
+    place to the level's state seen as one row of `size` paths per start;
+    it never writes into an array that drift or diffusion returned.
     """
     if any(n != int(n) or n < 1 for n in ns):
         raise ValueError(f"resolutions must be positive integers; got {ns}")
@@ -96,17 +106,31 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     states = {n: x0.copy() for n in ns}
     buffers = {n: np.zeros((size, r)) for n in coarse}
     done = dict.fromkeys(ns, 0)  # steps taken at each level
+    fused = model.drift_diffusion
+    if fused is not None:
+        coeffs = np.empty((k * size, d)), np.empty((k * size, d, r))
 
     def step(n, dt, dB):
-        if k > 1:
-            dB = np.tile(dB, (k, 1))
-        states[n] = states[n] + model.drift(states[n]) * dt + np.einsum(
-            "nij,nj->ni", model.diffusion(states[n]), dB)
+        if fused is None:
+            b, sig = model.drift(states[n]), model.diffusion(states[n])
+        else:
+            b, sig = coeffs
+            fused(states[n], b, sig)
+        if d == r == 1:
+            rows = states[n].reshape(k, size)
+            rows += b.reshape(k, size) * dt
+            rows += sig.reshape(k, size) * dB.reshape(size)
+        else:
+            if k > 1:
+                dB = np.tile(dB, (k, 1))
+            states[n] = states[n] + b * dt + np.einsum("nij,nj->ni", sig, dB)
         _check_finite(states[n], done[n])
         done[n] += 1
 
+    scale = math.sqrt(1.0 / n_fine)
     for j in range(1, kf + 1):
-        dB = math.sqrt(1.0 / n_fine) * normals_from(gen, (size, r))
+        dB = normals_from(gen, (size, r))
+        dB *= scale
         for n in coarse:
             buffers[n] += dB
             if j % (n_fine // n) == 0:
@@ -114,7 +138,8 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
                 buffers[n].fill(0.0)
         step(n_fine, 1.0 / n_fine, dB)
     if dtp > 1e-14:
-        dB = math.sqrt(dtp) * normals_from(gen, (size, r))
+        dB = normals_from(gen, (size, r))
+        dB *= math.sqrt(dtp)
         for n in coarse:
             buffers[n] += dB
         buffers[n_fine] = dB  # the finest level steps on the raw increment
@@ -215,7 +240,8 @@ def _reduce(chunk_fn, N: int, rng: RngStream):
     column of the first chunk merges the chunks in substream order; chunk
     boundaries are fixed by CHUNK, so the result is independent of the
     worker count.  At most one thread per chunk runs; a single chunk runs
-    on the calling thread."""
+    on the calling thread.  Once a chunk raises, no chunk starts after it
+    and the exception reaches the caller."""
     if N < 1:
         raise ValueError("N >= 1 samples required")
     sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
@@ -231,9 +257,27 @@ def _reduce(chunk_fn, N: int, rng: RngStream):
             acc.add(cols[:, j])
 
     if workers > 1:
+        failed = threading.Event()
+
+        def run(stream, size):
+            # a skipped chunk comes after the failed one, whose future
+            # raises first, so None is never absorbed
+            if failed.is_set():
+                return None
+            try:
+                return chunk_fn(stream, size)
+            except BaseException:
+                failed.set()
+                raise
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for vals in pool.map(chunk_fn, streams, sizes):
-                absorb(vals)
+            futures = [pool.submit(run, s, z) for s, z in zip(streams, sizes)]
+            try:
+                for fut in futures:
+                    absorb(fut.result())
+            finally:
+                for fut in futures:
+                    fut.cancel()
     else:
         for vals in map(chunk_fn, streams, sizes):
             absorb(vals)

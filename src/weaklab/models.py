@@ -63,6 +63,13 @@ class SdeModel:
     # (m, c, a), three floats, of a 1-D affine model: drift m x + c and
     # constant diffusion with a = sigma sigma^T
     affine: Optional[tuple] = None
+    # (x, b, sig) -> None for a model whose two coefficients share work:
+    # writes drift(x) into b, shape (N, d), and diffusion(x) into sig,
+    # shape (N, d, r), bit for bit, from one evaluation.  The Euler step
+    # calls it in place of drift and diffusion, on arrays it reuses every
+    # step.  Only tanh-vol sets it (one tanh per step); every other model
+    # steps on drift and diffusion.
+    drift_diffusion: Optional[Callable] = None
 
 
 def _model_1d(name: str, coeffs: Coeffs1d, dim_r: int = 1,
@@ -188,6 +195,15 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
         th = np.tanh(np.asarray(x, dtype=float))
         return -2.0 * c0 * th * (1.0 - th * th)
 
+    def drift_diffusion(x, b, s):
+        # sig, then a0 - 0.5 sig^2, in the operation order of sig and b
+        np.tanh(x[..., None], out=s)
+        s *= c0
+        s += b0
+        np.square(s[..., 0], out=b)
+        b *= 0.5
+        np.subtract(a0, b, out=b)
+
     coeffs = Coeffs1d(
         b=lambda x: a0 - 0.5 * sig(x) ** 2,
         db=lambda x: -sig(x) * dsig(x),
@@ -198,7 +214,8 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
         d2a=lambda x: 2.0 * (dsig(x) ** 2 + sig(x) * d2sig(x)),
     )
     return _model_1d("tanh_vol", coeffs, flag_B=True, flag_C=True,
-                     ellipticity_eta=(b0 - abs(c0)) ** 2)
+                     ellipticity_eta=(b0 - abs(c0)) ** 2,
+                     drift_diffusion=drift_diffusion)
 
 
 class MissingDensity(RuntimeError):

@@ -162,8 +162,9 @@ def coupled_rungs(model, stat, x, t, n_ladder, N, rng, ref_multiple,
     """[(n, mean, std_error)] of each rung's per-path statistic, stat(X^n)
     or with romberg 2 stat(X^{2n}) - stat(X^n), minus the per-path
     reference.  stat maps the endpoints of one level, every start point
-    of x, to one value per path."""
-    ns = sorted(int(n) for n in n_ladder)
+    of x, to one value per path.  Every rung reaches the Euler loop as
+    given, so a non-integer one raises ValueError there."""
+    ns = sorted(n_ladder)
     n_ref = ref_multiple * ns[-1]
     levels = set(ns) | {n_ref, 2 * n_ref}
     if romberg:
@@ -178,7 +179,7 @@ def coupled_rungs(model, stat, x, t, n_ladder, N, rng, ref_multiple,
         return np.stack([v - ref for v in stats], axis=1)
 
     means, ses = mc_reduce_multi(chunk, N, rng)
-    return [(n, float(m), float(s)) for n, m, s in zip(ns, means, ses)]
+    return [(int(n), float(m), float(s)) for n, m, s in zip(ns, means, ses)]
 
 
 def richardson_limit(rungs):

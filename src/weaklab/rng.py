@@ -47,7 +47,8 @@ class RngStream:
 
 
 def normals_from(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal draws via inverse CDF of the generator's uniforms."""
+    """Standard normal draws via inverse CDF of the generator's uniforms,
+    transformed in place in one fresh array the caller owns."""
     u = gen.random(shape)
     np.maximum(u, _U_FLOOR, out=u)
-    return ndtri(u)
+    return ndtri(u, out=u)

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weaklab import pricing as pr
 from weaklab.euler import (CHUNK, SimulationBlowup, ThreadPoolExecutor,
                            euler_affine_transport, euler_density_1d,
                            empirical_moment,
                            gbm_euler_mean, mc_reduce, mc_reduce_multi,
                            simulate_coupled, simulate_euler, simulate_ladder,
                            worker_count)
-from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
-from weaklab.montecarlo import bias_ladder
+from weaklab.models import (make_bounded_vol_model, make_constant_model,
+                            make_gbm_model, make_ou_model)
+from weaklab.montecarlo import bias_ladder, estimate_expectation
 from weaklab.rng import RngStream, normals_from
-from weaklab.testfunctions import identity
+from weaklab.testfunctions import UnsupportedFunctional, dirac, identity
+
+TANH = make_bounded_vol_model(0.05, 0.6, 0.5)
+TWO_NOISES = make_constant_model([0.1], [[0.3, 0.4]])  # d = 1, r = 2
 
 
 def test_rng_streams_reproducible_and_distinct():
@@ -93,7 +98,10 @@ def test_ladder_shares_brownian_motion():
     (make_gbm_model(0.1, 0.2), [1.0], 7, 1.0),
     (make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]]),
      [0.0, 0.5], 5, 0.7),                               # 2-D, partial step
-], ids=["ou-partial", "gbm", "constant-2d-partial"])
+    (TANH, [0.2], 6, 0.9),                              # 5 full + 0.9 / 6
+    (TWO_NOISES, [0.4], 4, 0.9),
+], ids=["ou-partial", "gbm", "constant-2d-partial", "tanh-vol-partial",
+        "constant-1d-r2-partial"])
 def test_single_resolution_ladder_is_simulate_euler(model, x, n, t):
     pts = simulate_euler(model, x, n, t, RngStream(2, 7), 1000)
     lad = simulate_ladder(model, x, [n], t, RngStream(2, 7), 1000)
@@ -106,7 +114,10 @@ def test_single_resolution_ladder_is_simulate_euler(model, x, n, t):
     (make_gbm_model(0.1, 0.2), [[-0.1], [0.0], [0.1]], [3, 6], 1.0, 1001),
     (make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]]),
      [[0.0, 0.5], [1.0, -1.0], [0.3, 0.3]], [5, 10], 0.7, 13),
-], ids=["ou-partial", "gbm-odd-size", "constant-2d-partial"])
+    (TANH, [[-0.3], [0.0], [0.3]], [2, 4, 8], 0.9, 11),
+    (TWO_NOISES, [[0.4], [1.1], [-0.2]], [3, 6], 0.9, 9),
+], ids=["ou-partial", "gbm-odd-size", "constant-2d-partial",
+        "tanh-vol-partial", "constant-1d-r2-partial"])
 def test_multi_start_blocks_match_single_starts(model, starts, ns, t, size):
     lad = simulate_ladder(model, starts, ns, t, RngStream(4, 1), size)
     for n in ns:
@@ -118,6 +129,20 @@ def test_multi_start_blocks_match_single_starts(model, starts, ns, t, size):
     assert np.array_equal(
         pts[size:2 * size],
         simulate_euler(model, starts[1], ns[0], t, RngStream(4, 1), size))
+
+
+@pytest.mark.parametrize("s0", [[[0.3]], [[0.3, 0.4]]], ids=["r1", "r2"])
+def test_step_leaves_coefficient_arrays_unchanged(s0):
+    # the step writes only into arrays it owns, never into what drift or
+    # diffusion returned, even when they return one shared array
+    model, size = make_constant_model([0.1], s0), 64
+    b = np.full((size, 1), 0.1)
+    sig = np.full((size, 1, model.dim_r), 0.3)
+    model.drift = lambda x: b
+    model.diffusion = lambda x: sig
+    out = simulate_ladder(model, [0.5], [2, 4], 0.9, RngStream(6, 2), size)
+    assert np.all(b == 0.1) and np.all(sig == 0.3)
+    assert not np.shares_memory(out[4], b)
 
 
 def test_start_points_must_match_dimension():
@@ -142,12 +167,18 @@ def test_rungs_must_be_positive(ns):
 
 
 def test_resolutions_must_be_integers():
-    # simulate_euler used to step at 1/4.5, simulate_ladder to run n = 4
+    # simulate_euler used to step at 1/4.5, simulate_ladder to run n = 4,
+    # and the coupled ladders to return a rung at n = 4 for 4.5
     m = make_ou_model(1.0, 1.0)
     with pytest.raises(ValueError, match="integers"):
         simulate_euler(m, [0.0], 4.5, 1.0, RngStream(0, 0), 8)
     with pytest.raises(ValueError, match="integers"):
         simulate_ladder(m, [0.0], [4.5], 1.0, RngStream(0, 0), 8)
+    with pytest.raises(ValueError, match="integers"):
+        bias_ladder(m, identity(), [1.0], 1.0, [4.5, 8], 64, RngStream(0, 0))
+    opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="integers"):
+        pr.correction_estimate(m, opt, "delta", [4.5, 8], 64, RngStream(0, 0))
 
 
 def test_simulation_blowup_reported():
@@ -205,6 +236,25 @@ def test_mc_reduce_standard_error_at_large_means(offset):
 def test_reduce_rejects_zero_samples(reduce):
     with pytest.raises(ValueError):
         reduce(lambda stream, size: np.zeros((size, 2)), 0, RngStream(1, 1))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_reduce_starts_no_chunk_after_one_raises(workers):
+    # every chunk raises once simulated; pool.map used to run all four
+    # chunks before the exception reached the caller
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return simulate_euler(*args)
+
+    with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers), \
+            mock.patch("weaklab.montecarlo.simulate_euler", counted):
+        with pytest.raises(UnsupportedFunctional):
+            estimate_expectation(make_ou_model(1.0, 1.0), dirac(0.3), [0.0],
+                                 4, 1.0, 4 * CHUNK, RngStream(8, 8))
+    # the chunks running when the first one raised, at most one per thread
+    assert 1 <= len(calls) <= int(workers)
 
 
 def test_worker_count_defaults_to_affinity():

@@ -70,6 +70,17 @@ def test_euler_coefficients_are_the_oracles(model):
                           np.reshape(c.sigma(x), (7, 1, model.dim_r)))
 
 
+def test_tanh_vol_fused_coefficients_are_drift_and_diffusion():
+    m = make_bounded_vol_model(0.05, 0.6, 0.5)
+    x = np.concatenate([[-40.0, 40.0], np.linspace(-5.0, 5.0, 1001)])[:, None]
+    b, sig = np.empty((1003, 1)), np.empty((1003, 1, 1))
+    m.drift_diffusion(x, b, sig)
+    assert b.tobytes() == m.drift(x).tobytes()
+    assert sig.tobytes() == m.diffusion(x).tobytes()
+    # the other models step on drift and diffusion
+    assert make_ou_model(1.0, 1.0).drift_diffusion is None
+
+
 def test_constant_model_with_two_noises_is_1d_affine():
     # d = 1 driven by r = 2 Brownian motions: a = s s^T = 0.25, and the
     # model keeps the 1-D law, oracles and pi = 0 of any 1-D constant model
