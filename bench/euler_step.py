@@ -96,10 +96,12 @@ def micro_rows(trees, reps):
     return rows
 
 
-def harness_rows(trees, workload, pairs, seconds):
+def harness_rows(trees, workload, pairs, seconds, seed0=1701):
+    """Alternating perfbench pairs of one workload on the two trees, seeds
+    seed0, seed0 + 1, ...; the side that runs first swaps every pair."""
     log = []
     for i in range(pairs):
-        seed = 1701 + i
+        seed = seed0 + i
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:

@@ -1,0 +1,139 @@
+"""Before/after record of the principal-term quadrature, written to
+BENCH_principal_quadrature.json.
+
+    python3 bench/principal_quadrature.py --before OLD --after NEW \
+        [--reps 10] [--pairs 10] [--seconds 30] \
+        [--workloads quad-kernel,cli-mix]
+
+OLD and NEW are roots of two source checkouts (each with src/ and
+perfbench/).  Two kinds of rows, each run alternately on the two trees
+(the side that goes first swaps every repetition), on one machine:
+
+* seconds per call and peak RSS of one routine, each repetition in a
+  fresh interpreter at one worker that warms the node caches with one
+  small pi, then times the routine once:
+  - pi: quad-kernel's 16 pi points of its first pass at seed 1, on
+    OU(1, 1), beta = 1 on every fourth; seconds per point;
+  - ct-ou-square, ct-gbm-identity: C_t f for OU(1, 1) with the square at
+    t = 0.75, x = 0.3, and GBM(0.1, 0.2) with the identity at t = 0.75,
+    x = 1.1, tol 1e-6;
+  - pairing: <S, pi> for OU(1, 1), the square, t = 0.75, x = 0.3,
+    tol 1e-4;
+  - heldout-grid: the 700-point held-out grid of ROADMAP item 1 (t in
+    [0.1, 1] in 7 steps, x and y in [-3, 3] in 10 steps each) through
+    pi_rows, one call per t; seconds for the whole grid.
+  Peak RSS is the interpreter's largest resident set, import included.
+* perfbench pairs: bench/euler_step.py's runner, untraced, seeds from
+  --seed0 on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import resource
+import sys
+import time
+
+from euler_step import ROOT, _child, _summary, harness_rows
+
+ROUTINES = ["pi", "ct-ou-square", "ct-gbm-identity", "pairing",
+            "heldout-grid"]
+
+
+def measure(routine):
+    """Time one routine in this interpreter; print its row as JSON."""
+    import numpy as np
+    from weaklab import error_expansion as ee
+    from weaklab import models as mdl
+    from weaklab import testfunctions as tf
+
+    ou, gbm = mdl.make_ou_model(1.0, 1.0), mdl.make_gbm_model(0.1, 0.2)
+    ee.principal_density_pi(ou, 0.5, 0.0, 0.0)
+    calls = 1
+    t0 = time.perf_counter()
+    if routine == "pi":
+        g = np.random.default_rng([1, 2, 0])
+        calls = 16
+        for j in range(calls):
+            t = int(g.integers(8, 33)) / 32.0
+            x = float(g.uniform(-1.0, 1.0))
+            y = x + float(g.uniform(-1.0, 1.0)) * math.sqrt(t)
+            ee.principal_density_pi(ou, t, x, y, 0, 1 if j % 4 == 3 else 0)
+    elif routine == "ct-ou-square":
+        ee.principal_term_Ct(ou, tf.square(), 0.75, 0.3)
+    elif routine == "ct-gbm-identity":
+        ee.principal_term_Ct(gbm, tf.identity(), 0.75, 1.1, tol=1e-6)
+    elif routine == "pairing":
+        ee.pairing_with_pi(ou, tf.square(), 0.75, 0.3, tol=1e-4)
+    elif routine == "heldout-grid":
+        xs, ys = np.meshgrid(np.linspace(-3.0, 3.0, 10),
+                             np.linspace(-3.0, 3.0, 10))
+        for t in np.linspace(0.1, 1.0, 7):
+            ee.pi_rows(ou, float(t), xs.ravel(), ys.ravel())
+    seconds = (time.perf_counter() - t0) / calls
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"s_per_call": seconds, "peak_rss_mb": rss}))
+
+
+def micro_rows(trees, reps):
+    runs = {side: {r: [] for r in ROUTINES} for side in trees}
+    for rep in range(reps):
+        order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+        for routine in ROUTINES:
+            for side in order:
+                out = _child(trees[side], [os.path.abspath(__file__),
+                                           "--measure", routine])
+                runs[side][routine].append(
+                    json.loads(out.strip().splitlines()[-1]))
+    rows = {}
+    for routine in ROUTINES:
+        rows[routine] = {}
+        for metric, unit in (("s_per_call", "s"), ("peak_rss_mb", "MB")):
+            before = [r[metric] for r in runs["before"][routine]]
+            after = [r[metric] for r in runs["after"][routine]]
+            rows[routine][metric] = dict(
+                _summary(before, after, lower_is_better=True), unit=unit,
+                before=before, after=after)
+    return rows
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--measure", choices=ROUTINES, help=argparse.SUPPRESS)
+    p.add_argument("--before")
+    p.add_argument("--after")
+    p.add_argument("--reps", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--seed0", type=int, default=1501)
+    p.add_argument("--workloads", default="quad-kernel,cli-mix")
+    p.add_argument("--out", default=os.path.join(
+        ROOT, "BENCH_principal_quadrature.json"))
+    args = p.parse_args()
+    if args.measure:
+        return measure(args.measure)
+    trees = {"before": os.path.abspath(args.before),
+             "after": os.path.abspath(args.after)}
+    import numpy
+    import scipy
+    record = {"command": " ".join(["python3"] + sys.argv),
+              "machine": {"nproc": os.cpu_count(),
+                          "affinity": len(os.sched_getaffinity(0)),
+                          "python": platform.python_version(),
+                          "numpy": numpy.__version__,
+                          "scipy": scipy.__version__},
+              "routines": micro_rows(trees, args.reps) if args.reps else {},
+              "perfbench": {w: harness_rows(trees, w, args.pairs,
+                                            args.seconds, args.seed0)
+                            for w in args.workloads.split(",") if w}}
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

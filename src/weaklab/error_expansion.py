@@ -16,9 +16,13 @@ factor always has time bounded below by t/2 and the inner Gauss-Hermite
 rule is centered on whichever factor concentrates.  C_t f is the same
 split quadrature with P_{t-s} f in place of p(t-s, ., y), both halves
 centred on p(s, x, .).  Each rule runs over
-all of its nodes in one broadcast block: d^gamma P_tau f over every z
-node of the outer rule at once, and pi over arrays of (x, y) points, one
-row each; a row's value and error do not depend on the rows beside it.
+all of its nodes in one broadcast block: the time nodes of one sweep of
+the time rule share one Gauss-Hermite block whose rows are (time node,
+point) pairs, each doubling its own nodes; d^gamma P_tau f runs over
+every z node of the outer rule at once; and pi runs over arrays of (x, y)
+points, one row each.  The densities take the time nodes as arrays.  A
+row's value and error do not depend on the rows beside it, nor on where
+quadrature.BLOCK_ELEMENTS cuts a block.
 """
 
 from __future__ import annotations
@@ -111,40 +115,56 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
     every row of inner_err, row k starting at x0[k].
 
     kernel(gamma, tau, z, rows) is d^gamma_z K(tau, z) for the given rows
-    at their nodes z.  On the left half the derivatives of L2* stay on K;
-    on the right half they move onto p(s, x0, .) by parts.  Both halves
-    centre on p(s, x0, .), unless the target y of each row is given: then
-    the right half centres one rule per row on p(t-s, ., y).  Every row
-    shares one std, which depends on the time alone.  inner_err holds each
-    row's worst Gauss-Hermite error, which a kernel may raise too;
-    non-finite errors are kept.  Returns (values, quad_errors).
+    at their nodes z, row k of z at time tau[k], a column.  On the left
+    half the derivatives of L2* stay on K; on the right half they move onto
+    p(s, x0, .) by parts.  Both halves centre on p(s, x0, .), unless the
+    target y of each row is given: then the right half centres one rule per
+    row on p(t-s, ., y).  The inner rules of one sweep over time nodes are
+    one Gauss-Hermite block whose rows are (time, row) pairs, each doubling
+    its nodes on its own.  inner_err holds each row's worst Gauss-Hermite
+    error, which a kernel may raise too; non-finite errors are kept.
+    Returns (values, quad_errors).
     """
-    def integrand(s: float, rows: np.ndarray) -> np.ndarray:
-        tau, left_half = t - s, s <= split * t
+    def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The inner integrals at the time nodes s, all on one half, of the
+        given rows, time-major: pair j len(rows) + k is (s[j], rows[k])."""
+        left_half = s[0] <= split * t
+        pr, ps = np.tile(rows, s.size), np.repeat(s, rows.size)
+        tau = t - ps
         if left_half or target is None:
-            mean, std, push, dpush = dens.gauss_coords(s, x0[rows])
+            mean, std, push, dpush = dens.gauss_coords(ps, x0[pr])
         else:
-            mean, std, push, dpush = dens.center_on_target(tau, target[rows])
+            mean, std, push, dpush = dens.center_on_target(tau, target[pr])
         if left_half:
             def fn(z, r):
                 acc = 0.0
                 for g in (1, 2, 3):
-                    acc = acc + gs[g - 1](z) * kernel(g, tau, z, rows[r])
-                return dens.deriv(alpha, 0, s, x0[rows[r], None], z) * acc
+                    acc = acc + gs[g - 1](z) * kernel(g, tau[r, None], z,
+                                                      pr[r])
+                return dens.deriv(alpha, 0, ps[r, None], x0[pr[r], None],
+                                  z) * acc
         else:
             def fn(z, r):
-                return kernel(0, tau, z, rows[r]) \
-                    * _by_parts(dens, gs, s, x0[rows[r], None], alpha, z)
+                return kernel(0, tau[r, None], z, pr[r]) \
+                    * _by_parts(dens, gs, ps[r, None], x0[pr[r], None],
+                                alpha, z)
 
         val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
                                       rtol=1e-10)
-        inner_err[rows] = np.maximum(inner_err[rows], err)
-        return val
+        inner_err[rows] = np.maximum(
+            inner_err[rows], err.reshape(s.size, rows.size).max(axis=0))
+        return val.reshape(s.size, rows.size).T
 
-    val, terr = split_time_rows(
-        lambda ss, rows: np.stack([integrand(si, rows) for si in ss],
-                                  axis=-1),
-        t, tol=tol, split=split, size=inner_err.size)
+    def sweep(ss: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = np.empty((rows.size, ss.size))
+        left = ss <= split * t
+        for half in (left, ~left):
+            if half.any():
+                out[:, half] = integrand(ss[half], rows)
+        return out
+
+    val, terr = split_time_rows(sweep, t, tol=tol, split=split,
+                                size=inner_err.size)
     return 0.5 * val, 0.5 * terr + t * inner_err
 
 
@@ -167,15 +187,17 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     dens = require_density(model)
     inner_err = np.zeros(1)
 
-    def pf_deriv(gamma: int, tau: float, z: np.ndarray, rows) -> np.ndarray:
-        """d^gamma/dz^gamma of P_tau f at every node of z, by one
-        Gauss-Hermite block over all of them."""
+    def pf_deriv(gamma: int, tau: np.ndarray, z: np.ndarray,
+                 rows) -> np.ndarray:
+        """d^gamma/dz^gamma of P_tau f at every node of z, row k of z at
+        time tau[k], by one Gauss-Hermite block over all of them."""
         zs = z.ravel()
-        mean, std, push, dpush = dens.gauss_coords(tau, zs)
+        taus = np.broadcast_to(tau, z.shape).ravel()
+        mean, std, push, dpush = dens.gauss_coords(taus, zs)
         # f reads a 2-D array as (N, d) paths, so it gets the block flat
         val, err = gauss_hermite_rows(
             lambda yy, r: f(yy.ravel()).reshape(yy.shape)
-            * dens.deriv(gamma, 0, tau, zs[r, None], yy),
+            * dens.deriv(gamma, 0, taus[r, None], zs[r, None], yy),
             mean, std, push=push, dpush=dpush, rtol=1e-10)
         inner_err[:] = np.maximum(inner_err, err.max())
         return val.reshape(z.shape)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -38,11 +39,38 @@ def normal_pdf(y, mean, var):
 def normal_pdf_dy(k: int, y, mean, var):
     """k-th derivative in y of the N(mean, var) density."""
     s = np.sqrt(var)
+    return _pdf_dy(k, y, mean, s, s**k)
+
+
+def _pdf_dy(k: int, y, mean, s, sk):
+    """normal_pdf_dy given s = sqrt(var) and sk = s^k."""
     u = (np.asarray(y, dtype=float) - mean) / s
     base = np.exp(-0.5 * u * u) / (s * _SQRT2PI)
     if k == 0:
         return base
-    return ((-1.0) ** k) * hermite_He(k, u) * base / s**k
+    return ((-1.0) ** k) * hermite_He(k, u) * base / sk
+
+
+def _per_time(fn, t, *args):
+    """fn(t, *args), a tuple of floats, at a scalar t.  At an array t, the
+    tuple's entries as arrays of t's shape, entry i equal to fn at t[i] bit
+    for bit: fn runs on floats, once per run of equal neighbouring entries,
+    and never on an array, whose exp and power may round otherwise."""
+    if np.ndim(t) == 0:
+        return fn(float(t), *args)
+    t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        return tuple(np.empty((len(fn(1.0, *args)),) + t.shape))
+    flat = t.ravel()
+    first = np.empty(flat.size, dtype=bool)   # where each run starts
+    first[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    rows = [fn(v, *args) for v in flat[first].tolist()]
+    table = np.fromiter(chain.from_iterable(rows), float) \
+        .reshape(len(rows), -1).T
+    table = table[:, np.cumsum(first) - 1] if table.shape[1] < flat.size \
+        else np.ascontiguousarray(table)
+    return tuple(table.reshape((-1,) + t.shape))
 
 
 # 4th-order central finite-difference stencils, offsets and coefficients,
@@ -89,37 +117,45 @@ class AffineGaussianDensity:
     """1-D transition density p(t, x, y) = N(y; A(t) x + c(t), V(t)).
 
     law is one callable t -> (A, c, V).  All mixed spatial derivatives are
-    exact.
+    exact.  Every method takes a scalar t or an array t that broadcasts
+    against x and y, one time per entry; an entry's result equals the
+    scalar-t call's bit for bit.
     """
 
     def __init__(self, law):
         self._law = law
 
-    def coefficients(self, t: float) -> tuple[float, float, float]:
+    def _scalars(self, t: float, alpha: int, k: int):
+        """(A, c, V, (-A)^alpha, sqrt(V)^k) at one time."""
         A, c, V = self._law(t)
-        return float(A), float(c), float(V)
+        A, c, V = float(A), float(c), float(V)
+        return A, c, V, (-A) ** alpha, math.sqrt(V) ** k
 
-    def density(self, t: float, x, y):
+    def coefficients(self, t):
+        """(A, c, V): floats, or arrays of the shape of an array t."""
+        return _per_time(self._scalars, t, 0, 0)[:3]
+
+    def density(self, t, x, y):
         return self.deriv(0, 0, t, x, y)
 
-    def deriv(self, alpha: int, beta: int, t: float, x, y):
+    def deriv(self, alpha: int, beta: int, t, x, y):
         """d^alpha/dx^alpha d^beta/dy^beta of the density, exact; at order
         0, the density itself."""
-        A, c, V = self.coefficients(t)
+        A, c, V, scale, sk = _per_time(self._scalars, t, alpha, alpha + beta)
         mean = A * np.asarray(x, dtype=float) + c
-        return ((-A) ** alpha) * normal_pdf_dy(alpha + beta, y, mean, V)
+        return scale * _pdf_dy(alpha + beta, y, mean, np.sqrt(V), sk)
 
-    def gauss_coords(self, t: float, x):
+    def gauss_coords(self, t, x):
         """(mean, std, push, dpush) so the law is push(N(mean, std^2));
         an array x gives one mean per entry."""
         A, c, V = self.coefficients(t)
-        return A * np.asarray(x, dtype=float) + c, math.sqrt(V), None, None
+        return A * np.asarray(x, dtype=float) + c, np.sqrt(V), None, None
 
-    def center_on_target(self, t: float, y):
+    def center_on_target(self, t, y):
         """(mean, std, push, dpush) in x for the kernel x |-> p(t, x, y);
         an array y gives one mean per entry."""
         A, c, V = self.coefficients(t)
-        return (np.asarray(y, dtype=float) - c) / A, math.sqrt(V) / abs(A), \
+        return (np.asarray(y, dtype=float) - c) / A, np.sqrt(V) / np.abs(A), \
             None, None
 
 
@@ -142,23 +178,30 @@ class LognormalDensity:
     p(t, x, y) = phi((ln y - ln x - (mu - s^2/2) t) / (s sqrt(t))) / (y s sqrt(t))
     on x, y > 0.  Mixed spatial derivatives are exact, via the chain rule
     through log coordinates (Stirling numbers of the first kind) and
-    Hermite derivatives of the Gaussian factor.
+    Hermite derivatives of the Gaussian factor.  Every method takes a
+    scalar t or an array t, as AffineGaussianDensity's do.
     """
 
     def __init__(self, mu: float, sigma: float):
         self.mu, self.sigma = mu, sigma
 
-    def _drift(self, t: float) -> float:
+    def _scalars(self, t: float, kmax: int):
+        """(V, s^0, ..., s^kmax) at one time, V = sigma^2 t, s = sqrt(V)."""
+        V = self.sigma**2 * t
+        s = math.sqrt(V)
+        return (V,) + tuple(s**k for k in range(kmax + 1))
+
+    def _drift(self, t):
         return (self.mu - 0.5 * self.sigma**2) * t
 
-    def density(self, t: float, x, y):
+    def density(self, t, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        s = self.sigma * math.sqrt(t)
+        s = self.sigma * np.sqrt(t)
         u = (np.log(y) - np.log(x) - self._drift(t)) / s
         return np.exp(-0.5 * u * u) / (y * s * _SQRT2PI)
 
-    def deriv(self, alpha: int, beta: int, t: float, x, y):
+    def deriv(self, alpha: int, beta: int, t, x, y):
         """d^alpha/dx^alpha d^beta/dy^beta of the density; at order 0,
         the density itself."""
         if alpha > 6 or beta > 6:
@@ -167,11 +210,12 @@ class LognormalDensity:
             return self.density(t, x, y)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        V = self.sigma**2 * t
+        gmax = alpha + beta
+        V, *powers = _per_time(self._scalars, t, gmax)
+        s = np.sqrt(V)
         delta = np.log(y) - np.log(x) - self._drift(t)
         # p = e^{-w} G(w - u - m), u = ln x, w = ln y; G = N(0, V) pdf
-        gmax = alpha + beta
-        G = [normal_pdf_dy(m, delta, 0.0, V) for m in range(gmax + 1)]
+        G = [_pdf_dy(m, delta, 0.0, s, powers[m]) for m in range(gmax + 1)]
         sa, sb = _STIRLING1[alpha], _STIRLING1[beta]
         acc = 0.0
         for k in range(0 if alpha == 0 else 1, alpha + 1):
@@ -182,13 +226,13 @@ class LognormalDensity:
                 acc = acc + sa[k] * sb[l] * ((-1.0) ** k) * inner
         return acc / (x ** alpha * y ** (beta + 1))
 
-    def gauss_coords(self, t: float, x):
+    def gauss_coords(self, t, x):
         m = np.log(np.asarray(x, dtype=float)) + self._drift(t)
-        return m, self.sigma * math.sqrt(t), np.exp, np.exp
+        return m, self.sigma * np.sqrt(t), np.exp, np.exp
 
-    def center_on_target(self, t: float, y):
+    def center_on_target(self, t, y):
         m = np.log(np.asarray(y, dtype=float)) - self._drift(t)
-        return m, self.sigma * math.sqrt(t), np.exp, np.exp
+        return m, self.sigma * np.sqrt(t), np.exp, np.exp
 
 
 @dataclass

@@ -63,12 +63,12 @@ class SdeModel:
     # (m, c, a), three floats, of a 1-D affine model: drift m x + c and
     # constant diffusion with a = sigma sigma^T
     affine: Optional[tuple] = None
-    # (x, b, sig) -> None for a model whose two coefficients share work:
-    # writes drift(x) into b, shape (N, d), and diffusion(x) into sig,
-    # shape (N, d, r), bit for bit, from one evaluation.  The Euler step
-    # calls it in place of drift and diffusion, on arrays it reuses every
-    # step.  Only tanh-vol sets it (one tanh per step); every other model
-    # steps on drift and diffusion.
+    # (x, b, sig) -> None: writes drift(x) into b, shape (N, d), and
+    # diffusion(x) into sig, shape (N, d, r), bit for bit, from one
+    # evaluation.  The Euler step calls it in place of drift and diffusion,
+    # on arrays it reuses every step.  Every 1-D model sets it (tanh-vol
+    # shares one tanh between the two); the d-dim constant model has its
+    # drift and diffusion copied in.
     drift_diffusion: Optional[Callable] = None
 
 
@@ -100,8 +100,14 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     def law(t):
         if m == 0:
             return 1.0, c * t, a * t
-        return (math.exp(m * t), c * (1.0 - math.exp(m * t)) / -m,
-                a * (1.0 - math.exp(2.0 * m * t)) / (-2.0 * m))
+        e = math.exp(m * t)
+        return e, c * (1.0 - e) / -m, \
+            a * (1.0 - math.exp(2.0 * m * t)) / (-2.0 * m)
+
+    def drift_diffusion(x, b, sig):
+        np.multiply(m, x, out=b)
+        b += c
+        sig[...] = row
 
     coeffs = Coeffs1d(b=lambda x: m * np.asarray(x, dtype=float) + c,
                       db=const(m), d2b=const(0.0), sigma=const(row),
@@ -109,7 +115,8 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     return _model_1d(name, coeffs, dim_r=S.shape[1], flag_C=True,
                      ellipticity_eta=a,
                      exact_density=AffineGaussianDensity(law),
-                     affine=(float(m), float(c), a), **flags)
+                     affine=(float(m), float(c), a),
+                     drift_diffusion=drift_diffusion, **flags)
 
 
 def make_constant_model(b0, s0) -> SdeModel:
@@ -170,8 +177,14 @@ def make_gbm_model(mu: float, sigma0: float) -> SdeModel:
         da=lambda x: 2.0 * sigma0**2 * np.asarray(x, dtype=float),
         d2a=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0 * sigma0**2),
     )
+
+    def drift_diffusion(x, b, sig):
+        np.multiply(mu, x, out=b)
+        np.multiply(sigma0, x[..., None], out=sig)
+
     return _model_1d("gbm", coeffs, flag_B=False, flag_C=False,
-                     exact_density=LognormalDensity(mu, sigma0))
+                     exact_density=LognormalDensity(mu, sigma0),
+                     drift_diffusion=drift_diffusion)
 
 
 def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:

@@ -81,26 +81,43 @@ def node_doubling(value_at, rtol: float, atol: float, start: int,
     return val, err, converged
 
 
+# rows x nodes that gauss_hermite_rows hands fn at once: at m nodes the
+# running rows go to fn in slices of BLOCK_ELEMENTS // m, which moves no
+# bit, as every row's sum is its own.  It bounds the largest arrays a
+# block builds (the principal term's 7-point stencils hold 7 times this
+# many floats); smaller slices cost more calls per block.
+BLOCK_ELEMENTS = 6 * 1024
+
+
 def gauss_hermite_rows(fn, mean, std, push=None, dpush=None,
                        rtol: float = 1e-10, atol: float = 1e-14,
                        start: int = 32, max_nodes: int = 256):
     """Array form of integrate_gaussian: one integral per entry of ``mean``.
 
     Row k integrates fn over the real line with a Gauss-Hermite rule
-    centred at mean[k] with scale std.  fn(pts, rows) gets the nodes of
-    the running rows ``rows`` as an (R, M) array, in pushed coordinates
-    when push is given, and returns the (R, M) integrand values.  Each
-    row stops on its own; returns (value, err) arrays of shape (K,).
+    centred at mean[k] with scale std, one scale for every row or std[k].
+    fn(pts, rows) gets the nodes of the running rows ``rows`` as an (R, M)
+    array, in pushed coordinates when push is given, and returns the
+    (R, M) integrand values.  Each row stops on its own; returns
+    (value, err) arrays of shape (K,).
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    scale = math.sqrt(2.0) * std
+    scale = np.broadcast_to(math.sqrt(2.0) * np.asarray(std, dtype=float),
+                            mean.shape)
+
+    def block(h, w, rows):
+        sc = scale[rows]
+        pts = mean[rows, None] + sc[:, None] * h
+        vals = fn(pts, rows) if push is None else \
+            fn(push(pts), rows) * dpush(pts)
+        return sc * np.vecdot(vals, w), sc * np.vecdot(np.abs(vals), w)
 
     def value_at(m, rows):
         h, w = hermite_rule(m)
-        pts = mean[rows, None] + scale * h
-        vals = fn(pts, rows) if push is None else \
-            fn(push(pts), rows) * dpush(pts)
-        return scale * np.vecdot(vals, w), scale * np.vecdot(np.abs(vals), w)
+        step = max(1, BLOCK_ELEMENTS // m)
+        parts = [block(h, w, rows[i:i + step])
+                 for i in range(0, rows.size, step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes,
                                 mean.size)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weaklab import error_expansion as ee
+from weaklab import quadrature as quad
 from weaklab import testfunctions as tf
 from weaklab.euler import euler_density_1d
 from weaklab.gaussian import normal_pdf
@@ -208,6 +209,26 @@ def test_pi_is_one_element_case_of_pi_rows():
     vals, errs = ee.pi_rows(m, 0.6, -0.2, np.array([0.5]), 0, 1, 1e-7, 0.4)
     assert (pe.value, pe.quad_error) == (vals[0], errs[0])
     assert type(pe.value) is float and type(pe.quad_error) is float
+
+
+def test_block_cap_moves_no_bit(monkeypatch):
+    # one (time, row) pair per Gauss-Hermite block, at every level, against
+    # the default blocks
+    xs, ys = np.meshgrid([-0.5, 0.2, 0.7, 1.1], [0.3, -0.4, 1.0, 0.0])
+
+    def results():
+        out = list(np.concatenate(ee.pi_rows(ou(), 1.0, xs.ravel(),
+                                             ys.ravel(), 1, 1)))
+        out += ee.principal_term_Ct(ou(), tf.square(), 1.0, 0.5, tol=1e-4)
+        out += ee.principal_term_Ct(gbm(), tf.identity(), 1.0, 1.0,
+                                    tol=1e-4)
+        out += ee.pairing_with_pi(ou(), tf.square(), 1.0, 1.0, tol=1e-2)
+        return [float(v).hex() for v in out]
+
+    monkeypatch.setattr(quad, "BLOCK_ELEMENTS", 1)
+    one_pair = results()
+    monkeypatch.undo()
+    assert results() == one_pair
 
 
 def test_pi_split_point_invariance():

@@ -133,9 +133,11 @@ def test_multi_start_blocks_match_single_starts(model, starts, ns, t, size):
 
 @pytest.mark.parametrize("s0", [[[0.3]], [[0.3, 0.4]]], ids=["r1", "r2"])
 def test_step_leaves_coefficient_arrays_unchanged(s0):
-    # the step writes only into arrays it owns, never into what drift or
-    # diffusion returned, even when they return one shared array
+    # a model without drift_diffusion: the step writes only into arrays it
+    # owns, never into what drift or diffusion returned, even when they
+    # return one shared array
     model, size = make_constant_model([0.1], s0), 64
+    model.drift_diffusion = None
     b = np.full((size, 1), 0.1)
     sig = np.full((size, 1, model.dim_r), 0.3)
     model.drift = lambda x: b
@@ -183,7 +185,12 @@ def test_resolutions_must_be_integers():
 
 def test_simulation_blowup_reported():
     m = make_constant_model([0.0], [[1.0]])
-    m.drift = lambda x: np.full_like(x, np.nan)
+
+    def nan_drift(x, b, sig):
+        b.fill(np.nan)
+        sig.fill(1.0)
+
+    m.drift_diffusion = nan_drift
     with pytest.raises(SimulationBlowup):
         simulate_euler(m, [0.0], 4, 1.0, RngStream(0, 0), 8)
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from weaklab.euler import euler_density_1d
 from weaklab.gaussian import (AffineGaussianDensity, LognormalDensity,
                               fd_derivative, fd_derivatives, hermite_He,
                               normal_pdf, normal_pdf_dy)
+from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
 
 
 def test_hermite_values():
@@ -102,3 +104,29 @@ def test_fd_derivatives_equal_fd_derivative(fn):
     for k, g in enumerate(got):
         assert g.shape == z.shape
         assert np.array_equal(g, fd_derivative(fn, z, k, 4e-3))
+
+
+@pytest.mark.parametrize("dens", [
+    make_ou_model(1.0, 1.0).exact_density,
+    make_constant_model([0.2], [[0.5]]).exact_density,
+    euler_density_1d(make_ou_model(1.0, 1.0), 8),
+    make_gbm_model(0.1, 0.2).exact_density],
+    ids=["ou", "constant-1d", "euler-ou-8", "gbm"])
+def test_array_times_equal_scalar_times(dens):
+    # one time per row, a repeated one among them; every entry of an
+    # array-t call must be the scalar-t call's, bit for bit
+    t = np.array([0.05, 0.3, 0.3, 0.7, 1.0])
+    x = np.array([0.8, 1.1, 0.9, 1.3, 1.0])
+    y = np.linspace(0.6, 1.5, 6) + 0.1 * np.arange(5)[:, None]
+    for a in range(3):
+        for b in range(3):
+            got = dens.deriv(a, b, t[:, None], x[:, None], y)
+            for i in range(t.size):
+                want = dens.deriv(a, b, float(t[i]), float(x[i]), y[i])
+                assert got[i].tobytes() == want.tobytes()
+    for coords in (dens.gauss_coords, dens.center_on_target):
+        mean, std, *_ = coords(t, x)
+        for i in range(t.size):
+            m_i, s_i, *_ = coords(float(t[i]), float(x[i]))
+            assert (mean[i].hex(), std[i].hex()) == \
+                (float(m_i).hex(), float(s_i).hex())

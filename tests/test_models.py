@@ -70,15 +70,16 @@ def test_euler_coefficients_are_the_oracles(model):
                           np.reshape(c.sigma(x), (7, 1, model.dim_r)))
 
 
-def test_tanh_vol_fused_coefficients_are_drift_and_diffusion():
-    m = make_bounded_vol_model(0.05, 0.6, 0.5)
+@pytest.mark.parametrize("model", [
+    make_ou_model(2.0, 0.5), make_constant_model([0.2], [[0.5]]),
+    make_constant_model([0.1], [[0.3, 0.4]]), make_gbm_model(0.1, 0.2),
+    make_bounded_vol_model(0.05, 0.6, 0.5)], ids=lambda m: m.name)
+def test_fused_coefficients_are_drift_and_diffusion(model):
     x = np.concatenate([[-40.0, 40.0], np.linspace(-5.0, 5.0, 1001)])[:, None]
-    b, sig = np.empty((1003, 1)), np.empty((1003, 1, 1))
-    m.drift_diffusion(x, b, sig)
-    assert b.tobytes() == m.drift(x).tobytes()
-    assert sig.tobytes() == m.diffusion(x).tobytes()
-    # the other models step on drift and diffusion
-    assert make_ou_model(1.0, 1.0).drift_diffusion is None
+    b, sig = np.empty((1003, 1)), np.empty((1003, 1, model.dim_r))
+    model.drift_diffusion(x, b, sig)
+    assert b.tobytes() == model.drift(x).tobytes()
+    assert sig.tobytes() == model.diffusion(x).tobytes()
 
 
 def test_constant_model_with_two_noises_is_1d_affine():
