@@ -91,7 +91,7 @@ _VALUES = {
 }
 
 # what a study needs of its model beyond one dimension: (what, test)
-_AFFINE = ("an affine model", lambda model, cfg: model.affine is not None)
+_AFFINE = ("an affine model", lambda m, cfg: mdl.affine_triple(m) is not None)
 _DENSITY = ("a model with an exact density",
             lambda model, cfg: model.exact_density is not None)
 _EULER_LAW = ("an affine model, or GBM with f identity, when deterministic",
@@ -178,11 +178,11 @@ def _euler_mean(model, f_name):
     """(mean, oracle) with mean(n, f, x, t) the exact Euler mean
     E f(X_t^{n,x}) where the Euler law is itself closed-form: an affine
     model, or GBM with f identity; None for any other model."""
-    if model.affine is not None:
+    if mdl.affine_triple(model) is not None:
         return (lambda n, f, x, t: pair_density(euler_density_1d(model, n),
                                                 f, t, x)), "exact-euler-law"
     if model.name == "gbm" and f_name == "identity":
-        mu = float(model.coeffs1d.db(0.0))  # drift slope = mu for GBM
+        mu = float(model.poly[0].coef[1])  # b = mu x
         return (lambda n, f, x, t: gbm_euler_mean(mu, x, n, t)), \
             "gbm-mean-recursion"
     return None
@@ -271,8 +271,8 @@ def _study_bias_limit(cfg, model, rng):
     limit, ci = mc.bias_times_n_limit(model, f, [x], t, cfg["n_ladder"], N,
                                       rng)
     ct, qerr = ee.principal_term_Ct(model, f, t, x, tol=1e-8)
-    if not math.isfinite(qerr):
-        # an infinite error bar would pass any gate
+    if not ee.pi_converged(qerr, 1e-8):
+        # an error bar past the tolerance would pass almost any limit
         raise NonConvergence(f"principal-term quadrature unconverged "
                              f"(quad_error {qerr!r})")
     tol = float(cfg.get("tolerance", 0.0))

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .euler import euler_density_1d
-from .gaussian import fd_derivatives
 from .models import SdeModel, is_constant, pair_density, require_density
 from .quadrature import adaptive_interval, gauss_hermite_rows, \
     split_time_rows
@@ -73,38 +72,33 @@ class TailBoundSpec:
 
 
 def l2star_coefficients(model: SdeModel):
-    """Coefficients (g1, g2, g3) with L2* g = g1 g' + g2 g'' + g3 g'''."""
-    c = model.coeffs1d
-    if c is None:
+    """Coefficients (g1, g2, g3) with L2* g = g1 g' + g2 g'' + g3 g''', as
+    numpy Polynomials formed from the model's polynomial b and a,
+        g1 = -(b b' + a b''/2),  g2 = -(b a'/2 + a b' + a a''/4),
+        g3 = -a a'/2;
+    ValueError for a model without polynomial coefficients."""
+    if model.poly is None:
         raise ValueError(
-            f"model {model.name!r} has no 1-D coefficient oracles")
-
-    def g1(z):
-        return -(c.b(z) * c.db(z) + 0.5 * c.a(z) * c.d2b(z))
-
-    def g2(z):
-        return -(0.5 * c.b(z) * c.da(z) + c.a(z) * c.db(z)
-                 + 0.25 * c.a(z) * c.d2a(z))
-
-    def g3(z):
-        return -0.5 * c.a(z) * c.da(z)
-
-    return g1, g2, g3
+            f"model {model.name!r} has no polynomial coefficients")
+    b, a = model.poly
+    db, da = b.deriv(), a.deriv()
+    return (-(b * db + 0.5 * a * db.deriv()),
+            -(0.5 * b * da + a * db + 0.25 * a * da.deriv()),
+            -0.5 * a * da)
 
 
-def _by_parts(dens, gs, s: float, x0: np.ndarray, alpha: int, z):
+def _by_parts(dens, dgs, s: float, x0: np.ndarray, alpha: int, z):
     """sum_g (-1)^g d^g/dz^g [g*_g(z) d^alpha_x p(s, x0, z)] at the nodes z:
     the derivatives L2* produced, moved onto p(s, x0, .) and the
-    coefficients by the Leibniz rule.  x0 broadcasts against z, one start
-    point per row, and so does the finite-difference step."""
+    polynomial coefficients by the Leibniz rule, every one exact, with
+    dgs[g - 1][k] the k-th derivative of g*_g.  x0 broadcasts against z,
+    one start point per row."""
     dp = [dens.deriv(alpha, j, s, x0, z) for j in range(4)]
-    h = 4e-3 * np.maximum(1.0, np.abs(x0))
     acc = 0.0
     for g in (1, 2, 3):
         sign = (-1.0) ** g
-        dg = fd_derivatives(gs[g - 1], z, g, h)
         for k in range(g + 1):
-            acc = acc + sign * math.comb(g, k) * dg[k] * dp[g - k]
+            acc = acc + sign * math.comb(g, k) * dgs[g - 1][k](z) * dp[g - k]
     return acc
 
 
@@ -125,6 +119,8 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
     error, which a kernel may raise too; non-finite errors are kept.
     Returns (values, quad_errors).
     """
+    dgs = [[g.deriv(k) for k in range(4)] for g in gs]
+
     def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The inner integrals at the time nodes s, all on one half, of the
         given rows, time-major: pair j len(rows) + k is (s[j], rows[k])."""
@@ -139,14 +135,14 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
             def fn(z, r):
                 acc = 0.0
                 for g in (1, 2, 3):
-                    acc = acc + gs[g - 1](z) * kernel(g, tau[r, None], z,
-                                                      pr[r])
+                    acc = acc + dgs[g - 1][0](z) * kernel(g, tau[r, None],
+                                                          z, pr[r])
                 return dens.deriv(alpha, 0, ps[r, None], x0[pr[r], None],
                                   z) * acc
         else:
             def fn(z, r):
                 return kernel(0, tau[r, None], z, pr[r]) \
-                    * _by_parts(dens, gs, ps[r, None], x0[pr[r], None],
+                    * _by_parts(dens, dgs, ps[r, None], x0[pr[r], None],
                                 alpha, z)
 
         val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,

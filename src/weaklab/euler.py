@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussian import AffineGaussianDensity
-from .models import SdeModel
+from .models import SdeModel, affine_triple
 from .rng import RngStream, normals_from
 
 CHUNK = 1 << 16
@@ -169,9 +169,10 @@ def simulate_coupled(model: SdeModel, x, n: int, t: float, rng: RngStream,
 def euler_affine_transport(model: SdeModel, n: int, t: float):
     """(A, c, V), three floats, with law of X_t^{n,x} = N(A x + c, V) for a
     1-D affine model; ValueError for any other model."""
-    if model.affine is None:
+    triple = affine_triple(model)
+    if triple is None:
         raise ValueError("exact Euler law requires a 1-D affine model")
-    m, b, a = model.affine
+    m, b, a = triple
     A, c, V = 1.0, 0.0, 0.0
     k, dt_last = _steps(n, t)
     for dt in [1.0 / n] * k + ([dt_last] if dt_last > 1e-14 else []):

@@ -73,46 +73,6 @@ def _per_time(fn, t, *args):
     return tuple(table.reshape((-1,) + t.shape))
 
 
-# 4th-order central finite-difference stencils, offsets and coefficients,
-# for derivative orders 1..4 (coefficient / h^order)
-_FD_STENCILS = {
-    1: ([-2, -1, 1, 2], [1 / 12, -8 / 12, 8 / 12, -1 / 12]),
-    2: ([-2, -1, 0, 1, 2], [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12]),
-    3: ([-3, -2, -1, 1, 2, 3], [1 / 8, -1.0, 13 / 8, -13 / 8, 1.0, -1 / 8]),
-    4: ([-3, -2, -1, 0, 1, 2, 3],
-        [-1 / 6, 2.0, -13 / 2, 28 / 3, -13 / 2, 2.0, -1 / 6]),
-}
-
-
-def _fd_sum(at, x, order: int, h):
-    """The order's stencil sum over the values at(o) = fn(x + o h)."""
-    offsets, coeffs = _FD_STENCILS[order]
-    acc = np.zeros_like(x)
-    for o, c in zip(offsets, coeffs):
-        acc = acc + c * at(o)
-    return acc / h**order
-
-
-def fd_derivative(fn, x, order: int, h: float):
-    """Central finite-difference derivative, 4th-order accurate, vectorized."""
-    if order == 0:
-        return fn(x)
-    x = np.asarray(x, dtype=float)
-    return _fd_sum(lambda o: fn(x + o * h), x, order, h)
-
-
-def fd_derivatives(fn, x, max_order: int, h) -> list:
-    """[fn(x), fn'(x), ..., fn^(max_order)(x)], each equal to fd_derivative's,
-    from one call of fn on every stencil point; fn must act elementwise on
-    arrays of any shape.  The step h may be an array broadcasting against
-    x, one step per row of x, say."""
-    x = np.asarray(x, dtype=float)
-    offsets = np.arange(-3, 4).reshape((-1,) + (1,) * max(x.ndim, np.ndim(h)))
-    at = dict(zip(range(-3, 4), fn(x + offsets * h)))
-    return [at[0]] + [_fd_sum(at.__getitem__, x, k, h)
-                      for k in range(1, max_order + 1)]
-
-
 class AffineGaussianDensity:
     """1-D transition density p(t, x, y) = N(y; A(t) x + c(t), V(t)).
 

@@ -1,14 +1,15 @@
-"""SDE model zoo: coefficients, derivative oracles, assumption flags and
-exact-law/semigroup oracles.
+"""SDE model zoo: coefficients, assumption flags and exact-law/semigroup
+oracles.
 
 The verification family is: constant coefficients (Euler exact in law),
 Ornstein-Uhlenbeck (Gaussian laws for both the diffusion and its Euler
 chain), geometric Brownian motion (lognormal law; constant coefficients
 after the log transform), and a bounded tanh-volatility model in log
 coordinates (smooth bounded coefficients, uniformly elliptic, no closed
-form).  A 1-D model's Euler drift and diffusion are its coefficient
-oracles b and sigma; the affine ones (constant, OU) take the oracles, the
-affine triple and the exact law from the three numbers of their SDE.
+form).  A 1-D model's Euler drift and diffusion are its oracles b and
+sigma; those with an exact density also state b and a = sigma sigma^T as
+polynomials, and the affine ones (constant, OU) take the oracles, the
+polynomials and the exact law from the three numbers of their SDE.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .gaussian import (AffineGaussianDensity, LognormalDensity,
                        MultivariateGaussianDensity)
@@ -27,25 +29,6 @@ from . import testfunctions as tf
 
 class AssumptionViolation(ValueError):
     pass
-
-
-@dataclass
-class Coeffs1d:
-    """Scalar coefficient functions and their derivatives, vectorized in x.
-
-    a = sigma sigma^T; derivative oracles up to second order, which is what
-    the principal error operator consumes.  sigma(x) has the shape of x,
-    with a trailing axis of r entries for a model driven by r > 1 Brownian
-    motions.
-    """
-
-    b: Callable
-    db: Callable
-    d2b: Callable
-    sigma: Callable
-    a: Callable
-    da: Callable
-    d2a: Callable
 
 
 @dataclass
@@ -59,10 +42,9 @@ class SdeModel:
     flag_C: bool = False
     ellipticity_eta: Optional[float] = None
     exact_density: Optional[object] = None
-    coeffs1d: Optional[Coeffs1d] = None
-    # (m, c, a), three floats, of a 1-D affine model: drift m x + c and
-    # constant diffusion with a = sigma sigma^T
-    affine: Optional[tuple] = None
+    # (b, a), two numpy Polynomials, of a 1-D model whose drift b and
+    # a = sigma sigma^T are polynomials in x: what L2* is formed from
+    poly: Optional[tuple] = None
     # (x, b, sig) -> None: writes drift(x) into b, shape (N, d), and
     # diffusion(x) into sig, shape (N, d, r), bit for bit, from one
     # evaluation.  The Euler step calls it in place of drift and diffusion,
@@ -72,30 +54,36 @@ class SdeModel:
     drift_diffusion: Optional[Callable] = None
 
 
-def _model_1d(name: str, coeffs: Coeffs1d, dim_r: int = 1,
+def _model_1d(name: str, b: Callable, sigma: Callable, dim_r: int = 1,
               **fields) -> SdeModel:
-    """A 1-D model whose Euler drift and diffusion are its b and sigma
-    oracles, so the scheme and the error expansion read one set of
-    coefficients."""
+    """A 1-D model whose Euler drift and diffusion are the oracles b and
+    sigma; sigma(x) has the shape of x, with a trailing axis of r entries
+    for a model driven by r > 1 Brownian motions."""
     return SdeModel(
-        name=name, dim_d=1, dim_r=dim_r, drift=coeffs.b,
-        diffusion=lambda x: coeffs.sigma(x).reshape(x.shape[0], 1, dim_r),
-        coeffs1d=coeffs, **fields)
+        name=name, dim_d=1, dim_r=dim_r, drift=b,
+        diffusion=lambda x: sigma(x).reshape(x.shape[0], 1, dim_r), **fields)
+
+
+def affine_triple(model: SdeModel) -> Optional[tuple]:
+    """(m, c, a), three floats, of a 1-D affine model: drift m x + c and
+    constant a = sigma sigma^T, read from its polynomials; None for any
+    other model."""
+    b, a = model.poly or (None, None)
+    if b is None or b.degree() > 1 or a.degree() > 0:
+        return None
+    c, m = np.append(b.coef, 0.0)[:2]
+    return float(m), float(c), float(a.coef[0])
 
 
 def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     """dX = (m X + c) dt + s dB, with s a number or the row of r
-    diffusion coefficients: the oracles, the affine triple (m, c, a) and
-    the exact Gaussian law p(t, x, .) = N(A x + c(t), V) all come from
-    (m, c, s).  Both callers require a = s s^T > 0, so (C) holds with
+    diffusion coefficients: the oracles, the polynomials b = m x + c and
+    a = s s^T, and the exact Gaussian law p(t, x, .) = N(A x + c(t), V) all
+    come from (m, c, s).  Both callers require a > 0, so (C) holds with
     eta = a."""
     S = np.array(s, dtype=float).reshape(1, -1)
     a = float((S @ S.T)[0, 0])
     row = S[0] if S.shape[1] > 1 else S[0, 0]
-
-    def const(v):
-        tail = np.shape(v)
-        return lambda x: np.full(np.asarray(x).shape + tail, v)
 
     def law(t):
         if m == 0:
@@ -109,13 +97,11 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
         b += c
         sig[...] = row
 
-    coeffs = Coeffs1d(b=lambda x: m * np.asarray(x, dtype=float) + c,
-                      db=const(m), d2b=const(0.0), sigma=const(row),
-                      a=const(a), da=const(0.0), d2a=const(0.0))
-    return _model_1d(name, coeffs, dim_r=S.shape[1], flag_C=True,
-                     ellipticity_eta=a,
+    return _model_1d(name, lambda x: m * np.asarray(x, dtype=float) + c,
+                     lambda x: np.full(np.shape(x) + np.shape(row), row),
+                     dim_r=S.shape[1], flag_C=True, ellipticity_eta=a,
                      exact_density=AffineGaussianDensity(law),
-                     affine=(float(m), float(c), a),
+                     poly=(Polynomial([c, m]), Polynomial([a])),
                      drift_diffusion=drift_diffusion, **flags)
 
 
@@ -168,22 +154,16 @@ def make_gbm_model(mu: float, sigma0: float) -> SdeModel:
     """
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
-    coeffs = Coeffs1d(
-        b=lambda x: mu * np.asarray(x, dtype=float),
-        db=lambda x: np.full_like(np.asarray(x, dtype=float), mu),
-        d2b=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        sigma=lambda x: sigma0 * np.asarray(x, dtype=float),
-        a=lambda x: sigma0**2 * np.asarray(x, dtype=float) ** 2,
-        da=lambda x: 2.0 * sigma0**2 * np.asarray(x, dtype=float),
-        d2a=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0 * sigma0**2),
-    )
-
     def drift_diffusion(x, b, sig):
         np.multiply(mu, x, out=b)
         np.multiply(sigma0, x[..., None], out=sig)
 
-    return _model_1d("gbm", coeffs, flag_B=False, flag_C=False,
+    return _model_1d("gbm", lambda x: mu * np.asarray(x, dtype=float),
+                     lambda x: sigma0 * np.asarray(x, dtype=float),
+                     flag_B=False, flag_C=False,
                      exact_density=LognormalDensity(mu, sigma0),
+                     poly=(Polynomial([0.0, mu]),
+                           Polynomial([0.0, 0.0, sigma0**2])),
                      drift_diffusion=drift_diffusion)
 
 
@@ -200,14 +180,6 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
     def sig(x):
         return b0 + c0 * np.tanh(np.asarray(x, dtype=float))
 
-    def dsig(x):
-        th = np.tanh(np.asarray(x, dtype=float))
-        return c0 * (1.0 - th * th)
-
-    def d2sig(x):
-        th = np.tanh(np.asarray(x, dtype=float))
-        return -2.0 * c0 * th * (1.0 - th * th)
-
     def drift_diffusion(x, b, s):
         # sig, then a0 - 0.5 sig^2, in the operation order of sig and b
         np.tanh(x[..., None], out=s)
@@ -217,16 +189,8 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
         b *= 0.5
         np.subtract(a0, b, out=b)
 
-    coeffs = Coeffs1d(
-        b=lambda x: a0 - 0.5 * sig(x) ** 2,
-        db=lambda x: -sig(x) * dsig(x),
-        d2b=lambda x: -(dsig(x) ** 2 + sig(x) * d2sig(x)),
-        sigma=sig,
-        a=lambda x: sig(x) ** 2,
-        da=lambda x: 2.0 * sig(x) * dsig(x),
-        d2a=lambda x: 2.0 * (dsig(x) ** 2 + sig(x) * d2sig(x)),
-    )
-    return _model_1d("tanh_vol", coeffs, flag_B=True, flag_C=True,
+    return _model_1d("tanh_vol", lambda x: a0 - 0.5 * sig(x) ** 2, sig,
+                     flag_B=True, flag_C=True,
                      ellipticity_eta=(b0 - abs(c0)) ** 2,
                      drift_diffusion=drift_diffusion)
 

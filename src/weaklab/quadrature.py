@@ -84,8 +84,7 @@ def node_doubling(value_at, rtol: float, atol: float, start: int,
 # rows x nodes that gauss_hermite_rows hands fn at once: at m nodes the
 # running rows go to fn in slices of BLOCK_ELEMENTS // m, which moves no
 # bit, as every row's sum is its own.  It bounds the largest arrays a
-# block builds (the principal term's 7-point stencils hold 7 times this
-# many floats); smaller slices cost more calls per block.
+# block builds; smaller slices cost more calls per block.
 BLOCK_ELEMENTS = 6 * 1024
 
 

@@ -294,11 +294,11 @@ def test_validate_rejects_bad_f(tmp_path):
     assert cli.main(["validate", write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
 
 
-def test_bias_limit_unconverged_quadrature_exits_4(tmp_path, capsys):
-    # at sigma = 2 the time integral of C_t runs out of panels: quad_error
-    # is inf, which used to pass the gate |limit - ct| <= ci + qerr + tol
+def _run_gbm_bias_limit(tmp_path, capsys, sigma):
+    """Run GBM(0.1, sigma) bias-limit, f identity at x = t = 1, and check
+    that it exits 4 with no summary written."""
     cfg = {"study": "bias-limit",
-           "model": {"model": "gbm", "mu": 0.1, "sigma": 2.0},
+           "model": {"model": "gbm", "mu": 0.1, "sigma": sigma},
            "f": "identity", "x": 1.0, "t": 1.0, "n_ladder": [4, 8, 16],
            "N": 4096, "seed": 3,
            "output_csv": str(tmp_path / "rows.csv"),
@@ -307,6 +307,20 @@ def test_bias_limit_unconverged_quadrature_exits_4(tmp_path, capsys):
         cli.EXIT_NONCONVERGED
     assert "non-convergence" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_bias_limit_unconverged_quadrature_exits_4(tmp_path, capsys):
+    # at sigma = 2 the time integral of C_t runs out of panels: quad_error
+    # is about 8e3, though the value is right to 5e-15, and an error bar
+    # that large passes the gate |limit - ct| <= ci + qerr + tol
+    _run_gbm_bias_limit(tmp_path, capsys, 2.0)
+
+
+def test_bias_limit_finite_error_past_the_tolerance_exits_4(tmp_path,
+                                                            capsys):
+    # at sigma = 1 quad_error is finite but far above the 1e-8 asked for
+    # (about 1e-5); a finite error bar past the tolerance is no result
+    _run_gbm_bias_limit(tmp_path, capsys, 1.0)
 
 
 # GBM from x < 0: the lognormal oracle's truth is NaN, so is every bias,

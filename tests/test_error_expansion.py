@@ -8,7 +8,8 @@ from weaklab import quadrature as quad
 from weaklab import testfunctions as tf
 from weaklab.euler import euler_density_1d
 from weaklab.gaussian import normal_pdf
-from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
+from weaklab.models import make_bounded_vol_model, make_constant_model, \
+    make_gbm_model, make_ou_model
 
 # Frozen reference values, each computed by an independent route:
 #   CT_OU:   closed form (1 - 3 e^{-2 theta^2 t}) sigma^2 ... reduced at
@@ -35,13 +36,37 @@ def gbm():
 # L2* operator
 
 
-def test_l2star_ou_closed_form():
-    g1, g2, g3 = ee.l2star_coefficients(ou())
-    # b = -z, a = 1: g1 = -z, g2 = 1, g3 = 0 (times theta^2, sigma^2 = 1)
-    for z in (-1.3, 0.0, 0.7, 2.1):
-        assert abs(g1(z) - (-z)) < 1e-12
-        assert abs(g2(z) - 1.0) < 1e-12
-        assert abs(g3(z)) < 1e-12
+def _ou_hand(theta, sigma):
+    # b = -theta z, a = sigma^2: g1 = -theta^2 z, g2 = theta sigma^2, g3 = 0
+    return lambda z: [[-theta**2 * z, -theta**2, 0.0, 0.0],
+                      [theta * sigma**2, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0]]
+
+
+def _gbm_hand(mu, sigma):
+    # b = mu z, a = sigma^2 z^2: g1 = -mu^2 z,
+    # g2 = -(2 mu sigma^2 + sigma^4/2) z^2, g3 = -sigma^4 z^3
+    k, s4 = -(2.0 * mu * sigma**2 + sigma**4 / 2.0), sigma**4
+    return lambda z: [[-mu**2 * z, -mu**2, 0.0, 0.0],
+                      [k * z * z, 2.0 * k * z, 2.0 * k, 0.0],
+                      [-s4 * z**3, -3.0 * s4 * z * z, -6.0 * s4 * z,
+                       -6.0 * s4]]
+
+
+# dyadic parameters and points, so that every product is exact
+@pytest.mark.parametrize("model, hand", [
+    (make_ou_model(2.0, 0.5), _ou_hand(2.0, 0.5)),
+    (make_gbm_model(0.5, 0.5), _gbm_hand(0.5, 0.5))], ids=["ou", "gbm"])
+def test_l2star_closed_form(model, hand):
+    gs = ee.l2star_coefficients(model)
+    for z in (-1.25, 0.0, 0.75, 2.5):
+        for g, want in zip(gs, hand(z)):
+            assert [float(g.deriv(k)(z)) for k in range(4)] == want
+
+
+def test_l2star_needs_polynomial_coefficients():
+    with pytest.raises(ValueError):
+        ee.l2star_coefficients(make_bounded_vol_model(0.05, 0.2, 0.1))
 
 
 def test_l2star_constant_model_vanishes():

@@ -9,9 +9,9 @@ from weaklab.error_expansion import pi_rows
 from weaklab.euler import simulate_ladder
 from weaklab.gaussian import AffineGaussianDensity
 from weaklab.models import (AssumptionViolation, MissingDensity,
-                            make_bounded_vol_model, make_constant_model,
-                            make_gbm_model, make_ou_model, model_from_config,
-                            semigroup_apply)
+                            affine_triple, make_bounded_vol_model,
+                            make_constant_model, make_gbm_model,
+                            make_ou_model, model_from_config, semigroup_apply)
 from weaklab.rng import RngStream
 
 
@@ -63,11 +63,30 @@ def test_ou_law_is_the_closed_form_bit_for_bit(theta, sigma):
     make_constant_model([0.1], [[0.3, 0.4]]), make_gbm_model(0.1, 0.2),
     make_bounded_vol_model(0.05, 0.2, 0.1)], ids=lambda m: m.name)
 def test_euler_coefficients_are_the_oracles(model):
-    c = model.coeffs1d
+    # the Euler drift and diffusion are the polynomial b and
+    # a = sigma sigma^T that the error expansion differentiates; tanh-vol
+    # states none, and its drift is a0 - sigma^2/2 of its diffusion
     x = np.linspace(0.1, 2.0, 7)[:, None]
-    assert model.drift is c.b
-    assert np.array_equal(model.diffusion(x),
-                          np.reshape(c.sigma(x), (7, 1, model.dim_r)))
+    b, sig = model.drift(x), model.diffusion(x)
+    assert b.shape == (7, 1) and sig.shape == (7, 1, model.dim_r)
+    if model.poly is None:
+        assert model.name == "tanh_vol"
+        assert np.array_equal(b[:, 0], 0.05 - 0.5 * sig[:, 0, 0] ** 2)
+        return
+    pb, pa = model.poly
+    assert np.allclose(b[:, 0], pb(x[:, 0]), rtol=1e-14, atol=0.0)
+    assert np.allclose((sig[:, 0] ** 2).sum(axis=1), pa(x[:, 0]),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_affine_triple_reads_the_polynomials():
+    # (m, c, a) of b = m x + c and a constant a; None for any other model
+    assert affine_triple(make_ou_model(2.0, 0.5)) == (-2.0, 0.0, 0.25)
+    assert affine_triple(make_constant_model([0.2], [[0.5]])) == \
+        (0.0, 0.2, 0.25)
+    for m in (make_gbm_model(0.1, 0.2), make_bounded_vol_model(0.05, 0.2, 0.1),
+              make_constant_model([0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]])):
+        assert affine_triple(m) is None
 
 
 @pytest.mark.parametrize("model", [
@@ -88,9 +107,9 @@ def test_constant_model_with_two_noises_is_1d_affine():
     m = make_constant_model([0.1], [[0.3, 0.4]])
     assert (m.dim_d, m.dim_r) == (1, 2)
     assert isinstance(m.exact_density, AffineGaussianDensity)
-    assert m.affine == (0.0, 0.1, 0.25)
+    assert affine_triple(m) == (0.0, 0.1, 0.25)
     assert m.exact_density.coefficients(2.0) == (1.0, 0.2, 0.5)
-    assert np.all(m.coeffs1d.a(np.linspace(-1, 1, 5)) == 0.25)
+    assert np.all(m.poly[1](np.linspace(-1, 1, 5)) == 0.25)
     assert m.ellipticity_eta == 0.25 and m.flag_B and m.flag_C
     vals, errs = pi_rows(m, 0.5, [0.0, 1.0], [0.2, 0.3])
     assert not vals.any() and not errs.any()
@@ -107,22 +126,12 @@ def test_tanh_vol_flags_and_bounds():
     m = make_bounded_vol_model(0.0, 0.25, 0.1)
     assert m.flag_B and m.flag_C
     assert abs(m.ellipticity_eta - 0.15**2) < 1e-15
-    x = np.linspace(-10, 10, 101)
-    sig = m.coeffs1d.sigma(x)
+    assert m.poly is None
+    x = np.linspace(-10, 10, 101)[:, None]
+    sig = m.diffusion(x)
     assert np.all(sig >= 0.15 - 1e-12) and np.all(sig <= 0.35 + 1e-12)
     with pytest.raises(AssumptionViolation):
         make_bounded_vol_model(0.0, 0.1, 0.2)
-
-
-def test_coefficient_derivative_oracles_consistent():
-    m = make_bounded_vol_model(0.1, 0.3, 0.15)
-    c = m.coeffs1d
-    x = np.linspace(-2, 2, 9)
-    h = 1e-5
-    da_fd = (c.a(x + h) - c.a(x - h)) / (2 * h)
-    assert np.allclose(c.da(x), da_fd, atol=1e-8)
-    db_fd = (c.b(x + h) - c.b(x - h)) / (2 * h)
-    assert np.allclose(c.db(x), db_fd, atol=1e-8)
 
 
 def test_semigroup_ou_second_moment():

@@ -127,79 +127,79 @@ def compute_monte_carlo(name):
 
 PINS = {
     "pi-ou-00": [
-        "-0x1.6813ced8ecb83p-6", "-0x1.c3440ab89ac7cp-5",
-        "-0x1.57ac1a66e2d8ep-5", "-0x1.de4e79ac54176p-8",
-        "0x1.e4a1480000000p-40", "0x1.1e38d00000000p-39",
-        "0x1.319c400000000p-39", "0x1.6e15500000000p-39",
+        "-0x1.6813ced8c945ep-6", "-0x1.c3440ab889006p-5",
+        "-0x1.57ac1a66d68a6p-5", "-0x1.de4e79abd5d9ep-8",
+        "0x1.e420880000000p-40", "0x1.1e1e100000000p-39",
+        "0x1.30edc00000000p-39", "0x1.6e49d00000000p-39",
     ],
     "pi-ou-10": [
-        "-0x1.10099e7046926p-2", "0x1.052327ba5c6efp-2",
-        "-0x1.ce3ce3edc279cp-3", "0x1.27d20f56f99ecp-2",
-        "0x1.798c000000000p-37", "0x1.3f7cc00000000p-37",
-        "0x1.76f9200000000p-37", "0x1.e899e80000000p-35",
+        "-0x1.10099e7045aacp-2", "0x1.052327ba5b87ep-2",
+        "-0x1.ce3ce3edc08acp-3", "0x1.27d20f56f8ef6p-2",
+        "0x1.7986800000000p-37", "0x1.3f72400000000p-37",
+        "0x1.76de200000000p-37", "0x1.e896880000000p-35",
     ],
     "pi-ou-01": [
-        "0x1.da3ff47884492p-2", "-0x1.bf4dcdec54364p-2",
-        "0x1.5a3f38836837ep-2", "-0x1.19c28efaff758p-1",
-        "0x1.4675400000000p-36", "0x1.01e0200000000p-36",
-        "0x1.68fbf00000000p-36", "0x1.8da6800000000p-37",
+        "0x1.da3ff47881d30p-2", "-0x1.bf4dcdec51c25p-2",
+        "0x1.5a3f38836596ep-2", "-0x1.19c28efafe867p-1",
+        "0x1.4683800000000p-36", "0x1.01dd200000000p-36",
+        "0x1.68e9500000000p-36", "0x1.8d88800000000p-37",
     ],
     "pi-ou-11": [
-        "0x1.f7317ce23203cp-9", "-0x1.3950db710db7ep-4",
-        "0x1.a2a83cb13b729p-3", "-0x1.5e2290b7af494p-5",
-        "0x1.b413b80000000p-41", "0x1.64c4900000000p-37",
-        "0x1.4020b00000000p-35", "0x1.8d5b5a7000000p-37",
+        "0x1.f7317ce2a2a20p-9", "-0x1.3950db710a238p-4",
+        "0x1.a2a83cb13ac2dp-3", "-0x1.5e2290b7a70a5p-5",
+        "0x1.b121540000000p-41", "0x1.64eb200000000p-37",
+        "0x1.401d900000000p-35", "0x1.8d575a7000000p-37",
     ],
     "pi-ou-02": [
-        "-0x1.05dae4c63b248p-2", "-0x1.aefbb63f8b7ecp-5",
-        "-0x1.d083fbf5a4d7ep-2", "-0x1.f4c956c81e2f4p-3",
-        "0x1.a7f9200000000p-36", "0x1.34a9d84000000p-34",
-        "0x1.3334240000000p-33", "0x1.bedeb00000000p-36",
+        "-0x1.05dae4c63d878p-2", "-0x1.aefbb63f9f12cp-5",
+        "-0x1.d083fbf5a3ec2p-2", "-0x1.f4c956c823c27p-3",
+        "0x1.1a1cc00000000p-35", "0x1.ab0a520000000p-36",
+        "0x1.ea03500000000p-35", "0x1.bef7c00000000p-36",
     ],
     "pi-gbm-00": [
-        "0x1.18fcda3742cafp-3", "-0x1.0ba1e73644a20p-2",
-        "0x1.3aa1b088ad95fp-4", "0x1.9faee36e62c64p-5",
-        "0x1.ee86800000000p-38", "0x1.47f8800000000p-37",
-        "0x1.e934300000000p-37", "0x1.9eee000000000p-41",
+        "0x1.18fcda3741b26p-3", "-0x1.0ba1e73643f5bp-2",
+        "0x1.3aa1b087eec98p-4", "0x1.9faee36e63b24p-5",
+        "0x1.6d90000000000p-44", "0x1.6e20000000000p-44",
+        "0x1.dd00000000000p-48", "0x1.28a0000000000p-46",
     ],
     "pi-gbm-10": [
-        "0x1.39cbf9de0221fp+1", "0x1.447604cc72274p-2",
-        "-0x1.d8f329ba5d0b4p+0", "0x1.5c63d02c49b0ep-6",
-        "0x1.3978c00000000p-34", "0x1.c460600000000p-35",
-        "0x1.53d1000000000p-35", "0x1.14ccd80000000p-38",
+        "0x1.39cbf9de01bb0p+1", "0x1.447604cc6dfc4p-2",
+        "-0x1.d8f329ba62330p+0", "0x1.5c63d02c3f8c8p-6",
+        "0x1.1330000000000p-37", "0x1.95fb800000000p-37",
+        "0x1.4680000000000p-38", "0x1.0586b00000000p-38",
     ],
     "pi-gbm-01": [
-        "-0x1.e85cb2c932564p+0", "-0x1.f9249536a5df2p-5",
-        "0x1.a5714cccec09cp+0", "-0x1.527cdfc7cfc88p-4",
-        "0x1.5060e90000000p-29", "0x1.1d2b612000000p-30",
-        "0x1.dc3d320000000p-28", "0x1.57b2700000000p-35",
+        "-0x1.e85cb2c932b60p+0", "-0x1.f9249536cad92p-5",
+        "0x1.a5714ccce551ap+0", "-0x1.527cdfc7c9ad7p-4",
+        "0x1.c63a000000000p-36", "0x1.9970f80000000p-37",
+        "0x1.2c24000000000p-38", "0x1.deb0000000000p-41",
     ],
     "pi-gbm-11": [
-        "0x1.46123c3043692p+0", "-0x1.cdc3262677514p+4",
-        "0x1.4781608a39a4cp+2", "0x1.fa1246d8b1e58p+1",
-        "0x1.31db2f4000000p-26", "0x1.53ff880000000p-28",
-        "0x1.d855200000000p-31", "0x1.40d5280000000p-31",
+        "0x1.46123c303fb01p+0", "-0x1.cdc32626777e1p+4",
+        "0x1.4781608a0ab06p+2", "0x1.fa1246d8b0cc8p+1",
+        "0x1.c2d9100000000p-33", "0x1.cf0d000000000p-33",
+        "0x1.c385000000000p-35", "0x1.6db5000000000p-36",
     ],
     "pi-gbm-02": [
-        "0x1.4564e9bcb0fe8p+1", "0x1.01a17eda0df14p+5",
-        "-0x1.d067ecce5f1c8p+2", "-0x1.70f9ce244775ap+2",
-        "0x1.bf26656300000p-19", "0x1.800eb61800000p-19",
-        "0x1.2936b23c00000p-21", "0x1.2ad8514000000p-23",
+        "0x1.4564e9bca29acp+1", "0x1.01a17eda0b7c6p+5",
+        "-0x1.d067ecce3aa44p+2", "-0x1.70f9ce244656ap+2",
+        "0x1.0ef4690000000p-27", "0x1.4f518c0000000p-26",
+        "0x1.ba50c00000000p-31", "0x1.4c78e80000000p-27",
     ],
     "ct-ou-square": [
-        "0x1.fffffffffb8a5p-3", "0x1.3200c00000000p-37",
+        "0x1.ffffffffffff9p-3", "0x1.3200000000000p-37",
     ],
     "ct-gbm-identity": [
-        "-0x1.6a2474bf70e8cp-8", "0x1.15fe426d8a83fp-35",
+        "-0x1.6a2474bf852dap-8", "0x1.14aaeced8a83fp-35",
     ],
     "ct-ou-dirac-prime": [
-        "0x1.63581eb825fcdp-2", "0x1.04cff00000000p-35",
+        "0x1.63581eb825832p-2", "0x1.04c1700000000p-35",
     ],
     "pairing-pi-square": [
-        "0x1.30200052ffc4dp-3", "0x1.2b143eea72286p-28",
+        "0x1.3020005305351p-3", "0x1.2b13dfdb4f174p-28",
     ],
     "pairing-pi-exp-abs": [
-        "0x1.d99b8c8756b8ap-3", "0x1.0227d38101391p-19",
+        "0x1.d99b8c876a5cdp-3", "0x1.0227d35195a79p-19",
     ],
     "distribution-pairing": [
         "0x1.23d9ad5c5f651p-1", "0x1.22a555477f039p-1",

@@ -113,11 +113,11 @@ DIGESTS = {
         0, "48ce9fecc0986dc264b582f87b739bf301c2b57e6ee592d6e8c7a02bd76e2406",
         "0245b3d301b93f40d220ff9a6367d1969d3ad4c9e64f0c337ec334c1e0089af6"),
     ("density", 1): (
-        0, "bf054f645deea50d82f7ce01e6752220750adedc0c50a9c7369fa6218e557ab2",
-        "f704e68cc92324cfa746cbf007c31e363d4b41fa653bb7aa11c1f2f9215bf47b"),
+        0, "8d5ced7047a65d5eb8e18ba2efc4e2a4704e7e612d54b4a0bafb1519a5417619",
+        "c8d21e5bb51e335778752313cd7aabd3762876d34e4ecfa27df45ec16261aabc"),
     ("density", 2): (
-        0, "bf054f645deea50d82f7ce01e6752220750adedc0c50a9c7369fa6218e557ab2",
-        "c5115ca8baf3d797eefac113e0af941ba7a12f0900adc84f30d510d82ae9900c"),
+        0, "8d5ced7047a65d5eb8e18ba2efc4e2a4704e7e612d54b4a0bafb1519a5417619",
+        "1afa1fdd208408d7aa9b9ceb1f954df81be47710de0d454e92e820fbaed0df7b"),
     ("greeks", 1): (
         0, "8da8a9abcc8a98dbfbd90950da75819c0176c1050e9c594c0e31947ff1628dd2",
         "e12d602df5fec8ee05c72fb5a51e7877af0454cb675110bd7b1a0c70c32f46db"),
@@ -125,11 +125,11 @@ DIGESTS = {
         0, "a049159eda3953b7cf5c244eaa380ccb849083fe2f131666e1f86c180efd8193",
         "ff89e474c78194ea763dd2598a958a875a4c9ccd31277e204c51c0df4e9e89ea"),
     ("bias-limit", 1): (
-        0, "c3fc044177feac1f4194264e956932c769449396aca55d5626906edde41baea1",
-        "403570f33d3954b38d9499d5baee023a9d60dbcb74ea0524bbf8b5260b186c46"),
+        0, "114eec12a3142926da884b25dd988dde343226741b8816affdc85015c141ca50",
+        "fc01d1a0ecdaa83687ff83b8f58aae70ec1d10d223b9a59e7619d11fe2ec2b2e"),
     ("bias-limit", 2): (
-        0, "649c85c5878aced52190655ba525013d1bb3c6a0e8a3766cccf9c49ff15225f6",
-        "d557d2a828b17ea632e46d982c2c771724f0b800fb4cb6d87dac20e9221928b5"),
+        0, "fdd5a2f45211430577fbb599dc6873a77260c89a9e143229cdd64b7f3cf2fc5d",
+        "4ae414b72fbafcce72498038173f662cc6d821e208a5d033a719e93f02b2dbc9"),
     ("tailbound", 1): (
         0, "0a0db4c0a3f6d17beb582eb72375f2fa55bd135caab4cb27239e81c356bcfcb8",
         "44f5f41206ea5d6f89b99aa6ca2c195cdda61e8bdfc999fc593bb42d05e68bec"),
@@ -137,11 +137,11 @@ DIGESTS = {
         0, "0a0db4c0a3f6d17beb582eb72375f2fa55bd135caab4cb27239e81c356bcfcb8",
         "b5f6016d18ae20f9e11d4dc6c2d5dd1e345e353105596564935e5dfc7d87da15"),
     ("tailbound-pi", 1): (
-        0, "4a4dabc09e7d23afaf229089da789c3e5a8cf0bb2e9811a2f69a4c7baab48026",
-        "16c7ca9f2b0cef35955c0d7948965dfe3a01bcf4b926c57a2160dfe6233c2e7c"),
+        0, "b530d38adf4bce37d8c3022cd55a0e1bd3cfc632b4bc80edf916740862193008",
+        "c3365f52c41388411cc6bf49958693fd8a910419b78c836ecde05ade93998ee7"),
     ("tailbound-pi", 2): (
-        0, "4a4dabc09e7d23afaf229089da789c3e5a8cf0bb2e9811a2f69a4c7baab48026",
-        "94437ea3f3bef6ac1daccb099493d9ee3d7962190dccfae2acb88315d43bb8ba"),
+        0, "b530d38adf4bce37d8c3022cd55a0e1bd3cfc632b4bc80edf916740862193008",
+        "30929383b8d4cf74bedc892892ea218b84cf3175d268df8ba6960d2075d8d103"),
     ("criterion-10-weak-rate", 1): (
         0, "297409ea43d206f0d89f7b70cc7868f6df02ac5dfffce6c9acb895a0ac300eb8",
         "2a074764b5dc3c4d607de9339b644f98259d5873fbc1a3649395a0f42900e7f2"),
