@@ -1,4 +1,4 @@
-"""Before/after record of the Euler step, written to BENCH_euler_step.json.
+"""Before/after record of the Euler step, appended to BENCH_euler_step.json.
 
     python3 bench/euler_step.py --before OLD --after NEW \
         [--reps 8] [--pairs 10] [--seconds 30] [--workloads mc-ladder]
@@ -72,6 +72,20 @@ def _summary(before, after, lower_is_better):
             "pairs": len(before)}
 
 
+def append_record(path, record):
+    """Append record to the list of records in the JSON file at path; a
+    file that holds one record, a dict, is read as a one-record list."""
+    records = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            records = json.load(fh)
+    if isinstance(records, dict):
+        records = [records]
+    with open(path, "w") as fh:
+        json.dump(records + [record], fh, indent=1)
+        fh.write("\n")
+
+
 def _child(tree, args, cwd=None):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                WEAKLAB_WORKERS="1")
@@ -141,7 +155,8 @@ def main():
              "after": os.path.abspath(args.after)}
     import numpy
     import scipy
-    record = {"machine": {"nproc": os.cpu_count(),
+    record = {"command": " ".join(["python3"] + sys.argv),
+              "machine": {"nproc": os.cpu_count(),
                           "affinity": len(os.sched_getaffinity(0)),
                           "python": platform.python_version(),
                           "numpy": numpy.__version__,
@@ -151,9 +166,7 @@ def main():
               "perfbench": {w: harness_rows(trees, w, args.pairs,
                                             args.seconds)
                             for w in args.workloads.split(",") if w}}
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    append_record(args.out, record)
 
 
 if __name__ == "__main__":

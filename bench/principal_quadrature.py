@@ -1,4 +1,4 @@
-"""Before/after record of the principal-term quadrature, written to
+"""Before/after record of the principal-term quadrature, appended to
 BENCH_principal_quadrature.json.
 
     python3 bench/principal_quadrature.py --before OLD --after NEW \
@@ -38,7 +38,7 @@ import resource
 import sys
 import time
 
-from euler_step import ROOT, _child, _summary, harness_rows
+from euler_step import ROOT, _child, _summary, append_record, harness_rows
 
 ROUTINES = ["pi", "ct-ou-square", "ct-gbm-identity", "pairing",
             "heldout-grid"]
@@ -130,9 +130,7 @@ def main():
               "perfbench": {w: harness_rows(trees, w, args.pairs,
                                             args.seconds, args.seed0)
                             for w in args.workloads.split(",") if w}}
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    append_record(args.out, record)
 
 
 if __name__ == "__main__":

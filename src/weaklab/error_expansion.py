@@ -122,8 +122,9 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
     dgs = [[g.deriv(k) for k in range(4)] for g in gs]
 
     def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The inner integrals at the time nodes s, all on one half, of the
-        given rows, time-major: pair j len(rows) + k is (s[j], rows[k])."""
+        """The (R, len(s)) inner integrals of the given rows at the time
+        nodes s, which split_time_rows passes one half at a time; the
+        block is time-major, pair j len(rows) + k being (s[j], rows[k])."""
         left_half = s[0] <= split * t
         pr, ps = np.tile(rows, s.size), np.repeat(s, rows.size)
         tau = t - ps
@@ -149,17 +150,11 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
                                       rtol=1e-10)
         inner_err[rows] = np.maximum(
             inner_err[rows], err.reshape(s.size, rows.size).max(axis=0))
-        return val.reshape(s.size, rows.size).T
+        # in C order: a transposed view reaches _composite_gl's sums
+        # strided, and they round differently
+        return np.ascontiguousarray(val.reshape(s.size, rows.size).T)
 
-    def sweep(ss: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out = np.empty((rows.size, ss.size))
-        left = ss <= split * t
-        for half in (left, ~left):
-            if half.any():
-                out[:, half] = integrand(ss[half], rows)
-        return out
-
-    val, terr = split_time_rows(sweep, t, tol=tol, split=split,
+    val, terr = split_time_rows(integrand, t, tol=tol, split=split,
                                 size=inner_err.size)
     return 0.5 * val, 0.5 * terr + t * inner_err
 
@@ -267,11 +262,12 @@ def check_tail_bound(spec: TailBoundSpec, grid, values) -> dict:
     non-finite kernel value or ratio (a NaN kernel, say, or a NaN c1) is
     no certificate, nor is a zero or infinite envelope (c1 = 0 for a
     kernel that underflows to 0, c1 = inf from an overflowing fit): the
-    first one makes the ratio inf, at that point.  A values list whose
-    length is not the grid's raises ValueError.
+    first one makes the ratio inf, at that point.  An empty grid, or a
+    values list whose length is not the grid's, raises ValueError.
     """
-    if len(values) != len(grid):
-        raise ValueError("one kernel value per grid point required")
+    if len(values) != len(grid) or not len(grid):
+        raise ValueError("one kernel value per point of a non-empty grid "
+                         "required")
     worst, argmax = 0.0, None
     for (t, x, y), v in zip(grid, values):
         env = float(spec.envelope(t, x, y))
@@ -294,7 +290,8 @@ def _exp_or_inf(u: float) -> float:
 
 def fit_tail_bound(l: int, grid, values) -> TailBoundSpec:
     """Fit certificate constants to the kernel values values[i] at the
-    points grid[i] of (t, x, y); the lengths must agree (ValueError).
+    points grid[i] of (t, x, y); an empty grid, or lengths that disagree,
+    raise ValueError.
 
     c2 is grid-searched over {0.05, 0.10, ..., 3}: the largest decay rate
     is kept for which the implied scale constant has not blown up (stays
@@ -303,8 +300,9 @@ def fit_tail_bound(l: int, grid, values) -> TailBoundSpec:
     grid by construction.  A scale past the float range is inf, so the
     search stops there (or c1 is inf, which check_tail_bound fails).
     """
-    if len(values) != len(grid):
-        raise ValueError("one kernel value per grid point required")
+    if len(values) != len(grid) or not len(grid):
+        raise ValueError("one kernel value per point of a non-empty grid "
+                         "required")
     e = 0.5 * (1 + l)
     vals = [(t, (x - y) ** 2 / t, abs(v))
             for (t, x, y), v in zip(grid, values)]

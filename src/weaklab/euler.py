@@ -2,10 +2,9 @@
 one Brownian motion, the exact Gaussian law of a 1-D affine model's chain,
 and moment estimation.
 
-One Euler step evaluates the coefficients once, into arrays the loop
-reuses: every 1-D model's drift_diffusion fills drift and diffusion there
-(tanh-vol from one tanh), and a model without one has its drift and
-diffusion copied in.  For d = r = 1 the step is scalar: b dt, then
+One Euler step evaluates the coefficients once: the model's
+drift_diffusion writes its drift and diffusion into arrays the loop reuses
+(tanh-vol from one tanh).  For d = r = 1 the step is scalar: b dt, then
 sigma dB, formed in those arrays and added in place, with the increment
 broadcast over the start points; other models step with an einsum over
 increments repeated per start.
@@ -87,8 +86,6 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     level sums the increments it spans in a buffer that is reset in place
     after its step.  For d = r = 1 a step adds b dt, then sigma dB, in
     place to the level's state seen as one row of `size` paths per start.
-    The coefficients live in two arrays the loop owns, so the step never
-    writes into an array that drift or diffusion returned.
     """
     if any(n != int(n) or n < 1 for n in ns):
         raise ValueError(f"resolutions must be positive integers; got {ns}")
@@ -108,11 +105,10 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     states = {n: x0.copy() for n in ns}
     buffers = {n: np.zeros((size, r)) for n in coarse}
     done = dict.fromkeys(ns, 0)  # steps taken at each level
-    fused = model.drift_diffusion or _copied_coefficients(model)
     b, sig = np.empty((k * size, d)), np.empty((k * size, d, r))
 
     def step(n, dt, dB):
-        fused(states[n], b, sig)
+        model.drift_diffusion(states[n], b, sig)
         if d == r == 1:
             rows = states[n].reshape(k, size)
             bdt, sdb = b.reshape(k, size), sig.reshape(k, size)
@@ -148,15 +144,6 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
         if dt_last > 1e-14:
             step(n, dt_last, buffers[n])
     return states
-
-
-def _copied_coefficients(model: SdeModel):
-    """A drift_diffusion for a model without one: its drift and diffusion,
-    copied into the loop's arrays."""
-    def fill(x, b, sig):
-        b[...] = model.drift(x)
-        sig[...] = model.diffusion(x)
-    return fill
 
 
 def simulate_coupled(model: SdeModel, x, n: int, t: float, rng: RngStream,

@@ -6,10 +6,11 @@ Ornstein-Uhlenbeck (Gaussian laws for both the diffusion and its Euler
 chain), geometric Brownian motion (lognormal law; constant coefficients
 after the log transform), and a bounded tanh-volatility model in log
 coordinates (smooth bounded coefficients, uniformly elliptic, no closed
-form).  A 1-D model's Euler drift and diffusion are its oracles b and
-sigma; those with an exact density also state b and a = sigma sigma^T as
-polynomials, and the affine ones (constant, OU) take the oracles, the
-polynomials and the exact law from the three numbers of their SDE.
+form).  Every model states its Euler drift b and diffusion sigma once,
+as the writer drift_diffusion; those with an exact density also state b
+and a = sigma sigma^T as polynomials, and the affine ones (constant, OU)
+take the writer, the polynomials and the exact law from the three numbers
+of their SDE.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ class SdeModel:
     name: str
     dim_d: int
     dim_r: int
-    drift: Callable        # (N, d) -> (N, d)
-    diffusion: Callable    # (N, d) -> (N, d, r)
+    # (x, b, sig) -> None: the model's Euler coefficients at the points x,
+    # shape (N, d), from one evaluation: writes the drift into b, shape
+    # (N, d), and the diffusion into sig, shape (N, d, r).  The Euler step
+    # calls it on arrays it reuses every step.
+    drift_diffusion: Callable
     flag_B: bool = False
     flag_C: bool = False
     ellipticity_eta: Optional[float] = None
@@ -45,23 +49,21 @@ class SdeModel:
     # (b, a), two numpy Polynomials, of a 1-D model whose drift b and
     # a = sigma sigma^T are polynomials in x: what L2* is formed from
     poly: Optional[tuple] = None
-    # (x, b, sig) -> None: writes drift(x) into b, shape (N, d), and
-    # diffusion(x) into sig, shape (N, d, r), bit for bit, from one
-    # evaluation.  The Euler step calls it in place of drift and diffusion,
-    # on arrays it reuses every step.  Every 1-D model sets it (tanh-vol
-    # shares one tanh between the two); the d-dim constant model has its
-    # drift and diffusion copied in.
-    drift_diffusion: Optional[Callable] = None
 
+    def drift(self, x) -> np.ndarray:
+        """The drift at the points x, shape (N, d), on a fresh array."""
+        return self._coefficients(x)[0]
 
-def _model_1d(name: str, b: Callable, sigma: Callable, dim_r: int = 1,
-              **fields) -> SdeModel:
-    """A 1-D model whose Euler drift and diffusion are the oracles b and
-    sigma; sigma(x) has the shape of x, with a trailing axis of r entries
-    for a model driven by r > 1 Brownian motions."""
-    return SdeModel(
-        name=name, dim_d=1, dim_r=dim_r, drift=b,
-        diffusion=lambda x: sigma(x).reshape(x.shape[0], 1, dim_r), **fields)
+    def diffusion(self, x) -> np.ndarray:
+        """The diffusion at the points x, shape (N, d, r), likewise."""
+        return self._coefficients(x)[1]
+
+    def _coefficients(self, x):
+        x = np.asarray(x, dtype=float)
+        b = np.empty((x.shape[0], self.dim_d))
+        sig = np.empty((x.shape[0], self.dim_d, self.dim_r))
+        self.drift_diffusion(x, b, sig)
+        return b, sig
 
 
 def affine_triple(model: SdeModel) -> Optional[tuple]:
@@ -77,13 +79,12 @@ def affine_triple(model: SdeModel) -> Optional[tuple]:
 
 def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     """dX = (m X + c) dt + s dB, with s a number or the row of r
-    diffusion coefficients: the oracles, the polynomials b = m x + c and
+    diffusion coefficients: the writer, the polynomials b = m x + c and
     a = s s^T, and the exact Gaussian law p(t, x, .) = N(A x + c(t), V) all
     come from (m, c, s).  Both callers require a > 0, so (C) holds with
     eta = a."""
     S = np.array(s, dtype=float).reshape(1, -1)
     a = float((S @ S.T)[0, 0])
-    row = S[0] if S.shape[1] > 1 else S[0, 0]
 
     def law(t):
         if m == 0:
@@ -95,14 +96,12 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     def drift_diffusion(x, b, sig):
         np.multiply(m, x, out=b)
         b += c
-        sig[...] = row
+        sig[...] = S[0]
 
-    return _model_1d(name, lambda x: m * np.asarray(x, dtype=float) + c,
-                     lambda x: np.full(np.shape(x) + np.shape(row), row),
-                     dim_r=S.shape[1], flag_C=True, ellipticity_eta=a,
-                     exact_density=AffineGaussianDensity(law),
-                     poly=(Polynomial([c, m]), Polynomial([a])),
-                     drift_diffusion=drift_diffusion, **flags)
+    return SdeModel(name, 1, S.shape[1], drift_diffusion, flag_C=True,
+                    ellipticity_eta=a,
+                    exact_density=AffineGaussianDensity(law),
+                    poly=(Polynomial([c, m]), Polynomial([a])), **flags)
 
 
 def make_constant_model(b0, s0) -> SdeModel:
@@ -119,13 +118,14 @@ def make_constant_model(b0, s0) -> SdeModel:
     if d == 1:
         return _affine_model_1d("constant", 0.0, float(b0[0]), s0[0],
                                 flag_B=True)
-    return SdeModel(
-        name="constant", dim_d=d, dim_r=r,
-        drift=lambda x: np.broadcast_to(b0, x.shape).copy(),
-        diffusion=lambda x: np.broadcast_to(s0, (x.shape[0], d, r)).copy(),
-        flag_B=True, flag_C=True, ellipticity_eta=eta,
-        exact_density=MultivariateGaussianDensity(b0, a),
-    )
+
+    def drift_diffusion(x, b, sig):
+        b[...] = b0
+        sig[...] = s0
+
+    return SdeModel("constant", d, r, drift_diffusion, flag_B=True,
+                    flag_C=True, ellipticity_eta=eta,
+                    exact_density=MultivariateGaussianDensity(b0, a))
 
 
 def is_constant(model: SdeModel) -> bool:
@@ -158,13 +158,10 @@ def make_gbm_model(mu: float, sigma0: float) -> SdeModel:
         np.multiply(mu, x, out=b)
         np.multiply(sigma0, x[..., None], out=sig)
 
-    return _model_1d("gbm", lambda x: mu * np.asarray(x, dtype=float),
-                     lambda x: sigma0 * np.asarray(x, dtype=float),
-                     flag_B=False, flag_C=False,
-                     exact_density=LognormalDensity(mu, sigma0),
-                     poly=(Polynomial([0.0, mu]),
-                           Polynomial([0.0, 0.0, sigma0**2])),
-                     drift_diffusion=drift_diffusion)
+    return SdeModel("gbm", 1, 1, drift_diffusion, flag_B=False,
+                    flag_C=False, exact_density=LognormalDensity(mu, sigma0),
+                    poly=(Polynomial([0.0, mu]),
+                          Polynomial([0.0, 0.0, sigma0**2])))
 
 
 def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
@@ -177,11 +174,8 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
     if not b0 > abs(c0) > 0:
         raise AssumptionViolation("need b0 > |c0| > 0 for bounded elliptic volatility")
 
-    def sig(x):
-        return b0 + c0 * np.tanh(np.asarray(x, dtype=float))
-
     def drift_diffusion(x, b, s):
-        # sig, then a0 - 0.5 sig^2, in the operation order of sig and b
+        # sigma = b0 + c0 tanh x, then b = a0 - sigma^2/2 from it: one tanh
         np.tanh(x[..., None], out=s)
         s *= c0
         s += b0
@@ -189,10 +183,8 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
         b *= 0.5
         np.subtract(a0, b, out=b)
 
-    return _model_1d("tanh_vol", lambda x: a0 - 0.5 * sig(x) ** 2, sig,
-                     flag_B=True, flag_C=True,
-                     ellipticity_eta=(b0 - abs(c0)) ** 2,
-                     drift_diffusion=drift_diffusion)
+    return SdeModel("tanh_vol", 1, 1, drift_diffusion, flag_B=True,
+                    flag_C=True, ellipticity_eta=(b0 - abs(c0)) ** 2)
 
 
 class MissingDensity(RuntimeError):

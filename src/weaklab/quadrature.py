@@ -61,13 +61,16 @@ def node_doubling(value_at, rtol: float, atol: float, start: int,
     and returns their values and magnitudes sum_i |W_i f_i| under the
     m-node rule (scalars will do when size is 1).  Returns arrays
     (value, err, converged), err being each element's last disagreement
-    (inf when only one rule was evaluated).
+    (inf when only one rule was evaluated); empty ones when size is 0,
+    without a call to value_at.
     """
     rows = np.arange(size)
     val = np.empty(size)
-    val[:] = value_at(start, rows)[0]
     err = np.full(size, math.inf)
     converged = np.zeros(size, dtype=bool)
+    if not size:
+        return val, err, converged
+    val[:] = value_at(start, rows)[0]
     m = start
     while m < max_nodes and rows.size:
         m *= 2

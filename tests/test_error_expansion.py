@@ -227,6 +227,16 @@ def test_pi_rows_unconverged_grid_matches_one_point_pi():
     assert 0 < converged.sum() < converged.size
 
 
+@pytest.mark.parametrize("model", [ou(), gbm()], ids=["ou", "gbm"])
+def test_empty_rows_give_empty_arrays(model):
+    # node_doubling evaluated its first rule on no rows, and
+    # gauss_hermite_rows returns an empty tuple for no blocks: IndexError
+    vals, errs = ee.pi_rows(model, 0.5, [], [])
+    assert vals.shape == errs.shape == (0,)
+    vals, errs = quad.gauss_hermite_rows(lambda z, rows: z, [], 1.0)
+    assert vals.shape == errs.shape == (0,)
+
+
 def test_pi_is_one_element_case_of_pi_rows():
     m = ou()
     pe = ee.principal_density_pi(m, 0.6, -0.2, 0.5, 0, 1, tol=1e-7,
@@ -394,6 +404,15 @@ def test_fit_tail_bound_past_the_float_range():
     assert spec.c1 == math.inf
     assert ee.check_tail_bound(spec, far, tiny)["max_violation_ratio"] \
         == math.inf
+
+
+def test_tail_bound_rejects_an_empty_grid():
+    # the check used to certify no points with ratio 0.0, and the fit to
+    # fail on a bare max() of an empty sequence
+    with pytest.raises(ValueError, match="non-empty grid"):
+        ee.fit_tail_bound(0, [], [])
+    with pytest.raises(ValueError, match="non-empty grid"):
+        ee.check_tail_bound(ee.TailBoundSpec(l=0, c1=1.0, c2=0.5), [], [])
 
 
 def test_tail_bound_rejects_values_one_short_of_the_grid():

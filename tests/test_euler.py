@@ -131,22 +131,6 @@ def test_multi_start_blocks_match_single_starts(model, starts, ns, t, size):
         simulate_euler(model, starts[1], ns[0], t, RngStream(4, 1), size))
 
 
-@pytest.mark.parametrize("s0", [[[0.3]], [[0.3, 0.4]]], ids=["r1", "r2"])
-def test_step_leaves_coefficient_arrays_unchanged(s0):
-    # a model without drift_diffusion: the step writes only into arrays it
-    # owns, never into what drift or diffusion returned, even when they
-    # return one shared array
-    model, size = make_constant_model([0.1], s0), 64
-    model.drift_diffusion = None
-    b = np.full((size, 1), 0.1)
-    sig = np.full((size, 1, model.dim_r), 0.3)
-    model.drift = lambda x: b
-    model.diffusion = lambda x: sig
-    out = simulate_ladder(model, [0.5], [2, 4], 0.9, RngStream(6, 2), size)
-    assert np.all(b == 0.1) and np.all(sig == 0.3)
-    assert not np.shares_memory(out[4], b)
-
-
 def test_start_points_must_match_dimension():
     m = make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]])
     with pytest.raises(ValueError):

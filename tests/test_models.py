@@ -89,16 +89,41 @@ def test_affine_triple_reads_the_polynomials():
         assert affine_triple(m) is None
 
 
-@pytest.mark.parametrize("model", [
-    make_ou_model(2.0, 0.5), make_constant_model([0.2], [[0.5]]),
-    make_constant_model([0.1], [[0.3, 0.4]]), make_gbm_model(0.1, 0.2),
-    make_bounded_vol_model(0.05, 0.6, 0.5)], ids=lambda m: m.name)
-def test_fused_coefficients_are_drift_and_diffusion(model):
-    x = np.concatenate([[-40.0, 40.0], np.linspace(-5.0, 5.0, 1001)])[:, None]
-    b, sig = np.empty((1003, 1)), np.empty((1003, 1, model.dim_r))
+def _tanh_vol_reference(x):
+    sig = 0.6 + 0.5 * np.tanh(x)
+    return 0.05 - 0.5 * sig ** 2, sig[..., None]
+
+
+# (model, reference): each model's drift and diffusion in closed form, the
+# operations in the order the writer performs them, so they agree bit for bit
+FUSED_CASES = [
+    (make_ou_model(2.0, 0.5),
+     lambda x: (-2.0 * x + 0.0, np.full(x.shape + (1,), 0.5))),
+    (make_constant_model([0.2], [[0.5]]),
+     lambda x: (0.0 * x + 0.2, np.full(x.shape + (1,), 0.5))),
+    (make_constant_model([0.1], [[0.3, 0.4]]),
+     lambda x: (0.0 * x + 0.1, np.broadcast_to([0.3, 0.4], x.shape + (2,)))),
+    (make_gbm_model(0.1, 0.2), lambda x: (0.1 * x, 0.2 * x[..., None])),
+    (make_bounded_vol_model(0.05, 0.6, 0.5), _tanh_vol_reference),
+    (make_constant_model([0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]]),
+     lambda x: (np.broadcast_to([0.1, -0.2], x.shape),
+                np.broadcast_to([[0.3, 0.1], [0.0, 0.4]], x.shape + (2,)))),
+]
+
+
+@pytest.mark.parametrize("case", FUSED_CASES, ids=lambda c: c[0].name)
+def test_fused_coefficients_are_drift_and_diffusion(case):
+    model, reference = case
+    x1 = np.concatenate([[-40.0, 40.0], np.linspace(-5.0, 5.0, 1001)])
+    x = np.repeat(x1[:, None], model.dim_d, axis=1)
+    b = np.empty((1003, model.dim_d))
+    sig = np.empty((1003, model.dim_d, model.dim_r))
     model.drift_diffusion(x, b, sig)
-    assert b.tobytes() == model.drift(x).tobytes()
-    assert sig.tobytes() == model.diffusion(x).tobytes()
+    want_b, want_sig = reference(x)
+    assert b.tobytes() == want_b.tobytes()
+    assert sig.tobytes() == want_sig.tobytes()
+    assert model.drift(x).tobytes() == b.tobytes()
+    assert model.diffusion(x).tobytes() == sig.tobytes()
 
 
 def test_constant_model_with_two_noises_is_1d_affine():
