@@ -20,17 +20,28 @@ all of its nodes in one broadcast block: the time nodes of one sweep of
 the time rule share one Gauss-Hermite block whose rows are (time node,
 point) pairs, each doubling its own nodes; d^gamma P_tau f runs over
 every z node of the outer rule at once; and pi runs over arrays of (x, y)
-points, one row each.  The densities take the time nodes as arrays.  A
-row's value and error do not depend on the rows beside it, nor on where
-quadrature.BLOCK_ELEMENTS cuts a block.
+points, one row each.  A row's value and error do not depend on the rows
+beside it, nor on where quadrature.BLOCK_ELEMENTS cuts a block.
+
+Work that is fixed per model or per time is done once.  The derivatives
+of g*_1..3 are coefficient arrays, built once per model's polynomials
+and kept in a small bounded cache.  Each sweep builds one time table of
+the density for its s nodes and one for its t - s nodes
+(gaussian.time_table), and every block of the sweep reads its rows of
+them; each block asks the density for all the orders it needs in one
+derivs call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from .euler import euler_density_1d
 from .models import SdeModel, is_constant, pair_density, require_density
@@ -77,39 +88,72 @@ def l2star_coefficients(model: SdeModel):
         g1 = -(b b' + a b''/2),  g2 = -(b a'/2 + a b' + a a''/4),
         g3 = -a a'/2;
     ValueError for a model without polynomial coefficients."""
+    return _l2star(*_poly(model))
+
+
+def _poly(model: SdeModel):
     if model.poly is None:
         raise ValueError(
             f"model {model.name!r} has no polynomial coefficients")
-    b, a = model.poly
+    return model.poly
+
+
+def _l2star(b, a):
     db, da = b.deriv(), a.deriv()
     return (-(b * db + 0.5 * a * db.deriv()),
             -(0.5 * b * da + a * db + 0.25 * a * da.deriv()),
             -0.5 * a * da)
 
 
-def _by_parts(dens, dgs, s: float, x0: np.ndarray, alpha: int, z):
+def l2star_table(model: SdeModel):
+    """dgs with dgs[g - 1][k] the coefficient array of the k-th derivative
+    of g*_g, k = 0..3, read-only: polyval(z, dgs[g - 1][k]) is
+    l2star_coefficients(model)[g - 1].deriv(k)(z) bit for bit (the model's
+    polynomials live on numpy's default domain, which maps z to itself).
+    Built once per pair of coefficient arrays; ValueError, and no cache
+    entry, for a model without polynomial coefficients."""
+    b, a = _poly(model)
+    return _l2star_table(b.coef.tobytes(), a.coef.tobytes())
+
+
+# keyed on the bytes of b's and a's coefficients, which tell -0.0 from
+# 0.0; a few models at once is all a study or a test suite uses
+@lru_cache(maxsize=8)
+def _l2star_table(b: bytes, a: bytes):
+    gs = _l2star(Polynomial(np.frombuffer(b)), Polynomial(np.frombuffer(a)))
+    dgs = tuple(tuple(g.deriv(k).coef for k in range(4)) for g in gs)
+    for c in chain.from_iterable(dgs):
+        c.flags.writeable = False
+    return dgs
+
+
+def _by_parts(dens, dgs, table, x0: np.ndarray, alpha: int, z):
     """sum_g (-1)^g d^g/dz^g [g*_g(z) d^alpha_x p(s, x0, z)] at the nodes z:
     the derivatives L2* produced, moved onto p(s, x0, .) and the
     polynomial coefficients by the Leibniz rule, every one exact, with
-    dgs[g - 1][k] the k-th derivative of g*_g.  x0 broadcasts against z,
-    one start point per row."""
-    dp = [dens.deriv(alpha, j, s, x0, z) for j in range(4)]
+    dgs = l2star_table(model) and table the density's time table at s.
+    x0 broadcasts against z, one start point per row."""
+    dp = dens.derivs([(alpha, j) for j in range(4)], table, x0, z)
     acc = 0.0
     for g in (1, 2, 3):
         sign = (-1.0) ** g
         for k in range(g + 1):
-            acc = acc + sign * math.comb(g, k) * dgs[g - 1][k](z) * dp[g - k]
+            acc = acc + sign * math.comb(g, k) * polyval(z, dgs[g - 1][k]) \
+                * dp[g - k]
     return acc
 
 
-def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
-                    inner_err: np.ndarray, tol: float, split: float = 0.5,
-                    target=None):
+def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
+                    kernel, inner_err: np.ndarray, tol: float,
+                    split: float = 0.5, target=None):
     """1/2 int_0^t int d^alpha_x p(s, x0, z) L2*[K(t-s, .)](z) dz ds for
-    every row of inner_err, row k starting at x0[k].
+    every row of inner_err, row k starting at x0[k], with
+    dgs = l2star_table(model).
 
-    kernel(gamma, tau, z, rows) is d^gamma_z K(tau, z) for the given rows
-    at their nodes z, row k of z at time tau[k], a column.  On the left
+    kernel(tau, rows) sets K up for one sweep, whose pair j is row rows[j]
+    at time tau[j], and returns at(gammas, z, r): the list of
+    d^gamma_z K(tau[r], z) for gamma in gammas, for the pairs r at their
+    nodes z, pair r[i] on row i of z.  On the left
     half the derivatives of L2* stay on K; on the right half they move onto
     p(s, x0, .) by parts.  Both halves centre on p(s, x0, .), unless the
     target y of each row is given: then the right half centres one rule per
@@ -119,8 +163,6 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
     error, which a kernel may raise too; non-finite errors are kept.
     Returns (values, quad_errors).
     """
-    dgs = [[g.deriv(k) for k in range(4)] for g in gs]
-
     def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The (R, len(s)) inner integrals of the given rows at the time
         nodes s, which split_time_rows passes one half at a time; the
@@ -132,19 +174,20 @@ def _principal_rows(dens, gs, t: float, x0: np.ndarray, alpha: int, kernel,
             mean, std, push, dpush = dens.gauss_coords(ps, x0[pr])
         else:
             mean, std, push, dpush = dens.center_on_target(tau, target[pr])
+        at_s, at_tau = dens.time_table(ps, alpha + 3), kernel(tau, pr)
         if left_half:
             def fn(z, r):
+                ks = at_tau((1, 2, 3), z, r)
                 acc = 0.0
                 for g in (1, 2, 3):
-                    acc = acc + dgs[g - 1][0](z) * kernel(g, tau[r, None],
-                                                          z, pr[r])
-                return dens.deriv(alpha, 0, ps[r, None], x0[pr[r], None],
-                                  z) * acc
+                    acc = acc + polyval(z, dgs[g - 1][0]) * ks[g - 1]
+                return dens.derivs(((alpha, 0),), at_s[:, r, None],
+                                   x0[pr[r], None], z)[0] * acc
         else:
             def fn(z, r):
-                return kernel(0, tau[r, None], z, pr[r]) \
-                    * _by_parts(dens, dgs, ps[r, None], x0[pr[r], None],
-                                alpha, z)
+                return at_tau((0,), z, r)[0] \
+                    * _by_parts(dens, dgs, at_s[:, r, None],
+                                x0[pr[r], None], alpha, z)
 
         val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
                                       rtol=1e-10)
@@ -178,22 +221,30 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     dens = require_density(model)
     inner_err = np.zeros(1)
 
-    def pf_deriv(gamma: int, tau: np.ndarray, z: np.ndarray,
-                 rows) -> np.ndarray:
-        """d^gamma/dz^gamma of P_tau f at every node of z, row k of z at
-        time tau[k], by one Gauss-Hermite block over all of them."""
-        zs = z.ravel()
-        taus = np.broadcast_to(tau, z.shape).ravel()
-        mean, std, push, dpush = dens.gauss_coords(taus, zs)
-        # f reads a 2-D array as (N, d) paths, so it gets the block flat
-        val, err = gauss_hermite_rows(
-            lambda yy, r: f(yy.ravel()).reshape(yy.shape)
-            * dens.deriv(gamma, 0, taus[r, None], zs[r, None], yy),
-            mean, std, push=push, dpush=dpush, rtol=1e-10)
-        inner_err[:] = np.maximum(inner_err, err.max())
-        return val.reshape(z.shape)
+    def pf_deriv(tau: np.ndarray, rows):
+        def at(gammas, z: np.ndarray, r) -> list:
+            """d^gamma/dz^gamma of P_tau f at every node of z, row i of z
+            at time tau[r[i]], by one Gauss-Hermite block over all of them
+            per gamma."""
+            zs = z.ravel()
+            taus = np.broadcast_to(tau[r, None], z.shape).ravel()
+            table = dens.time_table(taus, max(gammas))
+            mean, std, push, dpush = dens.gauss_coords(taus, zs)
+            out = []
+            for gamma in gammas:
+                # f reads a 2-D array as (N, d) paths, so it gets the
+                # block flat
+                val, err = gauss_hermite_rows(
+                    lambda yy, q: f(yy.ravel()).reshape(yy.shape)
+                    * dens.derivs(((gamma, 0),), table[:, q, None],
+                                  zs[q, None], yy)[0],
+                    mean, std, push=push, dpush=dpush, rtol=1e-10)
+                inner_err[:] = np.maximum(inner_err, err.max())
+                out.append(val.reshape(z.shape))
+            return out
+        return at
 
-    val, err = _principal_rows(dens, l2star_coefficients(model), t,
+    val, err = _principal_rows(dens, l2star_table(model), t,
                                np.array([x0]), 0, pf_deriv, inner_err, tol)
     return float(val[0]), float(err[0])
 
@@ -218,11 +269,13 @@ def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
         return np.zeros(ys.size), np.zeros(ys.size)
     dens = require_density(model)
 
-    def kernel(gamma, tau, z, rows):
-        return dens.deriv(gamma, beta, tau, z, ys[rows, None])
+    def kernel(tau, rows):
+        table, yk = dens.time_table(tau, 3 + beta), ys[rows]
+        return lambda gammas, z, r: dens.derivs(
+            [(g, beta) for g in gammas], table[:, r, None], z, yk[r, None])
 
-    return _principal_rows(dens, l2star_coefficients(model), t, xs, alpha,
-                           kernel, np.zeros(ys.size), tol, split, target=ys)
+    return _principal_rows(dens, l2star_table(model), t, xs, alpha, kernel,
+                           np.zeros(ys.size), tol, split, target=ys)
 
 
 def pi_converged(quad_errors, tol: float = 1e-8):

@@ -10,6 +10,15 @@ p(t, x, y) = phi(y; A(t) x + c(t), V(t)) one has
 This covers the exact laws of the constant-coefficient and
 Ornstein-Uhlenbeck models and the exact Gaussian law of the Euler chain
 for affine models.
+
+Both 1-D densities split a derivative into per-time floats and an array
+part.  time_table(t, kmax) holds every per-time float a derivative of
+total order at most kmax needs, computed once per distinct time;
+derivs(orders, table, x, y) returns any number of (alpha, beta) orders
+from one table, one u and one exponential, and deriv is its one-order
+case.  A caller that asks for many orders, or for the same times in many
+blocks, builds the table once and passes it, or its row slice
+table[:, r].
 """
 
 from __future__ import annotations
@@ -39,28 +48,29 @@ def normal_pdf(y, mean, var):
 def normal_pdf_dy(k: int, y, mean, var):
     """k-th derivative in y of the N(mean, var) density."""
     s = np.sqrt(var)
-    return _pdf_dy(k, y, mean, s, s**k)
+    return _pdf_dys((k,), y, mean, s, {k: s**k})[k]
 
 
-def _pdf_dy(k: int, y, mean, s, sk):
-    """normal_pdf_dy given s = sqrt(var) and sk = s^k."""
+def _pdf_dys(ks, y, mean, s, sk):
+    """{k: normal_pdf_dy at order k} for every k in ks, from one u and one
+    exponential, given s = sqrt(var) and sk[k] = s^k."""
     u = (np.asarray(y, dtype=float) - mean) / s
     base = np.exp(-0.5 * u * u) / (s * _SQRT2PI)
-    if k == 0:
-        return base
-    return ((-1.0) ** k) * hermite_He(k, u) * base / sk
+    return {k: base if k == 0 else
+            ((-1.0) ** k) * hermite_He(k, u) * base / sk[k] for k in ks}
 
 
 def _per_time(fn, t, *args):
-    """fn(t, *args), a tuple of floats, at a scalar t.  At an array t, the
-    tuple's entries as arrays of t's shape, entry i equal to fn at t[i] bit
-    for bit: fn runs on floats, once per run of equal neighbouring entries,
-    and never on an array, whose exp and power may round otherwise."""
+    """fn(t, *args), a tuple of floats, at a scalar t.  At an array t, an
+    array of shape (len(tuple),) + t.shape, entry [:, i] equal to fn at
+    t[i] bit for bit: fn runs on floats, once per run of equal neighbouring
+    entries, and never on an array, whose exp and power may round
+    otherwise."""
     if np.ndim(t) == 0:
         return fn(float(t), *args)
     t = np.asarray(t, dtype=float)
     if t.size == 0:
-        return tuple(np.empty((len(fn(1.0, *args)),) + t.shape))
+        return np.empty((len(fn(1.0, *args)),) + t.shape)
     flat = t.ravel()
     first = np.empty(flat.size, dtype=bool)   # where each run starts
     first[0] = True
@@ -70,7 +80,7 @@ def _per_time(fn, t, *args):
         .reshape(len(rows), -1).T
     table = table[:, np.cumsum(first) - 1] if table.shape[1] < flat.size \
         else np.ascontiguousarray(table)
-    return tuple(table.reshape((-1,) + t.shape))
+    return table.reshape((-1,) + t.shape)
 
 
 class AffineGaussianDensity:
@@ -85,25 +95,42 @@ class AffineGaussianDensity:
     def __init__(self, law):
         self._law = law
 
-    def _scalars(self, t: float, alpha: int, k: int):
-        """(A, c, V, (-A)^alpha, sqrt(V)^k) at one time."""
+    def time_table(self, t, kmax: int):
+        """The per-time floats of every derivative of total order at most
+        kmax: (A, c, V, sqrt(V), then (-A)^j and sqrt(V)^j in turn for
+        j = 0..kmax), a tuple at a scalar t, an array of rows otherwise."""
+        return _per_time(self._scalars, t, kmax)
+
+    def _scalars(self, t: float, kmax: int):
         A, c, V = self._law(t)
         A, c, V = float(A), float(c), float(V)
-        return A, c, V, (-A) ** alpha, math.sqrt(V) ** k
+        s = math.sqrt(V)
+        out = [A, c, V, s]
+        for j in range(kmax + 1):
+            out += ((-A) ** j, s ** j)
+        return tuple(out)
 
     def coefficients(self, t):
         """(A, c, V): floats, or arrays of the shape of an array t."""
-        return _per_time(self._scalars, t, 0, 0)[:3]
+        return tuple(self.time_table(t, 0)[:3])
 
     def density(self, t, x, y):
         return self.deriv(0, 0, t, x, y)
 
     def deriv(self, alpha: int, beta: int, t, x, y):
         """d^alpha/dx^alpha d^beta/dy^beta of the density, exact; at order
-        0, the density itself."""
-        A, c, V, scale, sk = _per_time(self._scalars, t, alpha, alpha + beta)
+        0, the density itself.  The one-order case of derivs."""
+        return self.derivs(((alpha, beta),),
+                           self.time_table(t, alpha + beta), x, y)[0]
+
+    def derivs(self, orders, table, x, y):
+        """[deriv(alpha, beta, t, x, y) for (alpha, beta) in orders], bit
+        for bit, read from table = time_table(t, kmax) or a slice of it,
+        kmax at least every alpha + beta."""
+        A, c, V, s = table[:4]
         mean = A * np.asarray(x, dtype=float) + c
-        return scale * _pdf_dy(alpha + beta, y, mean, np.sqrt(V), sk)
+        G = _pdf_dys({a + b for a, b in orders}, y, mean, s, table[5::2])
+        return [table[4 + 2 * a] * G[a + b] for a, b in orders]
 
     def gauss_coords(self, t, x):
         """(mean, std, push, dpush) so the law is push(N(mean, std^2));
@@ -145,46 +172,63 @@ class LognormalDensity:
     def __init__(self, mu: float, sigma: float):
         self.mu, self.sigma = mu, sigma
 
-    def _scalars(self, t: float, kmax: int):
-        """(V, s^0, ..., s^kmax) at one time, V = sigma^2 t, s = sqrt(V)."""
-        V = self.sigma**2 * t
-        s = math.sqrt(V)
-        return (V,) + tuple(s**k for k in range(kmax + 1))
-
     def _drift(self, t):
         return (self.mu - 0.5 * self.sigma**2) * t
 
+    def time_table(self, t, kmax: int):
+        """The per-time floats of every derivative of total order at most
+        kmax: (drift, sigma sqrt(t), s, s^0, ..., s^kmax) with
+        s = sqrt(sigma^2 t), a tuple at a scalar t, an array of rows
+        otherwise."""
+        return _per_time(self._scalars, t, kmax)
+
+    def _scalars(self, t: float, kmax: int):
+        s = math.sqrt(self.sigma**2 * t)
+        return tuple([self._drift(t), self.sigma * math.sqrt(t), s]
+                     + [s**k for k in range(kmax + 1)])
+
     def density(self, t, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s = self.sigma * np.sqrt(t)
-        u = (np.log(y) - np.log(x) - self._drift(t)) / s
-        return np.exp(-0.5 * u * u) / (y * s * _SQRT2PI)
+        return self.deriv(0, 0, t, x, y)
 
     def deriv(self, alpha: int, beta: int, t, x, y):
         """d^alpha/dx^alpha d^beta/dy^beta of the density; at order 0,
-        the density itself."""
-        if alpha > 6 or beta > 6:
+        the density itself.  The one-order case of derivs."""
+        return self.derivs(((alpha, beta),),
+                           self.time_table(t, alpha + beta), x, y)[0]
+
+    def derivs(self, orders, table, x, y):
+        """[deriv(alpha, beta, t, x, y) for (alpha, beta) in orders], bit
+        for bit, read from table = time_table(t, kmax) or a slice of it,
+        kmax at least every alpha + beta.  Order (0, 0) is the density
+        itself, scaled by sigma sqrt(t); the others differentiate the
+        N(0, s^2) factor."""
+        if any(a > 6 or b > 6 for a, b in orders):
             raise ValueError("lognormal derivatives implemented up to order 6")
-        if alpha == beta == 0:
-            return self.density(t, x, y)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        gmax = alpha + beta
-        V, *powers = _per_time(self._scalars, t, gmax)
-        s = np.sqrt(V)
-        delta = np.log(y) - np.log(x) - self._drift(t)
-        # p = e^{-w} G(w - u - m), u = ln x, w = ln y; G = N(0, V) pdf
-        G = [_pdf_dy(m, delta, 0.0, s, powers[m]) for m in range(gmax + 1)]
-        sa, sb = _STIRLING1[alpha], _STIRLING1[beta]
-        acc = 0.0
-        for k in range(0 if alpha == 0 else 1, alpha + 1):
-            for l in range(0 if beta == 0 else 1, beta + 1):
-                inner = 0.0
-                for j in range(l + 1):
-                    inner = inner + math.comb(l, j) * ((-1.0) ** (l - j)) * G[j + k]
-                acc = acc + sa[k] * sb[l] * ((-1.0) ** k) * inner
-        return acc / (x ** alpha * y ** (beta + 1))
+        drift, sd, s = table[:3]
+        delta = np.log(y) - np.log(x) - drift
+        gmax = max(a + b for a, b in orders)
+        # p = e^{-w} G(w - u - m), u = ln x, w = ln y; G = N(0, s^2) pdf
+        G = _pdf_dys(range(gmax + 1), delta, 0.0, s, table[3:]) \
+            if gmax else None
+        out = []
+        for alpha, beta in orders:
+            if alpha == beta == 0:
+                u = delta / sd
+                out.append(np.exp(-0.5 * u * u) / (y * sd * _SQRT2PI))
+                continue
+            sa, sb = _STIRLING1[alpha], _STIRLING1[beta]
+            acc = 0.0
+            for k in range(0 if alpha == 0 else 1, alpha + 1):
+                for l in range(0 if beta == 0 else 1, beta + 1):
+                    inner = 0.0
+                    for j in range(l + 1):
+                        inner = inner + math.comb(l, j) \
+                            * ((-1.0) ** (l - j)) * G[j + k]
+                    acc = acc + sa[k] * sb[l] * ((-1.0) ** k) * inner
+            out.append(acc / (x ** alpha * y ** (beta + 1)))
+        return out
 
     def gauss_coords(self, t, x):
         m = np.log(np.asarray(x, dtype=float)) + self._drift(t)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from weaklab import error_expansion as ee
 from weaklab import quadrature as quad
@@ -73,6 +74,47 @@ def test_l2star_constant_model_vanishes():
     g1, g2, g3 = ee.l2star_coefficients(make_constant_model([0.3], [[0.7]]))
     for z in (-2.0, 0.0, 1.5):
         assert abs(g1(z)) + abs(g2(z)) + abs(g3(z)) < 1e-12
+
+
+def test_l2star_table_is_one_per_model_polynomials():
+    ee._l2star_table.cache_clear()
+    table = ee.l2star_table(make_ou_model(1.0, 1.0))
+    assert ee.l2star_table(make_ou_model(1.0, 1.0)) is table
+    assert ee.l2star_table(make_ou_model(2.0, 1.0)) is not table
+    assert ee._l2star_table.cache_info().currsize == 2
+    with pytest.raises(ValueError):
+        ee.l2star_table(make_bounded_vol_model(0.05, 0.2, 0.1))
+    assert ee._l2star_table.cache_info().currsize == 2
+    # bounded: more models than it holds leave it full, not larger
+    size = ee._l2star_table.cache_parameters()["maxsize"]
+    assert size is not None
+    for k in range(size + 3):
+        ee.l2star_table(make_ou_model(1.0 + k, 1.0))
+    assert ee._l2star_table.cache_info().currsize == size
+    with pytest.raises(ValueError):   # shared, so read-only
+        table[0][0][0] = 1.0
+
+
+@pytest.mark.parametrize("model", [
+    make_ou_model(1.0, 1.0), make_ou_model(0.3, 1.7),
+    make_gbm_model(0.1, 0.2), make_gbm_model(0.5, 0.5),
+    make_constant_model([0.3], [[0.7]])],
+    ids=["ou", "ou-2", "gbm", "gbm-2", "constant-1d"])
+def test_l2star_table_is_the_polynomials_bit_for_bit(model):
+    # at the Gauss-Hermite nodes of every rule size, about the laws the
+    # quadrature centres on, pushed for the lognormal
+    dens, gs = model.exact_density, ee.l2star_coefficients(model)
+    dgs = ee.l2star_table(model)
+    for m in (32, 64, 128, 256):
+        h, _ = quad.hermite_rule(m)
+        mean, std, push, _ = dens.gauss_coords(np.array([0.1, 0.5, 1.0]),
+                                               np.array([0.4, 0.9, 1.3]))
+        z = mean[:, None] + np.sqrt(2.0) * std[:, None] * h
+        z = z if push is None else push(z)
+        for g in range(3):
+            for k in range(4):
+                assert polyval(z, dgs[g][k]).tobytes() == \
+                    gs[g].deriv(k)(z).tobytes(), (m, g, k)
 
 
 # ---------------------------------------------------------------------------

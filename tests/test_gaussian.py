@@ -135,3 +135,115 @@ def test_array_times_equal_scalar_times(dens):
             m_i, s_i, *_ = coords(float(t[i]), float(x[i]))
             assert (mean[i].hex(), std[i].hex()) == \
                 (float(m_i).hex(), float(s_i).hex())
+
+
+# ---------------------------------------------------------------------------
+# derivs: many orders from one time table, each equal to its one-order call
+
+AFFINE_ORDERS = [(a, b) for a in range(5) for b in range(4)]
+LOGNORMAL_ORDERS = [(a, b) for a in range(7) for b in range(7)]
+
+
+def _affine_closed_form(law, a, b, t, x, y):
+    # the module docstring's (-A)^a (d/dy)^(a+b) N(y; A x + c, V)
+    A, c, V = law(t)
+    return (-A) ** a * normal_pdf_dy(a + b, y, A * x + c, V)
+
+
+def _lognormal_closed_form(mu, sigma, t, x, y):
+    # phi((ln y - ln x - (mu - sigma^2/2) t) / (sigma sqrt(t))) / (y sigma
+    # sqrt(t)); complex x and y are welcome
+    s = sigma * np.sqrt(t)
+    u = (np.log(y) - np.log(x) - (mu - 0.5 * sigma**2) * t) / s
+    return np.exp(-0.5 * u * u) / (y * s * math.sqrt(2.0 * math.pi))
+
+
+def _cauchy_deriv(fn, a, b, x, y, r, n=128):
+    """d^a_x d^b_y fn(x, y) by the Cauchy integral formula on circles of
+    radius r about x and y, by the n-point trapezoid rule, which converges
+    exponentially for a function analytic near both circles."""
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    vals = fn(x + r * w[:, None], y + r * w[None, :])
+    c = np.mean(vals * w[:, None] ** (-a) * w[None, :] ** (-b))
+    return (math.factorial(a) * math.factorial(b) * c / r ** (a + b)).real
+
+
+def test_lognormal_deriv_is_its_closed_form():
+    # order (0, 0) bit for bit, at a time where sigma sqrt(t) and
+    # sqrt(sigma^2 t) round apart; every order up to 6 in x and in y
+    # against contour integrals of the closed-form density, to 1e-10 of
+    # the largest value of that order over the points
+    mu, sigma, t = 0.1, 0.3, 0.8
+    assert sigma * math.sqrt(t) != math.sqrt(sigma**2 * t)
+    dens = LognormalDensity(mu, sigma)
+    x, y = 1.1, np.array([0.6, 0.9, 1.3, 1.9])
+    assert dens.deriv(0, 0, t, x, y).tobytes() == \
+        _lognormal_closed_form(mu, sigma, t, x, y).tobytes()
+    fn = lambda xx, yy: _lognormal_closed_form(mu, sigma, t, xx, yy)
+    for a, b in LOGNORMAL_ORDERS:
+        got = dens.deriv(a, b, t, x, y)
+        want = [_cauchy_deriv(fn, a, b, x, yi, 0.2 * min(x, yi)) for yi in y]
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(got)), \
+            (a, b)
+
+
+def _derivs_cases():
+    ou = make_ou_model(1.0, 1.0).exact_density
+    euler = euler_density_1d(make_ou_model(1.0, 1.0), 8)
+    gbm = make_gbm_model(0.1, 0.2).exact_density
+    return [pytest.param(ou, AFFINE_ORDERS, id="ou"),
+            pytest.param(euler, AFFINE_ORDERS, id="euler-ou-8"),
+            pytest.param(gbm, LOGNORMAL_ORDERS, id="gbm")]
+
+
+def _one_order(dens, a, b, t, x, y):
+    """The reference of one order at one scalar time: the closed form for
+    an affine density; for the lognormal, the one-order call, which
+    test_lognormal_deriv_is_its_closed_form ties to the closed form."""
+    if isinstance(dens, AffineGaussianDensity):
+        want = _affine_closed_form(dens._law, a, b, t, x, y)
+        assert dens.deriv(a, b, t, x, y).tobytes() == want.tobytes()
+        return want
+    return dens.deriv(a, b, t, x, y)
+
+
+@pytest.mark.parametrize("dens, orders", _derivs_cases())
+def test_derivs_is_deriv_at_a_scalar_time(dens, orders):
+    kmax = max(a + b for a, b in orders)
+    x, y = 1.1, np.linspace(0.5, 1.8, 7)
+    got = dens.derivs(orders, dens.time_table(0.6, kmax), x, y)
+    for (a, b), g in zip(orders, got):
+        assert g.tobytes() == _one_order(dens, a, b, 0.6, x, y).tobytes()
+
+
+@pytest.mark.parametrize("dens, orders", _derivs_cases())
+def test_derivs_is_deriv_at_array_times_and_row_slices(dens, orders):
+    # runs of equal times, as a sweep of the time rule has them; then a
+    # row slice of the table, rows out of order, as a block reads it
+    kmax = max(a + b for a, b in orders)
+    t = np.array([0.3, 0.3, 0.3, 0.7, 0.7, 1.0])
+    x = np.array([0.8, 1.1, 0.9, 1.3, 1.0, 1.2])
+    y = np.linspace(0.6, 1.5, 5) + 0.1 * np.arange(t.size)[:, None]
+    table = dens.time_table(t, kmax)
+    r = np.array([4, 0, 5, 1])
+    for tab, rows in ((table[:, :, None], np.arange(t.size)),
+                      (table[:, r, None], r)):
+        got = dens.derivs(orders, tab, x[rows, None], y[rows])
+        for (a, b), g in zip(orders, got):
+            assert g.shape == (rows.size, y.shape[1])
+            for i, k in enumerate(rows):
+                want = _one_order(dens, a, b, float(t[k]), float(x[k]), y[k])
+                assert g[i].tobytes() == want.tobytes(), (a, b, k)
+
+
+@pytest.mark.parametrize("dens, orders", _derivs_cases())
+def test_derivs_at_no_time_are_empty(dens, orders):
+    kmax = max(a + b for a, b in orders)
+    t = np.empty((0, 1))
+    got = dens.derivs(orders, dens.time_table(t, kmax), np.empty((0, 1)),
+                      np.empty((0, 4)))
+    assert len(got) == len(orders)
+    for (a, b), g in zip(orders, got):
+        assert g.shape == (0, 4)
+        assert dens.deriv(a, b, t, np.empty((0, 1)),
+                          np.empty((0, 4))).shape == (0, 4)
