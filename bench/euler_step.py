@@ -162,10 +162,12 @@ def main():
                           "numpy": numpy.__version__,
                           "scipy": scipy.__version__},
               "ladder_levels": LEVELS,
-              "path_steps_per_s": micro_rows(trees, args.reps),
+              "path_steps_per_s": micro_rows(trees, args.reps)
+              if args.reps else {},
               "perfbench": {w: harness_rows(trees, w, args.pairs,
                                             args.seconds)
-                            for w in args.workloads.split(",") if w}}
+                            for w in args.workloads.split(",")
+                            if w and args.pairs}}
     append_record(args.out, record)
 
 

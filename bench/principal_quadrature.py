@@ -129,7 +129,8 @@ def main():
               "routines": micro_rows(trees, args.reps) if args.reps else {},
               "perfbench": {w: harness_rows(trees, w, args.pairs,
                                             args.seconds, args.seed0)
-                            for w in args.workloads.split(",") if w}}
+                            for w in args.workloads.split(",")
+                            if w and args.pairs}}
     append_record(args.out, record)
 
 

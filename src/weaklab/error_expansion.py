@@ -26,9 +26,10 @@ beside it, nor on where quadrature.BLOCK_ELEMENTS cuts a block.
 Work that is fixed per model or per time is done once.  The derivatives
 of g*_1..3 are coefficient arrays, built once per model's polynomials
 and kept in a small bounded cache.  Each sweep builds one time table of
-the density for its s nodes and one for its t - s nodes
-(gaussian.time_table), and every block of the sweep reads its rows of
-them; each block asks the density for all the orders it needs in one
+the density (gaussian.time_table) on its s nodes and one on its t - s
+nodes, and these two are the only tables it builds: the Gauss-Hermite
+coordinates, every block of the sweep and the kernel K read their rows
+of them.  Each block asks the density for all the orders it needs in one
 derivs call.
 """
 
@@ -145,15 +146,16 @@ def _by_parts(dens, dgs, table, x0: np.ndarray, alpha: int, z):
 
 def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
                     kernel, inner_err: np.ndarray, tol: float,
-                    split: float = 0.5, target=None):
+                    split: float = 0.5, target=None, beta: int = 0):
     """1/2 int_0^t int d^alpha_x p(s, x0, z) L2*[K(t-s, .)](z) dz ds for
     every row of inner_err, row k starting at x0[k], with
     dgs = l2star_table(model).
 
-    kernel(tau, rows) sets K up for one sweep, whose pair j is row rows[j]
-    at time tau[j], and returns at(gammas, z, r): the list of
-    d^gamma_z K(tau[r], z) for gamma in gammas, for the pairs r at their
-    nodes z, pair r[i] on row i of z.  On the left
+    kernel(table, rows) sets K up for one sweep, whose pair j is row
+    rows[j] at time tau_j = t - s_j, table[:, j] being the density's time
+    table at tau_j of order 3 + beta, and returns at(gammas, z, r): the
+    list of d^gamma_z K(tau_r, z) for gamma in gammas, for the pairs r at
+    their nodes z, pair r[i] on row i of z.  On the left
     half the derivatives of L2* stay on K; on the right half they move onto
     p(s, x0, .) by parts.  Both halves centre on p(s, x0, .), unless the
     target y of each row is given: then the right half centres one rule per
@@ -168,25 +170,28 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
         nodes s, which split_time_rows passes one half at a time; the
         block is time-major, pair j len(rows) + k being (s[j], rows[k])."""
         left_half = s[0] <= split * t
-        pr, ps = np.tile(rows, s.size), np.repeat(s, rows.size)
-        tau = t - ps
+        pr = np.tile(rows, s.size)
+        tab_s = np.repeat(dens.time_table(s, alpha + 3), rows.size, axis=1)
+        tab_tau = np.repeat(dens.time_table(t - s, 3 + beta), rows.size,
+                            axis=1)
         if left_half or target is None:
-            mean, std, push, dpush = dens.gauss_coords(ps, x0[pr])
+            mean, std, push, dpush = dens.gauss_coords(tab_s, x0[pr])
         else:
-            mean, std, push, dpush = dens.center_on_target(tau, target[pr])
-        at_s, at_tau = dens.time_table(ps, alpha + 3), kernel(tau, pr)
+            mean, std, push, dpush = dens.center_on_target(tab_tau,
+                                                           target[pr])
+        at_tau = kernel(tab_tau, pr)
         if left_half:
             def fn(z, r):
                 ks = at_tau((1, 2, 3), z, r)
                 acc = 0.0
                 for g in (1, 2, 3):
                     acc = acc + polyval(z, dgs[g - 1][0]) * ks[g - 1]
-                return dens.derivs(((alpha, 0),), at_s[:, r, None],
+                return dens.derivs(((alpha, 0),), tab_s[:, r, None],
                                    x0[pr[r], None], z)[0] * acc
         else:
             def fn(z, r):
                 return at_tau((0,), z, r)[0] \
-                    * _by_parts(dens, dgs, at_s[:, r, None],
+                    * _by_parts(dens, dgs, tab_s[:, r, None],
                                 x0[pr[r], None], alpha, z)
 
         val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
@@ -214,22 +219,21 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     """
     x0 = float(np.atleast_1d(x)[0])
     if not f.pointwise:
-        pe = principal_density_pi(model, t, x0, f.y, 0, f.beta, tol=tol)
-        return ((-1.0) ** f.beta) * pe.value, pe.quad_error
+        val, err = pi_rows(model, t, x0, f.y, 0, f.beta, tol)
+        return ((-1.0) ** f.beta) * float(val[0]), float(err[0])
     if is_constant(model):
         return 0.0, 0.0
     dens = require_density(model)
     inner_err = np.zeros(1)
 
-    def pf_deriv(tau: np.ndarray, rows):
+    def pf_deriv(tau_table: np.ndarray, rows):
         def at(gammas, z: np.ndarray, r) -> list:
             """d^gamma/dz^gamma of P_tau f at every node of z, row i of z
-            at time tau[r[i]], by one Gauss-Hermite block over all of them
-            per gamma."""
+            at the time of tau_table[:, r[i]], by one Gauss-Hermite block
+            over all of them per gamma."""
             zs = z.ravel()
-            taus = np.broadcast_to(tau[r, None], z.shape).ravel()
-            table = dens.time_table(taus, max(gammas))
-            mean, std, push, dpush = dens.gauss_coords(taus, zs)
+            table = np.repeat(tau_table[:, r], z.shape[1], axis=1)
+            mean, std, push, dpush = dens.gauss_coords(table, zs)
             out = []
             for gamma in gammas:
                 # f reads a 2-D array as (N, d) paths, so it gets the
@@ -269,13 +273,14 @@ def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
         return np.zeros(ys.size), np.zeros(ys.size)
     dens = require_density(model)
 
-    def kernel(tau, rows):
-        table, yk = dens.time_table(tau, 3 + beta), ys[rows]
+    def kernel(table, rows):
         return lambda gammas, z, r: dens.derivs(
-            [(g, beta) for g in gammas], table[:, r, None], z, yk[r, None])
+            [(g, beta) for g in gammas], table[:, r, None], z,
+            ys[rows[r], None])
 
     return _principal_rows(dens, l2star_table(model), t, xs, alpha, kernel,
-                           np.zeros(ys.size), tol, split, target=ys)
+                           np.zeros(ys.size), tol, split, target=ys,
+                           beta=beta)
 
 
 def pi_converged(quad_errors, tol: float = 1e-8):
@@ -409,7 +414,7 @@ def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,
     if not S.pointwise:
         return principal_term_Ct(model, S, t, x0, tol=tol)
     dens = require_density(model)
-    mean, std, push, dpush = dens.gauss_coords(t, x0)
+    mean, std, push, dpush = dens.gauss_coords(dens.time_table(t, 0), x0)
     if push is not None:
         raise tf.UnsupportedFunctional("function pairings require a Gaussian law")
     lo, hi = mean - 10.0 * std, mean + 10.0 * std

@@ -11,13 +11,15 @@ This covers the exact laws of the constant-coefficient and
 Ornstein-Uhlenbeck models and the exact Gaussian law of the Euler chain
 for affine models.
 
-Both 1-D densities split a derivative into per-time floats and an array
-part.  time_table(t, kmax) holds every per-time float a derivative of
-total order at most kmax needs, computed once per distinct time;
-derivs(orders, table, x, y) returns any number of (alpha, beta) orders
-from one table, one u and one exponential, and deriv is its one-order
-case.  A caller that asks for many orders, or for the same times in many
-blocks, builds the table once and passes it, or its row slice
+Both 1-D densities read every per-time float from one place.
+time_table(t, kmax) holds every per-time float a derivative of total
+order at most kmax needs, and the law's coordinates, computed once per
+time entry; derivs(orders, table, x, y) returns any number of
+(alpha, beta) orders from one table, one u and one exponential, and
+gauss_coords(table, x) and center_on_target(table, y) read the law's
+Gauss-Hermite coordinates from one.  deriv is derivs' one-order case at
+a time t.  A caller that asks for many orders, or for the same times in
+many blocks, builds the table once and passes it, or its row slice
 table[:, r].
 """
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -63,33 +64,25 @@ def _pdf_dys(ks, y, mean, s, sk):
 def _per_time(fn, t, *args):
     """fn(t, *args), a tuple of floats, at a scalar t.  At an array t, an
     array of shape (len(tuple),) + t.shape, entry [:, i] equal to fn at
-    t[i] bit for bit: fn runs on floats, once per run of equal neighbouring
-    entries, and never on an array, whose exp and power may round
-    otherwise."""
+    t[i] bit for bit: fn runs on floats, once per entry, and never on an
+    array, whose exp and power may round otherwise."""
     if np.ndim(t) == 0:
         return fn(float(t), *args)
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         return np.empty((len(fn(1.0, *args)),) + t.shape)
-    flat = t.ravel()
-    first = np.empty(flat.size, dtype=bool)   # where each run starts
-    first[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    rows = [fn(v, *args) for v in flat[first].tolist()]
-    table = np.fromiter(chain.from_iterable(rows), float) \
-        .reshape(len(rows), -1).T
-    table = table[:, np.cumsum(first) - 1] if table.shape[1] < flat.size \
-        else np.ascontiguousarray(table)
-    return table.reshape((-1,) + t.shape)
+    table = np.array([fn(v, *args) for v in t.ravel().tolist()], float).T
+    return np.ascontiguousarray(table).reshape((-1,) + t.shape)
 
 
 class AffineGaussianDensity:
     """1-D transition density p(t, x, y) = N(y; A(t) x + c(t), V(t)).
 
     law is one callable t -> (A, c, V).  All mixed spatial derivatives are
-    exact.  Every method takes a scalar t or an array t that broadcasts
-    against x and y, one time per entry; an entry's result equals the
-    scalar-t call's bit for bit.
+    exact.  time_table, density and deriv take a scalar t or an array t
+    that broadcasts against x and y, one time per entry, and the other
+    methods a table of either; an entry's result equals the scalar-t
+    call's bit for bit.
     """
 
     def __init__(self, law):
@@ -110,10 +103,6 @@ class AffineGaussianDensity:
             out += ((-A) ** j, s ** j)
         return tuple(out)
 
-    def coefficients(self, t):
-        """(A, c, V): floats, or arrays of the shape of an array t."""
-        return tuple(self.time_table(t, 0)[:3])
-
     def density(self, t, x, y):
         return self.deriv(0, 0, t, x, y)
 
@@ -132,17 +121,19 @@ class AffineGaussianDensity:
         G = _pdf_dys({a + b for a, b in orders}, y, mean, s, table[5::2])
         return [table[4 + 2 * a] * G[a + b] for a, b in orders]
 
-    def gauss_coords(self, t, x):
-        """(mean, std, push, dpush) so the law is push(N(mean, std^2));
-        an array x gives one mean per entry."""
-        A, c, V = self.coefficients(t)
-        return A * np.asarray(x, dtype=float) + c, np.sqrt(V), None, None
+    def gauss_coords(self, table, x):
+        """(mean, std, push, dpush) so the law at time t is
+        push(N(mean, std^2)), read from table = time_table(t, kmax) or a
+        slice of it; an array x gives one mean per entry."""
+        A, c, _, s = table[:4]
+        return A * np.asarray(x, dtype=float) + c, s, None, None
 
-    def center_on_target(self, t, y):
-        """(mean, std, push, dpush) in x for the kernel x |-> p(t, x, y);
-        an array y gives one mean per entry."""
-        A, c, V = self.coefficients(t)
-        return (np.asarray(y, dtype=float) - c) / A, np.sqrt(V) / np.abs(A), \
+    def center_on_target(self, table, y):
+        """(mean, std, push, dpush) in x for the kernel x |-> p(t, x, y),
+        read from a time table as gauss_coords; an array y gives one mean
+        per entry."""
+        A, c, _, s = table[:4]
+        return (np.asarray(y, dtype=float) - c) / A, s / np.abs(A), \
             None, None
 
 
@@ -165,15 +156,12 @@ class LognormalDensity:
     p(t, x, y) = phi((ln y - ln x - (mu - s^2/2) t) / (s sqrt(t))) / (y s sqrt(t))
     on x, y > 0.  Mixed spatial derivatives are exact, via the chain rule
     through log coordinates (Stirling numbers of the first kind) and
-    Hermite derivatives of the Gaussian factor.  Every method takes a
-    scalar t or an array t, as AffineGaussianDensity's do.
+    Hermite derivatives of the Gaussian factor.  Its methods take a time
+    or a time table, as AffineGaussianDensity's do.
     """
 
     def __init__(self, mu: float, sigma: float):
         self.mu, self.sigma = mu, sigma
-
-    def _drift(self, t):
-        return (self.mu - 0.5 * self.sigma**2) * t
 
     def time_table(self, t, kmax: int):
         """The per-time floats of every derivative of total order at most
@@ -184,7 +172,8 @@ class LognormalDensity:
 
     def _scalars(self, t: float, kmax: int):
         s = math.sqrt(self.sigma**2 * t)
-        return tuple([self._drift(t), self.sigma * math.sqrt(t), s]
+        return tuple([(self.mu - 0.5 * self.sigma**2) * t,
+                      self.sigma * math.sqrt(t), s]
                      + [s**k for k in range(kmax + 1)])
 
     def density(self, t, x, y):
@@ -230,13 +219,13 @@ class LognormalDensity:
             out.append(acc / (x ** alpha * y ** (beta + 1)))
         return out
 
-    def gauss_coords(self, t, x):
-        m = np.log(np.asarray(x, dtype=float)) + self._drift(t)
-        return m, self.sigma * np.sqrt(t), np.exp, np.exp
+    def gauss_coords(self, table, x):
+        drift, sd = table[:2]
+        return np.log(np.asarray(x, dtype=float)) + drift, sd, np.exp, np.exp
 
-    def center_on_target(self, t, y):
-        m = np.log(np.asarray(y, dtype=float)) - self._drift(t)
-        return m, self.sigma * np.sqrt(t), np.exp, np.exp
+    def center_on_target(self, table, y):
+        drift, sd = table[:2]
+        return np.log(np.asarray(y, dtype=float)) - drift, sd, np.exp, np.exp
 
 
 @dataclass

@@ -206,12 +206,12 @@ def pair_density(dens, f: tf.TestFunction, t: float, x: float,
 
     A Dirac functional is read as (-1)^beta d^beta_y p(t, x, y), beta = 0 for
     delta_y (pairing convention <d^b delta_y, phi> = (-1)^b phi^(b)(y));
-    a function is expect_gaussian on dens.gauss_coords(t, x), with the
+    a function is expect_gaussian on dens.gauss_coords at time t, with the
     given rule sizes (start = max_nodes is one fixed rule).
     """
     if not f.pointwise:
         return float(((-1.0) ** f.beta) * dens.deriv(0, f.beta, t, x, f.y))
-    mean, std, push, _ = dens.gauss_coords(t, x)
+    mean, std, push, _ = dens.gauss_coords(dens.time_table(t, 0), x)
     return expect_gaussian(f, mean, std, push=push, start=start,
                            max_nodes=max_nodes)[0]
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -107,8 +108,9 @@ def test_l2star_table_is_the_polynomials_bit_for_bit(model):
     dgs = ee.l2star_table(model)
     for m in (32, 64, 128, 256):
         h, _ = quad.hermite_rule(m)
-        mean, std, push, _ = dens.gauss_coords(np.array([0.1, 0.5, 1.0]),
-                                               np.array([0.4, 0.9, 1.3]))
+        mean, std, push, _ = dens.gauss_coords(
+            dens.time_table(np.array([0.1, 0.5, 1.0]), 0),
+            np.array([0.4, 0.9, 1.3]))
         z = mean[:, None] + np.sqrt(2.0) * std[:, None] * h
         z = z if push is None else push(z)
         for g in range(3):
@@ -199,6 +201,37 @@ def test_ct_dirac_accepts_list_x(f):
     m = ou()
     assert ee.principal_term_Ct(m, f, 0.5, [0.1]) == \
         ee.principal_term_Ct(m, f, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("model", [ou(), gbm()], ids=["ou", "gbm"])
+@pytest.mark.parametrize("route", ["pi", "ct"])
+def test_a_sweep_builds_two_time_tables(monkeypatch, model, route):
+    # one table on the sweep's s nodes and one on its t - s nodes, both
+    # built by the sweep itself: the coordinates, the kernel and
+    # d^gamma P_tau f read their rows and build none
+    cls, callers, sweeps = type(model.exact_density), [], []
+    time_table = cls.time_table
+
+    def counted(self, t, kmax):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return time_table(self, t, kmax)
+
+    def split_time_rows(fn, *args, **kwargs):
+        def sweep(s, rows):
+            n = len(callers)
+            out = fn(s, rows)
+            sweeps.append(callers[n:])
+            return out
+        return quad.split_time_rows(sweep, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "time_table", counted)
+    monkeypatch.setattr(ee, "split_time_rows", split_time_rows)
+    if route == "pi":
+        ee.pi_rows(model, 0.5, [0.8, 1.1], [1.0, 0.9], 0, 1, tol=1e-6)
+    else:
+        ee.principal_term_Ct(model, tf.square(), 0.5, 1.1, tol=1e-6)
+    assert sweeps and len(callers) == 2 * len(sweeps)
+    assert all(c == ["integrand", "integrand"] for c in sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,10 @@ def test_partial_last_step_transport():
 def test_constant_model_euler_is_exact_in_law():
     m = make_constant_model([0.3], [[0.7]])
     A, c, V = euler_affine_transport(m, 5, 1.0)
-    mean, _, _, _ = m.exact_density.gauss_coords(1.0, 0.0)
+    table = m.exact_density.time_table(1.0, 0)
+    mean, _, _, _ = m.exact_density.gauss_coords(table, 0.0)
     assert abs(c - mean) < 1e-14
-    assert abs(V - m.exact_density.coefficients(1.0)[2]) < 1e-14
+    assert abs(V - table[2]) < 1e-14
 
 
 @pytest.mark.parametrize("model", [make_gbm_model(0.1, 0.2),
@@ -190,10 +191,11 @@ def test_euler_density_matches_law():
     m = make_ou_model(1.0, 1.0)
     dens = euler_density_1d(m, 4)
     A, c, V = euler_affine_transport(m, 4, 1.0)
-    mean, std, push, _ = dens.gauss_coords(1.0, 1.0)
-    assert push is None and std == math.sqrt(dens.coefficients(1.0)[2])
+    table = dens.time_table(1.0, 0)
+    mean, std, push, _ = dens.gauss_coords(table, 1.0)
+    assert push is None and std == math.sqrt(table[2])
     assert abs(mean - (A * 1.0 + c)) < 1e-15
-    assert abs(dens.coefficients(1.0)[2] - V) < 1e-15
+    assert abs(table[2] - V) < 1e-15
 
 
 def test_mc_reduce_worker_count_invariance():

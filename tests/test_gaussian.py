@@ -67,7 +67,8 @@ def test_affine_density_derivatives_match_fd():
 
 def test_affine_center_on_target_inverts_law():
     dens = AffineGaussianDensity(lambda t: (2.0, 1.0, t))
-    mean, std, push, dpush = dens.center_on_target(0.25, 3.0)
+    mean, std, push, dpush = dens.center_on_target(dens.time_table(0.25, 0),
+                                                   3.0)
     assert push is None
     assert abs(mean - 1.0) < 1e-14          # (3 - 1) / 2
     assert abs(std - 0.25) < 1e-14          # sqrt(0.25) / 2
@@ -80,7 +81,7 @@ def test_lognormal_density_normalizes_and_means():
     assert abs(np.trapezoid(p, y) - 1.0) < 1e-6
     assert abs(np.trapezoid(y * p, y) - math.exp(0.1)) < 1e-5
     # the law is exp(N(m, s^2)), whose mean is exp(m + s^2 / 2)
-    m, s, push, _ = dens.gauss_coords(1.0, 1.0)
+    m, s, push, _ = dens.gauss_coords(dens.time_table(1.0, 0), 1.0)
     assert abs(push(m + 0.5 * s * s) - math.exp(0.1)) < 1e-15
 
 
@@ -111,12 +112,16 @@ def test_lognormal_deriv_order_cap():
         dens.deriv(7, 0, 1.0, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("dens", [
+# every 1-D density, affine and lognormal
+ONE_D_DENSITIES = pytest.mark.parametrize("dens", [
     make_ou_model(1.0, 1.0).exact_density,
     make_constant_model([0.2], [[0.5]]).exact_density,
     euler_density_1d(make_ou_model(1.0, 1.0), 8),
     make_gbm_model(0.1, 0.2).exact_density],
     ids=["ou", "constant-1d", "euler-ou-8", "gbm"])
+
+
+@ONE_D_DENSITIES
 def test_array_times_equal_scalar_times(dens):
     # one time per row, a repeated one among them; every entry of an
     # array-t call must be the scalar-t call's, bit for bit
@@ -129,12 +134,30 @@ def test_array_times_equal_scalar_times(dens):
             for i in range(t.size):
                 want = dens.deriv(a, b, float(t[i]), float(x[i]), y[i])
                 assert got[i].tobytes() == want.tobytes()
+    # coordinates from the array-t table, and from a row slice of it,
+    # rows out of order, as a sweep's blocks read it
+    table = dens.time_table(t, 0)
+    r = np.array([3, 0, 2])
     for coords in (dens.gauss_coords, dens.center_on_target):
-        mean, std, *_ = coords(t, x)
+        for tab, rows in ((table, np.arange(t.size)), (table[:, r], r)):
+            mean, std, *_ = coords(tab, x[rows])
+            for i, k in enumerate(rows):
+                m_k, s_k, *_ = coords(dens.time_table(float(t[k]), 0),
+                                      float(x[k]))
+                assert (mean[i].hex(), std[i].hex()) == \
+                    (float(m_k).hex(), float(s_k).hex())
+
+
+@ONE_D_DENSITIES
+def test_time_table_rows_are_the_scalar_rows(dens):
+    # times in descending runs whose repeats are not neighbours, as the
+    # t - s nodes of a sweep's right half come; one table per entry
+    t = np.array([1.0, 0.7, 0.3, 0.05, 1.0, 0.7, 0.3])
+    for tt in (t, t.reshape(1, -1)):
+        table = dens.time_table(tt, 4).reshape(-1, t.size)
         for i in range(t.size):
-            m_i, s_i, *_ = coords(float(t[i]), float(x[i]))
-            assert (mean[i].hex(), std[i].hex()) == \
-                (float(m_i).hex(), float(s_i).hex())
+            want = np.array(dens.time_table(float(t[i]), 4))
+            assert table[:, i].tobytes() == want.tobytes(), i
 
 
 # ---------------------------------------------------------------------------

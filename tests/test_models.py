@@ -17,8 +17,9 @@ from weaklab.rng import RngStream
 
 def test_constant_model_exact_density():
     m = make_constant_model([0.5], [[0.8]])
-    mean, std, push, _ = m.exact_density.gauss_coords(2.0, 0.3)
-    A, c, V = m.exact_density.coefficients(2.0)
+    table = m.exact_density.time_table(2.0, 0)
+    mean, std, push, _ = m.exact_density.gauss_coords(table, 0.3)
+    A, c, V = table[:3]
     assert push is None and std == math.sqrt(V)
     assert abs(mean - (0.3 + 1.0)) < 1e-14
     assert abs(V - 0.64 * 2.0) < 1e-14
@@ -32,8 +33,9 @@ def test_constant_model_rejects_singular_diffusion():
 
 def test_ou_law_matches_closed_form():
     m = make_ou_model(1.0, 1.0)
-    mean, std, push, _ = m.exact_density.gauss_coords(1.0, 1.0)
-    A, c, V = m.exact_density.coefficients(1.0)
+    table = m.exact_density.time_table(1.0, 0)
+    mean, std, push, _ = m.exact_density.gauss_coords(table, 1.0)
+    A, c, V = table[:3]
     assert push is None and std == math.sqrt(V)
     assert abs(mean - math.exp(-1.0)) < 1e-14
     assert abs(V - 0.5 * (1 - math.exp(-2.0))) < 1e-14
@@ -55,7 +57,7 @@ def test_ou_law_is_the_closed_form_bit_for_bit(theta, sigma):
     for t in (1e-3, 0.1, 0.25, 0.5, 1.0, 2.0, 7.3):
         want = (math.exp(-theta * t), 0.0,
                 a0 * (1.0 - math.exp(-2.0 * theta * t)) / (2.0 * theta))
-        assert m.exact_density.coefficients(t) == want
+        assert m.exact_density.time_table(t, 0)[:3] == want
 
 
 @pytest.mark.parametrize("model", [
@@ -133,7 +135,7 @@ def test_constant_model_with_two_noises_is_1d_affine():
     assert (m.dim_d, m.dim_r) == (1, 2)
     assert isinstance(m.exact_density, AffineGaussianDensity)
     assert affine_triple(m) == (0.0, 0.1, 0.25)
-    assert m.exact_density.coefficients(2.0) == (1.0, 0.2, 0.5)
+    assert m.exact_density.time_table(2.0, 0)[:3] == (1.0, 0.2, 0.5)
     assert np.all(m.poly[1](np.linspace(-1, 1, 5)) == 0.25)
     assert m.ellipticity_eta == 0.25 and m.flag_B and m.flag_C
     vals, errs = pi_rows(m, 0.5, [0.0, 1.0], [0.2, 0.3])

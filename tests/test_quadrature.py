@@ -75,7 +75,7 @@ def test_rounding_floor_stops_exact_zero_integral(z):
         sizes.append(y.size)
         return y * dens.deriv(2, 0, tau, z, y)
 
-    mean, std, push, dpush = dens.gauss_coords(tau, z)
+    mean, std, push, dpush = dens.gauss_coords(dens.time_table(tau, 0), z)
     val, err = integrate_gaussian(fn, mean, std, push=push, dpush=dpush)
     assert max(sizes) < 256
     assert abs(val) < 1e-12 and err < 1e-12
