@@ -4,7 +4,8 @@ Each case computes a few library results and must reproduce the hex
 strings in PINS bit for bit: the kernel pi and its derivatives with their
 quadrature errors, the principal term C_t f, the pairings with pi and
 with the exact laws, the exact semigroup, the exact density error, and
-the seeded Monte Carlo ladders, greeks and prices.  The Monte Carlo cases
+the seeded Monte Carlo ladders, greeks and prices, with bias ladders and
+endpoint rows of a d = 2 and an r = 2 constant model.  The Monte Carlo cases
 run at one and at two workers against the same pins.  A change that moves
 any of these numbers, in any bit, fails here; a change that moves them on
 purpose re-records the pins and says which moved and why.
@@ -22,6 +23,7 @@ from weaklab import error_expansion as ee
 from weaklab import montecarlo as mc
 from weaklab import pricing as pr
 from weaklab import testfunctions as tf
+from weaklab.euler import simulate_ladder
 from weaklab.models import make_bounded_vol_model, make_constant_model, \
     make_gbm_model, make_ou_model, semigroup_apply
 from weaklab.rng import RngStream
@@ -31,6 +33,8 @@ GBM = make_gbm_model(0.1, 0.2)
 # a market in log coordinates, for the payoffs
 TANH = make_bounded_vol_model(0.05, 0.6, 0.5)
 CONST_2D = make_constant_model([0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]])
+# d = 1 driven by r = 2 Brownian motions
+CONST_R2 = make_constant_model([0.1], [[0.3, 0.4]])
 # 4-point (x, y) grids for pi, t = 1
 GRIDS = {"ou": (OU, [-0.5, 0.2, 0.7, 1.1], [0.3, -0.4, 1.0, 0.0]),
          "gbm": (GBM, [0.8, 1.0, 1.2, 1.5], [1.1, 0.9, 1.3, 1.0])}
@@ -102,6 +106,13 @@ def _rungs(rows):
     return [v for row in rows for v in row[1:]]
 
 
+def _endpoint_rows(model, starts, rng):
+    """First and last endpoint rows of every level of a two-start ladder;
+    t = 0.77 ends every level on a partial step."""
+    lad = simulate_ladder(model, starts, [3, 6, 12], 0.77, rng, 5)
+    return [v for n in sorted(lad) for i in (0, -1) for v in lad[n][i]]
+
+
 MONTE_CARLO = {
     "bias-ladder": lambda rng: _rungs(mc.bias_ladder(
         OU, tf.square(), [0.5], 1.0, RUNGS, N_MC, rng)),
@@ -114,6 +125,14 @@ MONTE_CARLO = {
         ref_multiple=4),
     "greeks-euler": _greeks,
     "price-euler-digital": _price_digital,
+    "bias-ladder-const-2d": lambda rng: _rungs(mc.bias_ladder(
+        CONST_2D, tf.square(), [0.4, -0.3], 1.0, RUNGS, N_MC, rng)),
+    "bias-ladder-const-r2": lambda rng: _rungs(mc.bias_ladder(
+        CONST_R2, tf.square(), [0.4], 1.0, RUNGS, N_MC, rng)),
+    "ladder-rows-const-2d": lambda rng: _endpoint_rows(
+        CONST_2D, [[0.4, -0.3], [-1.0, 0.5]], rng),
+    "ladder-rows-const-r2": lambda rng: _endpoint_rows(
+        CONST_R2, [[0.4], [-1.0]], rng),
 }
 
 
@@ -236,6 +255,27 @@ PINS = {
     ],
     "price-euler-digital": [
         "0x1.93463d4091f9ep-2", "0x1.f3da918742c01p-10",
+    ],
+    "bias-ladder-const-2d": [
+        "-0x1.95fc891bce2e0p-50", "0x1.03cd01d332bd6p-57",
+        "-0x1.85533c79f6ab3p-50", "0x1.0384c24bdd177p-57",
+    ],
+    "bias-ladder-const-r2": [
+        "-0x1.d95fc2b4f773ap-50", "0x1.2edaa09ed0615p-57",
+        "-0x1.d5b0c9b5e4137p-50", "0x1.33722c52d7ef1p-57",
+    ],
+    "ladder-rows-const-2d": [
+        "0x1.1ebe4a3122e5bp-1", "-0x1.5c7eef0585a49p-1",
+        "-0x1.72cb681e8ff97p-1", "0x1.62653ab3909cdp-2",
+        "0x1.1ebe4a3122e5bp-1", "-0x1.5c7eef0585a49p-1",
+        "-0x1.72cb681e8ff96p-1", "0x1.62653ab3909cdp-2",
+        "0x1.1ebe4a3122e5cp-1", "-0x1.5c7eef0585a4bp-1",
+        "-0x1.72cb681e8ff97p-1", "0x1.62653ab3909ccp-2",
+    ],
+    "ladder-rows-const-r2": [
+        "0x1.8f6a360b243e0p-2", "-0x1.72c2a135d97d2p-1",
+        "0x1.8f6a360b243e0p-2", "-0x1.72c2a135d97d0p-1",
+        "0x1.8f6a360b243e4p-2", "-0x1.72c2a135d97d4p-1",
     ],
 }
 
