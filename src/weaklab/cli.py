@@ -23,7 +23,7 @@ from . import montecarlo as mc
 from . import pricing
 from . import testfunctions as tf
 from .euler import SimulationBlowup, empirical_moment, euler_density_1d, \
-    gbm_euler_mean
+    gbm_euler_mean, worker_count
 from .models import pair_density, semigroup_apply
 from .reporting import write_csv, write_json
 from .rng import RngStream
@@ -102,6 +102,10 @@ _EULER_LAW = ("an affine model, or GBM with f identity, when deterministic",
 def validate_config(cfg: dict) -> mdl.SdeModel:
     """Make every config check that `run` makes and return the model;
     anything `run` could not start raises ConfigError."""
+    try:
+        worker_count()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     name = cfg.get("study")

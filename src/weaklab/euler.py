@@ -4,10 +4,9 @@ and moment estimation.
 
 One Euler step evaluates the coefficients once: the model's
 drift_diffusion writes its drift and diffusion into arrays the loop reuses
-(tanh-vol from one tanh).  For d = r = 1 the step is scalar: b dt, then
-sigma dB, formed in those arrays and added in place, with the increment
-broadcast over the start points; other models step with an einsum over
-increments repeated per start.
+(tanh-vol from one tanh).  In every dimension the step forms b dt, then
+sigma dB, in those arrays and adds them in place, with the increment
+broadcast over the start points and coordinates.
 
 Monte-Carlo reductions are chunked over fixed-size substreams and merged
 in stream order with compensated summation, so results are bit-identical
@@ -84,8 +83,8 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     Normals are drawn once per fine step for `size` paths and shared by
     every start.  The finest level steps on the raw increment; each coarser
     level sums the increments it spans in a buffer that is reset in place
-    after its step.  For d = r = 1 a step adds b dt, then sigma dB, in
-    place to the level's state seen as one row of `size` paths per start.
+    after its step.  A step adds b dt, then the row sums of sigma dB, in
+    place to the level's state; no state array is ever rebound.
     """
     if any(n != int(n) or n < 1 for n in ns):
         raise ValueError(f"resolutions must be positive integers; got {ns}")
@@ -106,21 +105,16 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     buffers = {n: np.zeros((size, r)) for n in coarse}
     done = dict.fromkeys(ns, 0)  # steps taken at each level
     b, sig = np.empty((k * size, d)), np.empty((k * size, d, r))
+    sdb = sig.reshape(k, size, d, r)  # a view: one block of paths per start
 
     def step(n, dt, dB):
-        model.drift_diffusion(states[n], b, sig)
-        if d == r == 1:
-            rows = states[n].reshape(k, size)
-            bdt, sdb = b.reshape(k, size), sig.reshape(k, size)
-            bdt *= dt
-            rows += bdt
-            sdb *= dB.reshape(size)
-            rows += sdb
-        else:
-            if k > 1:
-                dB = np.tile(dB, (k, 1))
-            states[n] = states[n] + b * dt + np.einsum("nij,nj->ni", sig, dB)
-        _check_finite(states[n], done[n])
+        state = states[n]
+        model.drift_diffusion(state, b, sig)
+        np.multiply(b, dt, out=b)
+        state += b
+        np.multiply(sdb, dB.reshape(size, 1, r), out=sdb)
+        state += sig[:, :, 0] if r == 1 else sig.sum(axis=2)
+        _check_finite(state, done[n])
         done[n] += 1
 
     scale = math.sqrt(1.0 / n_fine)
@@ -160,6 +154,8 @@ def euler_affine_transport(model: SdeModel, n: int, t: float):
     if triple is None:
         raise ValueError("exact Euler law requires a 1-D affine model")
     m, b, a = triple
+    if m == 0:  # exact in law; summing b dt step by step leaves residue
+        return 1.0, b * t, a * t
     A, c, V = 1.0, 0.0, 0.0
     k, dt_last = _steps(n, t)
     for dt in [1.0 / n] * k + ([dt_last] if dt_last > 1e-14 else []):
@@ -222,10 +218,14 @@ class MeanAccumulator:
 
 
 def worker_count() -> int:
-    """WEAKLAB_WORKERS if set, else the number of CPUs this process may use."""
+    """WEAKLAB_WORKERS if set, else the number of CPUs this process may use;
+    ValueError if WEAKLAB_WORKERS is set but not a positive integer."""
     env = os.environ.get("WEAKLAB_WORKERS")
     if env:
-        return max(1, int(env))
+        if not (env.isdecimal() and int(env) > 0):
+            raise ValueError("WEAKLAB_WORKERS must be a positive integer; "
+                             f"got {env!r}")
+        return int(env)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -86,6 +86,20 @@ def test_bad_n_ladder_exits_3(tmp_path, capsys, command, n_ladder):
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("workers", ["abc", "2.5", " ", "0", "-2"])
+def test_bad_worker_count_exits_3(tmp_path, capsys, monkeypatch, command,
+                                  workers):
+    # a Monte Carlo study: run used to end in a ValueError traceback, or
+    # run on one worker where the variable asked for none
+    monkeypatch.setenv("WEAKLAB_WORKERS", workers)
+    cfg = weak_rate_cfg(tmp_path, N=256)
+    del cfg["deterministic"]
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert "WEAKLAB_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 OU = {"model": "ou", "theta": 1.0, "sigma": 1.0}
 GBM = {"model": "gbm", "mu": 0.1, "sigma": 0.2}
 TANH = {"model": "tanh_vol", "a0": 0.05, "b0": 0.2, "c0": 0.1}
@@ -350,7 +364,10 @@ def test_nan_bias_exits_4(tmp_path, capsys, name):
 @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
 @pytest.mark.parametrize("model, x, mode", [
     ({"model": "constant", "b": [0.2], "s": [[0.5]]}, 0.4, {"N": 4096}),
-    (GBM, 0.0, {"deterministic": True})], ids=["constant-mc", "gbm-x-0"])
+    ({"model": "constant", "b": [0.2], "s": [[0.5]]}, 0.4,
+     {"deterministic": True}),
+    (GBM, 0.0, {"deterministic": True})],
+    ids=["constant-mc", "constant-deterministic", "gbm-x-0"])
 def test_exact_scheme_stays_exact(tmp_path, model, x, mode):
     # an Euler law equal to the true law: no bias clears the noise gate,
     # and none is NaN

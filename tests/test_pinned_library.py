@@ -5,10 +5,10 @@ strings in PINS bit for bit: the kernel pi and its derivatives with their
 quadrature errors, the principal term C_t f, the pairings with pi and
 with the exact laws, the exact semigroup, the exact density error, and
 the seeded Monte Carlo ladders, greeks and prices, with bias ladders and
-endpoint rows of a d = 2 and an r = 2 constant model.  The Monte Carlo cases
-run at one and at two workers against the same pins.  A change that moves
-any of these numbers, in any bit, fails here; a change that moves them on
-purpose re-records the pins and says which moved and why.
+endpoint rows of a d = 2 and an r = 2 constant model.  The Monte Carlo
+cases run at one and at two workers against the same pins.  A change that
+moves any of these numbers, in any bit, fails here; a change that moves
+them on purpose re-records the pins and says which moved and why.
 
 The pins were recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64
 Linux; other versions may round differently.
