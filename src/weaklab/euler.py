@@ -5,8 +5,8 @@ and moment estimation.
 One Euler step evaluates the coefficients once: the model's
 drift_diffusion writes its drift and diffusion into arrays the loop reuses
 (tanh-vol from one tanh).  In every dimension the step forms b dt, then
-sigma dB, in those arrays and adds them in place, with the increment
-broadcast over the start points and coordinates.
+sigma dB, in those arrays and adds b dt and the row sums of sigma dB in
+place; every start point shares the increment, which is never copied.
 
 Monte-Carlo reductions are chunked over fixed-size substreams and merged
 in stream order with compensated summation, so results are bit-identical
@@ -112,8 +112,14 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
         model.drift_diffusion(state, b, sig)
         np.multiply(b, dt, out=b)
         state += b
-        np.multiply(sdb, dB.reshape(size, 1, r), out=sdb)
-        state += sig[:, :, 0] if r == 1 else sig.sum(axis=2)
+        # one call per (i, j), each a long loop over starts and paths; a
+        # single broadcast call would loop over only r entries at a time
+        for i in range(d):
+            for j in range(r):
+                sdb[:, :, i, j] *= dB[:, j]
+        for j in range(1, r):  # row sums of sigma dB, into column 0
+            sig[:, :, 0] += sig[:, :, j]
+        state += sig[:, :, 0]
         _check_finite(state, done[n])
         done[n] += 1
 
