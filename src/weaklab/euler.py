@@ -112,10 +112,8 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
         model.drift_diffusion(state, b, sig)
         np.multiply(b, dt, out=b)
         state += b
-        # one call per (i, j), each a long loop over starts and paths; a
-        # single broadcast call would loop over only r entries at a time
-        for i in range(d):
-            for j in range(r):
+        for i in range(d):  # one call per entry of sigma: a broadcast call
+            for j in range(r):  # would loop over only r numbers at a time
                 sdb[:, :, i, j] *= dB[:, j]
         for j in range(1, r):  # row sums of sigma dB, into column 0
             sig[:, :, 0] += sig[:, :, j]

@@ -90,8 +90,8 @@ def test_bad_n_ladder_exits_3(tmp_path, capsys, command, n_ladder):
 @pytest.mark.parametrize("workers", ["abc", "2.5", " ", "0", "-2"])
 def test_bad_worker_count_exits_3(tmp_path, capsys, monkeypatch, command,
                                   workers):
-    # a Monte Carlo study: run used to end in a ValueError traceback, or
-    # run on one worker where the variable asked for none
+    # a Monte Carlo study, so run would read the worker count; neither
+    # command may start it on a count that is not a positive integer
     monkeypatch.setenv("WEAKLAB_WORKERS", workers)
     cfg = weak_rate_cfg(tmp_path, N=256)
     del cfg["deterministic"]
