@@ -145,26 +145,26 @@ def _by_parts(dens, dgs, table, x0: np.ndarray, alpha: int, z):
 
 
 def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
-                    kernel, inner_err: np.ndarray, tol: float,
-                    split: float = 0.5, target=None, beta: int = 0):
+                    kernel, tol: float, split: float = 0.5, target=None,
+                    beta: int = 0):
     """1/2 int_0^t int d^alpha_x p(s, x0, z) L2*[K(t-s, .)](z) dz ds for
-    every row of inner_err, row k starting at x0[k], with
-    dgs = l2star_table(model).
+    every row k, starting at x0[k], with dgs = l2star_table(model).
 
-    kernel(table, rows) sets K up for one sweep, whose pair j is row
-    rows[j] at time tau_j = t - s_j, table[:, j] being the density's time
-    table at tau_j of order 3 + beta, and returns at(gammas, z, r): the
-    list of d^gamma_z K(tau_r, z) for gamma in gammas, for the pairs r at
-    their nodes z, pair r[i] on row i of z.  On the left
+    kernel(gammas, table, rows, z) returns the list of d^gamma_z K(tau, z)
+    for gamma in gammas at the nodes z, row i of z belonging to row
+    rows[i] at the time tau whose time table (of order 3 + beta) is
+    table[:, i], and the error of each row of z.  On the left
     half the derivatives of L2* stay on K; on the right half they move onto
     p(s, x0, .) by parts.  Both halves centre on p(s, x0, .), unless the
     target y of each row is given: then the right half centres one rule per
     row on p(t-s, ., y).  The inner rules of one sweep over time nodes are
     one Gauss-Hermite block whose rows are (time, row) pairs, each doubling
-    its nodes on its own.  inner_err holds each row's worst Gauss-Hermite
-    error, which a kernel may raise too; non-finite errors are kept.
+    its nodes on its own.  Each row's inner error is the worst of its
+    Gauss-Hermite and kernel errors; non-finite errors are kept.
     Returns (values, quad_errors).
     """
+    inner_err = np.zeros(x0.size)
+
     def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The (R, len(s)) inner integrals of the given rows at the time
         nodes s, which split_time_rows passes one half at a time; the
@@ -179,7 +179,13 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
         else:
             mean, std, push, dpush = dens.center_on_target(tab_tau,
                                                            target[pr])
-        at_tau = kernel(tab_tau, pr)
+        kernel_err = np.zeros(pr.size)
+
+        def at_tau(gammas, z, r):
+            ks, err = kernel(gammas, tab_tau[:, r], pr[r], z)
+            kernel_err[r] = np.maximum(kernel_err[r], err)
+            return ks
+
         if left_half:
             def fn(z, r):
                 ks = at_tau((1, 2, 3), z, r)
@@ -196,14 +202,14 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
 
         val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
                                       rtol=1e-10)
-        inner_err[rows] = np.maximum(
-            inner_err[rows], err.reshape(s.size, rows.size).max(axis=0))
+        err = np.maximum(err, kernel_err).reshape(s.size, rows.size)
+        inner_err[rows] = np.maximum(inner_err[rows], err.max(axis=0))
         # in C order: a transposed view reaches _composite_gl's sums
         # strided, and they round differently
         return np.ascontiguousarray(val.reshape(s.size, rows.size).T)
 
     val, terr = split_time_rows(integrand, t, tol=tol, split=split,
-                                size=inner_err.size)
+                                size=x0.size)
     return 0.5 * val, 0.5 * terr + t * inner_err
 
 
@@ -224,32 +230,28 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     if is_constant(model):
         return 0.0, 0.0
     dens = require_density(model)
-    inner_err = np.zeros(1)
 
-    def pf_deriv(tau_table: np.ndarray, rows):
-        def at(gammas, z: np.ndarray, r) -> list:
-            """d^gamma/dz^gamma of P_tau f at every node of z, row i of z
-            at the time of tau_table[:, r[i]], by one Gauss-Hermite block
-            over all of them per gamma."""
-            zs = z.ravel()
-            table = np.repeat(tau_table[:, r], z.shape[1], axis=1)
-            mean, std, push, dpush = dens.gauss_coords(table, zs)
-            out = []
-            for gamma in gammas:
-                # f reads a 2-D array as (N, d) paths, so it gets the
-                # block flat
-                val, err = gauss_hermite_rows(
-                    lambda yy, q: f(yy.ravel()).reshape(yy.shape)
-                    * dens.derivs(((gamma, 0),), table[:, q, None],
-                                  zs[q, None], yy)[0],
-                    mean, std, push=push, dpush=dpush, rtol=1e-10)
-                inner_err[:] = np.maximum(inner_err, err.max())
-                out.append(val.reshape(z.shape))
-            return out
-        return at
+    def pf_deriv(gammas, tau_table, rows, z: np.ndarray):
+        """d^gamma/dz^gamma of P_tau f at every node of z, row i of z at the
+        time of tau_table[:, i], by one Gauss-Hermite block over all of
+        them per gamma, and the worst Gauss-Hermite error of each row."""
+        zs = z.ravel()
+        table = np.repeat(tau_table, z.shape[1], axis=1)
+        mean, std, push, dpush = dens.gauss_coords(table, zs)
+        out, worst = [], np.zeros(z.shape[0])
+        for gamma in gammas:
+            # f reads a 2-D array as (N, d) paths, so it gets the block flat
+            val, err = gauss_hermite_rows(
+                lambda yy, q: f(yy.ravel()).reshape(yy.shape)
+                * dens.derivs(((gamma, 0),), table[:, q, None],
+                              zs[q, None], yy)[0],
+                mean, std, push=push, dpush=dpush, rtol=1e-10)
+            worst = np.maximum(worst, err.reshape(z.shape).max(axis=1))
+            out.append(val.reshape(z.shape))
+        return out, worst
 
     val, err = _principal_rows(dens, l2star_table(model), t,
-                               np.array([x0]), 0, pf_deriv, inner_err, tol)
+                               np.array([x0]), 0, pf_deriv, tol)
     return float(val[0]), float(err[0])
 
 
@@ -273,14 +275,12 @@ def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
         return np.zeros(ys.size), np.zeros(ys.size)
     dens = require_density(model)
 
-    def kernel(table, rows):
-        return lambda gammas, z, r: dens.derivs(
-            [(g, beta) for g in gammas], table[:, r, None], z,
-            ys[rows[r], None])
+    def kernel(gammas, table, rows, z):
+        return dens.derivs([(g, beta) for g in gammas], table[:, :, None],
+                           z, ys[rows, None]), 0.0
 
     return _principal_rows(dens, l2star_table(model), t, xs, alpha, kernel,
-                           np.zeros(ys.size), tol, split, target=ys,
-                           beta=beta)
+                           tol, split, target=ys, beta=beta)
 
 
 def pi_converged(quad_errors, tol: float = 1e-8):

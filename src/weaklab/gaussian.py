@@ -18,9 +18,9 @@ time entry; derivs(orders, table, x, y) returns any number of
 (alpha, beta) orders from one table, one u and one exponential, and
 gauss_coords(table, x) and center_on_target(table, y) read the law's
 Gauss-Hermite coordinates from one.  deriv is derivs' one-order case at
-a time t.  A caller that asks for many orders, or for the same times in
-many blocks, builds the table once and passes it, or its row slice
-table[:, r].
+a time t; time_table, deriv and density are written once, for both.  A
+caller that asks for many orders, or for the same times in many blocks,
+builds the table once and passes it, or its row slice table[:, r].
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite_e
+from numpy.polynomial.polynomial import polyfromroots
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -75,7 +76,27 @@ def _per_time(fn, t, *args):
     return np.ascontiguousarray(table).reshape((-1,) + t.shape)
 
 
-class AffineGaussianDensity:
+class _Density1d:
+    """What both 1-D densities share, written once over a subclass's
+    _scalars(t, kmax), the per-time floats at a float t of every
+    derivative of total order at most kmax, and its derivs."""
+
+    def time_table(self, t, kmax: int):
+        """_scalars(t, kmax): a tuple at a scalar t, an array of rows
+        otherwise."""
+        return _per_time(self._scalars, t, kmax)
+
+    def density(self, t, x, y):
+        return self.deriv(0, 0, t, x, y)
+
+    def deriv(self, alpha: int, beta: int, t, x, y):
+        """d^alpha/dx^alpha d^beta/dy^beta of the density, exact; at order
+        0, the density itself.  The one-order case of derivs."""
+        return self.derivs(((alpha, beta),),
+                           self.time_table(t, alpha + beta), x, y)[0]
+
+
+class AffineGaussianDensity(_Density1d):
     """1-D transition density p(t, x, y) = N(y; A(t) x + c(t), V(t)).
 
     law is one callable t -> (A, c, V).  All mixed spatial derivatives are
@@ -88,13 +109,9 @@ class AffineGaussianDensity:
     def __init__(self, law):
         self._law = law
 
-    def time_table(self, t, kmax: int):
-        """The per-time floats of every derivative of total order at most
-        kmax: (A, c, V, sqrt(V), then (-A)^j and sqrt(V)^j in turn for
-        j = 0..kmax), a tuple at a scalar t, an array of rows otherwise."""
-        return _per_time(self._scalars, t, kmax)
-
     def _scalars(self, t: float, kmax: int):
+        """(A, c, V, sqrt(V), then (-A)^j and sqrt(V)^j in turn for
+        j = 0..kmax)."""
         A, c, V = self._law(t)
         A, c, V = float(A), float(c), float(V)
         s = math.sqrt(V)
@@ -102,15 +119,6 @@ class AffineGaussianDensity:
         for j in range(kmax + 1):
             out += ((-A) ** j, s ** j)
         return tuple(out)
-
-    def density(self, t, x, y):
-        return self.deriv(0, 0, t, x, y)
-
-    def deriv(self, alpha: int, beta: int, t, x, y):
-        """d^alpha/dx^alpha d^beta/dy^beta of the density, exact; at order
-        0, the density itself.  The one-order case of derivs."""
-        return self.derivs(((alpha, beta),),
-                           self.time_table(t, alpha + beta), x, y)[0]
 
     def derivs(self, orders, table, x, y):
         """[deriv(alpha, beta, t, x, y) for (alpha, beta) in orders], bit
@@ -137,20 +145,13 @@ class AffineGaussianDensity:
             None, None
 
 
-# signed Stirling numbers of the first kind s(n, k), n <= 6:
+# signed Stirling numbers of the first kind s(n, k), n <= 6, the
+# coefficients of the falling factorial x (x - 1) ... (x - n + 1):
 # d^n/dx^n = x^{-n} sum_k s(n, k) d^k/du^k with u = ln x
-_STIRLING1 = [[1.0]]
-for _n in range(1, 7):
-    prev = _STIRLING1[-1]
-    cur = [0.0] * (_n + 1)
-    for _k in range(_n + 1):
-        left = prev[_k - 1] if 1 <= _k <= _n else 0.0
-        right = prev[_k] if _k < _n else 0.0
-        cur[_k] = left - (_n - 1) * right
-    _STIRLING1.append(cur)
+_STIRLING1 = [polyfromroots(range(n)) for n in range(7)]
 
 
-class LognormalDensity:
+class LognormalDensity(_Density1d):
     """1-D lognormal transition density of geometric Brownian motion.
 
     p(t, x, y) = phi((ln y - ln x - (mu - s^2/2) t) / (s sqrt(t))) / (y s sqrt(t))
@@ -163,27 +164,13 @@ class LognormalDensity:
     def __init__(self, mu: float, sigma: float):
         self.mu, self.sigma = mu, sigma
 
-    def time_table(self, t, kmax: int):
-        """The per-time floats of every derivative of total order at most
-        kmax: (drift, sigma sqrt(t), s, s^0, ..., s^kmax) with
-        s = sqrt(sigma^2 t), a tuple at a scalar t, an array of rows
-        otherwise."""
-        return _per_time(self._scalars, t, kmax)
-
     def _scalars(self, t: float, kmax: int):
+        """(drift, sigma sqrt(t), s, s^0, ..., s^kmax) with
+        s = sqrt(sigma^2 t)."""
         s = math.sqrt(self.sigma**2 * t)
         return tuple([(self.mu - 0.5 * self.sigma**2) * t,
                       self.sigma * math.sqrt(t), s]
                      + [s**k for k in range(kmax + 1)])
-
-    def density(self, t, x, y):
-        return self.deriv(0, 0, t, x, y)
-
-    def deriv(self, alpha: int, beta: int, t, x, y):
-        """d^alpha/dx^alpha d^beta/dy^beta of the density; at order 0,
-        the density itself.  The one-order case of derivs."""
-        return self.derivs(((alpha, beta),),
-                           self.time_table(t, alpha + beta), x, y)[0]
 
     def derivs(self, orders, table, x, y):
         """[deriv(alpha, beta, t, x, y) for (alpha, beta) in orders], bit
