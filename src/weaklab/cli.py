@@ -24,7 +24,7 @@ from . import pricing
 from . import testfunctions as tf
 from .euler import SimulationBlowup, empirical_moment, euler_density_1d, \
     gbm_euler_mean, worker_count
-from .models import pair_density, semigroup_apply
+from .models import finite_number, pair_density, semigroup_apply
 from .reporting import write_csv, write_json
 from .rng import RngStream
 
@@ -45,12 +45,8 @@ class NonConvergence(RuntimeError):
 _F_NAMES = {"identity": tf.identity, "square": tf.square}
 
 
-def _real(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
-
-
 def _positive(v) -> bool:
-    return _real(v) and v > 0
+    return finite_number(v) and v > 0
 
 
 def _count(v) -> bool:
@@ -64,11 +60,12 @@ def _list_of(ok):
 # config key: (what its value must be, test)
 _VALUES = {
     **dict.fromkeys(("x", "v", "strike", "power", "tolerance"),
-                    ("a finite number", _real)),
+                    ("a finite number", finite_number)),
     # the moments gate compares a max/min spread, at least 1, to its square
-    "stability": ("a number >= 1", lambda v: _real(v) and v >= 1),
+    "stability": ("a number >= 1", lambda v: finite_number(v) and v >= 1),
     **dict.fromkeys(("t", "target_ci"), ("a positive number", _positive)),
-    "bump": ("a number in (0, 0.1]", lambda v: _real(v) and 0 < v <= 0.1),
+    "bump": ("a number in (0, 0.1]",
+             lambda v: finite_number(v) and 0 < v <= 0.1),
     **dict.fromkeys(("N", "n"), ("a positive integer", _count)),
     "l": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
     "q": ("an even integer in [2, 8]",
@@ -83,11 +80,12 @@ _VALUES = {
     "kernel": ("'p' or 'pi'", lambda v: v in ("p", "pi")),
     "slope_range": ("a list of two numbers [lo, hi]",
                     lambda v: isinstance(v, list) and len(v) == 2
-                    and all(map(_real, v))),
+                    and all(map(finite_number, v))),
     "n_ladder": ("a non-empty list of positive integers", _list_of(_count)),
     "t_grid": ("a non-empty list of positive numbers", _list_of(_positive)),
     **dict.fromkeys(("x_grid", "y_grid"),
-                    ("a non-empty list of finite numbers", _list_of(_real))),
+                    ("a non-empty list of finite numbers",
+                     _list_of(finite_number))),
 }
 
 # what a study needs of its model beyond one dimension: (what, test)
@@ -132,6 +130,12 @@ def validate_config(cfg: dict) -> mdl.SdeModel:
         if len(modes) != 1:
             raise ConfigError("weak-rate needs exactly one of N, target_ci "
                               f"or deterministic true; got {modes}")
+    if name == "bias-limit":
+        # its Richardson limit eliminates 1/n over rungs n, 2n, 4n, ...
+        ns = sorted(cfg["n_ladder"])
+        if any(hi != 2 * lo for lo, hi in zip(ns, ns[1:])):
+            raise ConfigError("bias-limit's n_ladder must double from rung "
+                              f"to rung, as n, 2n, 4n, ...; got {ns}")
     if not isinstance(cfg["model"], dict) or "model" not in cfg["model"]:
         raise ConfigError("model block must be an object with a 'model' kind")
     try:

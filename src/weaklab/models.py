@@ -16,6 +16,7 @@ of their SDE.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -253,8 +254,22 @@ def _tensor_semigroup(mean: np.ndarray, cov: np.ndarray,
     return float(node_doubling(value_at, 1e-10, 1e-14, 16, 128)[0][0])
 
 
+def finite_number(v) -> bool:
+    """Whether v is an int or float within the range of a finite double,
+    and not a bool or a string (JSON reads NaN, Infinity and any integer)."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _finite_array(v) -> bool:
+    """Whether v is a non-empty list of finite numbers, or of such lists."""
+    return isinstance(v, list) and bool(v) and all(
+        finite_number(e) or _finite_array(e) for e in v)
+
+
 def model_from_config(cfg: dict) -> SdeModel:
-    """Build a model from the CLI's JSON model block."""
+    """Build a model from the CLI's JSON model block: every scalar field
+    must be a finite number, and the constant model's b and s lists of
+    finite numbers (s a list of rows); anything else raises ValueError."""
     cfg = dict(cfg)
     kind = cfg.pop("model", None)
     fields = {
@@ -272,6 +287,12 @@ def model_from_config(cfg: dict) -> SdeModel:
     args = [cfg.pop(k) for k in names]
     if cfg:
         raise ValueError(f"unknown model fields: {sorted(cfg)}")
-    if kind != "constant":  # the constant model takes a vector and a matrix
+    # the constant model takes a vector and a matrix
+    ok = _finite_array if kind == "constant" else finite_number
+    bad = [k for k, a in zip(names, args) if not ok(a)]
+    if bad:
+        raise ValueError(f"model fields {bad} must be finite numbers, in "
+                         "lists for the constant model")
+    if kind != "constant":
         args = [float(a) for a in args]
     return builder(*args)

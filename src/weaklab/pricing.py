@@ -104,7 +104,9 @@ def _spots(opt: OptionSpec, h: float) -> list:
     """Log start points of the spots v(1-h), v, v(1+h).  As the start
     points of one ladder, path i from each spot sees the same Brownian
     increments, which is what makes the finite differences
-    common-random-number."""
+    common-random-number.  The relative bump h must lie in (0, 0.1]."""
+    if not 0.0 < h <= 0.1:
+        raise ValueError("relative bump must lie in (0, 0.1]")
     return [[math.log(v)] for v in (opt.v * (1.0 - h), opt.v,
                                     opt.v * (1.0 + h))]
 
@@ -130,8 +132,6 @@ def _fd_columns(opt: OptionSpec, h: float, pts: np.ndarray,
 def greeks_euler(market: SdeModel, opt: OptionSpec, n: int, N: int,
                  rng: RngStream, bump: float = 0.01) -> GreeksReport:
     """Price/delta/gamma by central differences with common random numbers."""
-    if not 0.0 < bump <= 0.1:
-        raise ValueError("relative bump must lie in (0, 0.1]")
     spots = _spots(opt, bump)
 
     def chunk(stream, size):

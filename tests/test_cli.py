@@ -67,10 +67,23 @@ def test_validate_bad_model_exits_3(tmp_path):
 @pytest.mark.parametrize("model", [
     {"model": "ou", "theta": -1, "sigma": 1.0},
     {"model": "gbm", "mu": "x", "sigma": 0.2},
-], ids=["ou-negative-theta", "gbm-non-numeric-mu"])
+    {"model": "ou", "theta": math.nan, "sigma": 1.0},
+    {"model": "gbm", "mu": math.nan, "sigma": 0.2},
+    {"model": "tanh_vol", "a0": 0.05, "b0": math.inf, "c0": 0.1},
+    {"model": "constant", "b": [0.1], "s": [[math.nan]]},
+    {"model": "ou", "theta": True, "sigma": 1.0},
+    {"model": "ou", "theta": "2", "sigma": 1.0},
+    {"model": "ou", "theta": 10**400, "sigma": 1.0},
+], ids=["ou-negative-theta", "gbm-non-numeric-mu", "ou-nan-theta",
+        "gbm-nan-mu", "tanh-vol-inf-b0", "constant-nan-s", "ou-bool-theta",
+        "ou-string-theta", "ou-int-past-double-theta"])
 def test_bad_model_parameters_exit_3(tmp_path, capsys, command, model):
-    # validate builds the model, so it rejects what run cannot build
-    cfg = weak_rate_cfg(tmp_path, model=model)
+    # validate builds the model, so it rejects what run cannot build; a
+    # Monte Carlo study, which any model may run, so only the model block
+    # can fail (JSON reads NaN and Infinity, and run used to start on them
+    # and exit 4 at the first Euler step)
+    cfg = weak_rate_cfg(tmp_path, model=model, f="square", N=4096, seed=1)
+    del cfg["deterministic"]
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
@@ -81,6 +94,22 @@ def test_bad_model_parameters_exit_3(tmp_path, capsys, command, model):
                          ids=["empty", "zero", "float", "string", "scalar"])
 def test_bad_n_ladder_exits_3(tmp_path, capsys, command, n_ladder):
     cfg = weak_rate_cfg(tmp_path, n_ladder=n_ladder)
+    assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    assert "n_ladder" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("n_ladder", [[8, 12, 16], [8, 8, 16]],
+                         ids=["not-dividing", "repeated"])
+def test_bias_limit_ladder_that_does_not_double_exits_3(tmp_path, capsys,
+                                                        command, n_ladder):
+    # the Richardson limit needs rungs n, 2n, 4n, ...; run used to end in
+    # a traceback (exit 1) from the Euler loop or from richardson_table
+    cfg = weak_rate_cfg(tmp_path, study="bias-limit",
+                        model={"model": "ou", "theta": 1.0, "sigma": 1.0},
+                        f="square", n_ladder=n_ladder, N=4096, seed=1)
+    del cfg["deterministic"]
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
     assert "n_ladder" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()

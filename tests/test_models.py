@@ -9,7 +9,8 @@ from weaklab.error_expansion import pi_rows
 from weaklab.euler import simulate_ladder
 from weaklab.gaussian import AffineGaussianDensity
 from weaklab.models import (AssumptionViolation, MissingDensity,
-                            affine_triple, make_bounded_vol_model,
+                            affine_triple, is_constant,
+                            make_bounded_vol_model,
                             make_constant_model, make_gbm_model,
                             make_ou_model, model_from_config, semigroup_apply)
 from weaklab.rng import RngStream
@@ -232,3 +233,23 @@ def test_model_from_config_roundtrip_and_rejection():
         model_from_config({"model": "heston", "kappa": 1.0})
     with pytest.raises(ValueError):
         model_from_config({"model": "gbm", "mu": "x", "sigma": 0.2})
+    # an int is a number; a bool, a numeric string, NaN, inf or an int past
+    # the double range is not, nor is a constant model's b or s that is not
+    # a list of finite numbers
+    assert affine_triple(model_from_config(
+        {"model": "ou", "theta": 2, "sigma": 1})) == \
+        affine_triple(make_ou_model(2.0, 1.0))
+    assert is_constant(model_from_config(
+        {"model": "constant", "b": [0.1], "s": [[0.5, 0.0]]}))
+    for bad in ({"model": "ou", "theta": math.nan, "sigma": 0.5},
+                {"model": "gbm", "mu": math.nan, "sigma": 0.2},
+                {"model": "tanh_vol", "a0": 0.05, "b0": math.inf, "c0": 0.1},
+                {"model": "ou", "theta": True, "sigma": 0.5},
+                {"model": "ou", "theta": "2", "sigma": 0.5},
+                {"model": "ou", "theta": 10**400, "sigma": 0.5},
+                {"model": "constant", "b": [0.1], "s": [[math.nan]]},
+                {"model": "constant", "b": [math.inf], "s": [[0.5]]},
+                {"model": "constant", "b": 0.1, "s": [[0.5]]},
+                {"model": "constant", "b": [0.1], "s": [[True]]}):
+        with pytest.raises(ValueError):
+            model_from_config(bad)

@@ -107,6 +107,21 @@ def test_greeks_validation():
                         100, RngStream(0, 0))
 
 
+@pytest.mark.parametrize("bump", [0.0, 1.0, -0.01, 0.5])
+@pytest.mark.parametrize("route", ["greeks", "correction"])
+def test_bump_outside_its_range_is_rejected(route, bump):
+    # correction_estimate used to return (nan, nan) at bump 0, raise
+    # "math domain error" at bump 1 and return numbers at -0.01 and 0.5
+    m = bs_market()
+    opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="bump"):
+        if route == "greeks":
+            pr.greeks_euler(m, opt, 8, 100, RngStream(0, 0), bump=bump)
+        else:
+            pr.correction_estimate(m, opt, "price", [8, 16], 100,
+                                   RngStream(0, 0), bump=bump)
+
+
 def test_crn_reproducibility():
     m = make_bounded_vol_model(0.05, 0.2, 0.1)
     opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
