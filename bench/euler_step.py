@@ -4,20 +4,26 @@
         [--reps 8] [--pairs 10] [--seconds 30] [--workloads mc-ladder]
 
 OLD and NEW are roots of two source checkouts (each with src/ and
-perfbench/).  Two kinds of rows, each run alternately on the two trees
+perfbench/).  Three kinds of rows, each run alternately on the two trees
 (the side that goes first swaps every repetition), on one machine:
 
-* path-steps/s of one simulate_ladder call over one CHUNK of paths at one
-  worker, levels 8, 16, 32, 64, 128 (an mc-ladder bias ladder with its
-  1x reference), for tanh-vol from one start and from three CRN spots,
-  GBM, the 1-D constant model and a 2-D constant model (d = r = 2) from
-  two starts.  Each repetition is a fresh interpreter that runs every
-  model once to warm up, then CALLS times timed, and reports the fastest
-  call of each model; one timed call per interpreter is too noisy to
-  read.
+* path-steps/s of one simulate_ladder call over one CHUNK of paths,
+  levels 8, 16, 32, 64, 128 (an mc-ladder bias ladder with its 1x
+  reference), for tanh-vol from one start and from three CRN spots, GBM,
+  the 1-D constant model and a 2-D constant model (d = r = 2) from two
+  starts; a call outside a reduction runs on one thread.
+* path-steps/s of two one-chunk reductions of cli-mix, at the library's
+  default worker count: bias-limit's Monte Carlo half (bias_times_n_limit,
+  OU(1, 1), the square, rungs 8, 16, 32, N = 16384: levels up to 256) and
+  greeks' reference (price_romberg, OU(1.75, 0.5), the identity payoff at
+  spot e^2, n = 128, N = 16384).
 * perfbench pairs: `perfbench/run.py --workload W --seconds S --seed s`,
   untraced, in each tree, with seeds 1701, 1702, ...; every end-to-end
   metric of the run's last JSON line.
+
+For the first two, each repetition is a fresh interpreter that runs every
+case once to warm up, then CALLS times timed, and reports the fastest
+call of each case; one timed call per interpreter is too noisy to read.
 """
 
 from __future__ import annotations
@@ -35,39 +41,63 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEVELS = [8, 16, 32, 64, 128]
 CASES = ["tanh-vol k=1", "tanh-vol k=3", "gbm", "constant-1d",
-         "constant-2d k=2"]
-CALLS = 3  # timed calls per interpreter after the warm-up; rows keep the min
+         "constant-2d k=2", "cli bias-limit MC", "cli greeks reference"]
+CLI_N = 16384
+# timed calls per interpreter after the warm-up; rows keep the min (the
+# fastest of 3 still spread by 10-15%)
+CALLS = 7
 LOWER_IS_BETTER = {"setup_s", "wall_s", "peak_rss_mb", "task_p50_s",
                    "task_tail_s"}
 
 
 def measure():
-    """Path-steps/s of the fastest of CALLS timed simulate_ladder calls per
-    case in this interpreter, as JSON."""
+    """Path-steps/s of the fastest of CALLS timed calls per case in this
+    interpreter, as JSON."""
     from weaklab import models as mdl
+    from weaklab import testfunctions as tf
     from weaklab.euler import CHUNK, simulate_ladder
+    from weaklab.montecarlo import bias_times_n_limit
+    from weaklab.pricing import OptionSpec, make_payoff, price_romberg
     from weaklab.rng import RngStream
+
+    def ladder(model, x):
+        def run():
+            simulate_ladder(model, x, LEVELS, 1.0, RngStream(17, 3), CHUNK)
+            return len(x) * CHUNK * LEVELS[-1]
+        return run
+
+    def bias_limit():
+        bias_times_n_limit(mdl.make_ou_model(1.0, 1.0), tf.square(), [1.0],
+                           1.0, [8, 16, 32], CLI_N, RngStream(17, 4))
+        return CLI_N * 2 * 4 * 32  # the reference's fine level: 2 x 4 x 32
+
+    def greeks_reference():
+        opt = OptionSpec(make_payoff("identity"), t=1.0, v=math.exp(2.0))
+        price_romberg(mdl.make_ou_model(1.75, 0.5), opt, 128, CLI_N,
+                      RngStream(17, 5))
+        return CLI_N * 2 * 128
 
     tanh = mdl.make_bounded_vol_model(0.05, 0.6, 0.5)
     spots = [[math.log(v)] for v in (0.99, 1.0, 1.01)]
-    cases = {"tanh-vol k=1": (tanh, [[0.0]]),
-             "tanh-vol k=3": (tanh, spots),
-             "gbm": (mdl.make_gbm_model(0.1, 0.2), [[1.0]]),
-             "constant-1d": (mdl.make_constant_model([-0.02], [[0.2]]),
-                             [[0.0]]),
-             "constant-2d k=2": (mdl.make_constant_model(
+    cases = {"tanh-vol k=1": ladder(tanh, [[0.0]]),
+             "tanh-vol k=3": ladder(tanh, spots),
+             "gbm": ladder(mdl.make_gbm_model(0.1, 0.2), [[1.0]]),
+             "constant-1d": ladder(mdl.make_constant_model([-0.02], [[0.2]]),
+                                   [[0.0]]),
+             "constant-2d k=2": ladder(mdl.make_constant_model(
                  [0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]]),
-                 [[0.0, 0.0], [0.1, -0.1]])}
-    best = dict.fromkeys(CASES, math.inf)
+                 [[0.0, 0.0], [0.1, -0.1]]),
+             "cli bias-limit MC": bias_limit,
+             "cli greeks reference": greeks_reference}
+    rate = dict.fromkeys(CASES, 0.0)
     for rep in range(1 + CALLS):  # rep 0 warms up
         for name in CASES:
-            model, x = cases[name]
             t0 = time.perf_counter()
-            simulate_ladder(model, x, LEVELS, 1.0, RngStream(17, 3), CHUNK)
+            work = cases[name]()
             if rep:
-                best[name] = min(best[name], time.perf_counter() - t0)
-    print(json.dumps({name: len(cases[name][1]) * CHUNK * LEVELS[-1]
-                      / best[name] for name in CASES}))
+                rate[name] = max(rate[name],
+                                 work / (time.perf_counter() - t0))
+    print(json.dumps(rate))
 
 
 def _summary(before, after, lower_is_better):
@@ -97,8 +127,8 @@ def append_record(path, record):
 
 
 def _child(tree, args, cwd=None):
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-               WEAKLAB_WORKERS="1")
+    env = {k: v for k, v in os.environ.items() if k != "WEAKLAB_WORKERS"}
+    env["PYTHONPATH"] = os.path.join(tree, "src")
     return subprocess.run([sys.executable] + args, env=env, cwd=cwd,
                           check=True, capture_output=True, text=True).stdout
 

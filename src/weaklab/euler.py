@@ -10,20 +10,26 @@ place; every start point shares the increment, which is never copied.
 
 Monte-Carlo reductions are chunked over fixed-size substreams and merged
 in stream order with compensated summation, so results are bit-identical
-regardless of how many workers run the chunks.  Chunks run on one thread
-per CPU the process may use (WEAKLAB_WORKERS overrides the count), and on
-no more threads than there are chunks; each running chunk holds its own
-working set, so memory grows with the number of threads.
+regardless of how many workers run the chunks.  The worker count is the
+number of CPUs the process may use (WEAKLAB_WORKERS overrides it).  Chunks
+run on min(workers, chunks) threads, and every simulation in a chunk runs
+its paths as max(1, workers // chunks) contiguous ranges, one on the
+chunk's thread and the rest on a persistent part pool; Philox is counter
+based, so each range reads its slice of every draw from its place in the
+stream and the endpoints are bit-identical to the unsplit loop's.  A
+chunk's working set is divided among its ranges, plus one assembled copy
+of the endpoints; memory grows with the number of chunk threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -43,6 +49,71 @@ class SimulationBlowup(RuntimeError):
 def _check_finite(x: np.ndarray, step: int):
     if not np.all(np.isfinite(x)):
         raise SimulationBlowup(step)
+
+
+class _Halted(Exception):
+    """A range stops: another range failed at an earlier step."""
+
+
+class _Halt:
+    """The failure of a split simulation that the unsplit loop would meet
+    first, as (step, first path of its range, exception)."""
+
+    def __init__(self):
+        self.first = None
+        self._lock = threading.Lock()
+
+    def fail(self, step: int, lo: int, exc: BaseException):
+        with self._lock:
+            if self.first is None or (step, lo) < self.first[:2]:
+                self.first = (step, lo, exc)
+
+    def check(self, step: int):
+        """Raise _Halted if a range failed before `step`: nothing this
+        range meets from here on could come first."""
+        first = self.first
+        if first is not None and first[0] < step:
+            raise _Halted
+
+
+def _seek(gen: np.random.Generator, used: int, at: int):
+    """Move gen, which has produced `used` uniforms, on to uniform `at` >=
+    used.  Philox makes uniforms in blocks of four, and advance skips
+    whole blocks past the one in use."""
+    blocks = -(-used // 4)
+    if at >= 4 * blocks:
+        gen.bit_generator.advance(at // 4 - blocks)
+        used = at - at % 4
+    gen.random(at - used)
+
+
+_split = threading.local()  # .parts: path ranges per simulation
+_pool_lock = threading.Lock()
+_pool = (0, None)  # (threads, executor) of the part pool
+
+
+@contextlib.contextmanager
+def _splitting(parts: int):
+    """Run every simulation this thread starts inside in `parts` ranges."""
+    outer = getattr(_split, "parts", 1)
+    _split.parts = parts
+    try:
+        yield
+    finally:
+        _split.parts = outer
+
+
+def _part_pool() -> ThreadPoolExecutor:
+    """The executor of every range but the first: built on first use with
+    worker_count() threads and rebuilt when that grows.  It never runs a
+    chunk, so a chunk that waits on its ranges cannot starve them."""
+    global _pool
+    threads = worker_count()
+    with _pool_lock:
+        if _pool[0] < threads:  # the old pool's threads end once idle
+            _pool = (threads, ThreadPoolExecutor(
+                threads, thread_name_prefix="weaklab-part"))
+        return _pool[1]
 
 
 def _steps(n: int, t: float) -> tuple[int, float]:
@@ -79,12 +150,12 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     """The Euler loop behind simulate_euler and simulate_ladder.
 
     Every resolution in `ns` must be a positive integer that divides the
-    finest.
-    Normals are drawn once per fine step for `size` paths and shared by
-    every start.  The finest level steps on the raw increment; each coarser
-    level sums the increments it spans in a buffer that is reset in place
-    after its step.  A step adds b dt, then the row sums of sigma dB, in
-    place to the level's state; no state array is ever rebound.
+    finest.  The paths run as contiguous ranges [lo, hi) of the `size`,
+    as many as this thread's split asks for (one outside a reduction);
+    the first range runs on the calling thread, the others on the part
+    pool, and their endpoints are joined into the start-major result.
+    When ranges fail, the one whose failure the unsplit loop would meet
+    first raises: the earliest step, then the lowest range.
     """
     if any(n != int(n) or n < 1 for n in ns):
         raise ValueError(f"resolutions must be positive integers; got {ns}")
@@ -92,22 +163,65 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     for n in ns:
         if ns[-1] % n:
             raise ValueError(f"resolution {n} does not divide finest {ns[-1]}")
-    n_fine, coarse = ns[-1], ns[:-1]
-    gen = rng.generator()
-    d, r = model.dim_d, model.dim_r
     starts = np.atleast_2d(np.asarray(x, dtype=float))
-    if starts.ndim != 2 or starts.shape[1] != d:
-        raise ValueError(f"start points must have shape (d,) or (k, d), d={d}")
-    k = starts.shape[0]
-    x0 = np.repeat(starts, size, axis=0)  # start-major rows
+    if starts.ndim != 2 or starts.shape[1] != model.dim_d:
+        raise ValueError("start points must have shape (d,) or (k, d), "
+                         f"d={model.dim_d}")
+    parts = max(1, min(getattr(_split, "parts", 1), size))
+    bounds = [size * i // parts for i in range(parts + 1)]
+    halt = _Halt()
+    run = partial(_euler_paths, model, starts, ns, t, rng, size, halt)
+    futures = [_part_pool().submit(run, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    ranges = [run(bounds[0], bounds[1])] + [f.result() for f in futures]
+    if halt.first is not None:
+        raise halt.first[2]
+    if parts == 1:
+        return ranges[0]
+    k, d = starts.shape
+    return {n: np.concatenate([p[n].reshape(k, -1, d) for p in ranges],
+                              axis=1).reshape(k * size, d) for n in ns}
+
+
+def _euler_paths(model: SdeModel, starts: np.ndarray, ns: list, t: float,
+                 rng: RngStream, size: int, halt: "_Halt", lo: int,
+                 hi: int) -> dict[int, np.ndarray] | None:
+    """Endpoints {n: (k (hi - lo), d)}, start-major, of paths [lo, hi) of
+    the `size` from each of the k `starts`; None once a failure is left
+    in `halt`.
+
+    Normals are drawn once per fine step for the range and shared by
+    every start: draw j of the range is rows [lo, hi) of the unsplit
+    loop's (size, r) draw j, read from its place in the stream.  The
+    finest level steps on the raw increment; each coarser level sums the
+    increments it spans in a buffer that is reset in place after its
+    step.  A step adds b dt, then the row sums of sigma dB, in place to
+    the level's state; no state array is ever rebound.
+    """
+    n_fine, coarse = ns[-1], ns[:-1]
+    d, r = model.dim_d, model.dim_r
+    k, m = starts.shape[0], hi - lo
+    gen, used = rng.generator(), 0  # uniforms gen has produced
+    x0 = np.repeat(starts, m, axis=0)  # start-major rows
     kf, dtp = _steps(n_fine, t)
     states = {n: x0.copy() for n in ns}
-    buffers = {n: np.zeros((size, r)) for n in coarse}
-    done = dict.fromkeys(ns, 0)  # steps taken at each level
-    b, sig = np.empty((k * size, d)), np.empty((k * size, d, r))
-    sdb = sig.reshape(k, size, d, r)  # a view: one block of paths per start
+    buffers = {n: np.zeros((m, r)) for n in coarse}
+    done = dict.fromkeys(ns, 0)  # steps taken at each level; their sum
+    # orders the steps of all levels as the loop takes them
+    b, sig = np.empty((k * m, d)), np.empty((k * m, d, r))
+    sdb = sig.reshape(k, m, d, r)  # a view: one block of paths per start
+
+    def draw(j, scale):
+        nonlocal used
+        at = (j * size + lo) * r
+        _seek(gen, used, at)
+        used = at + m * r
+        dB = normals_from(gen, (m, r))
+        dB *= scale
+        return dB
 
     def step(n, dt, dB):
+        halt.check(sum(done.values()))
         state = states[n]
         model.drift_diffusion(state, b, sig)
         np.multiply(b, dt, out=b)
@@ -122,25 +236,29 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
         done[n] += 1
 
     scale = math.sqrt(1.0 / n_fine)
-    for j in range(1, kf + 1):
-        dB = normals_from(gen, (size, r))
-        dB *= scale
-        for n in coarse:
-            buffers[n] += dB
-            if j % (n_fine // n) == 0:
-                step(n, 1.0 / n, buffers[n])
-                buffers[n].fill(0.0)
-        step(n_fine, 1.0 / n_fine, dB)
-    if dtp > 1e-14:
-        dB = normals_from(gen, (size, r))
-        dB *= math.sqrt(dtp)
-        for n in coarse:
-            buffers[n] += dB
-        buffers[n_fine] = dB  # the finest level steps on the raw increment
-    for n in ns:
-        dt_last = t - done[n] / n
-        if dt_last > 1e-14:
-            step(n, dt_last, buffers[n])
+    try:
+        for j in range(1, kf + 1):
+            dB = draw(j - 1, scale)
+            for n in coarse:
+                buffers[n] += dB
+                if j % (n_fine // n) == 0:
+                    step(n, 1.0 / n, buffers[n])
+                    buffers[n].fill(0.0)
+            step(n_fine, 1.0 / n_fine, dB)
+        if dtp > 1e-14:
+            dB = draw(kf, math.sqrt(dtp))
+            for n in coarse:
+                buffers[n] += dB
+            buffers[n_fine] = dB  # the finest level steps on the raw increment
+        for n in ns:
+            dt_last = t - done[n] / n
+            if dt_last > 1e-14:
+                step(n, dt_last, buffers[n])
+    except _Halted:
+        return None
+    except BaseException as exc:  # re-raised by _simulate
+        halt.fail(sum(done.values()), lo, exc)
+        return None
     return states
 
 
@@ -240,15 +358,24 @@ def _reduce(chunk_fn, N: int, rng: RngStream):
     value or row per sample, over N samples.  One MeanAccumulator per
     column of the first chunk merges the chunks in substream order; chunk
     boundaries are fixed by CHUNK, so the result is independent of the
-    worker count.  At most one thread per chunk runs; a single chunk runs
-    on the calling thread.  Once a chunk raises, no chunk starts after it
-    and the exception reaches the caller."""
+    worker count.  Chunks run on min(workers, chunks) threads, a single
+    chunk on the calling thread, and every simulation in a chunk splits
+    its paths into max(1, workers // chunks) ranges on the part pool, so
+    a lone chunk keeps every worker busy.  A chunk's working set is
+    divided among its ranges, plus one assembled copy of the endpoints.
+    Once a chunk raises, no chunk starts after it and the exception
+    reaches the caller."""
     if N < 1:
         raise ValueError("N >= 1 samples required")
     sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
     streams = [rng.substream(i) for i in range(len(sizes))]
-    workers = min(worker_count(), len(sizes))
+    workers = worker_count()
+    threads, parts = min(workers, len(sizes)), max(1, workers // len(sizes))
     accs = []
+
+    def split(stream, size):
+        with _splitting(parts):
+            return chunk_fn(stream, size)
 
     def absorb(vals):
         cols = np.reshape(vals, (len(vals), -1))
@@ -257,7 +384,7 @@ def _reduce(chunk_fn, N: int, rng: RngStream):
         for j, acc in enumerate(accs):
             acc.add(cols[:, j])
 
-    if workers > 1:
+    if threads > 1:
         failed = threading.Event()
 
         def run(stream, size):
@@ -266,12 +393,12 @@ def _reduce(chunk_fn, N: int, rng: RngStream):
             if failed.is_set():
                 return None
             try:
-                return chunk_fn(stream, size)
+                return split(stream, size)
             except BaseException:
                 failed.set()
                 raise
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(run, s, z) for s, z in zip(streams, sizes)]
             try:
                 for fut in futures:
@@ -280,7 +407,7 @@ def _reduce(chunk_fn, N: int, rng: RngStream):
                 for fut in futures:
                     fut.cancel()
     else:
-        for vals in map(chunk_fn, streams, sizes):
+        for vals in map(split, streams, sizes):
             absorb(vals)
     out = [acc.result() for acc in accs]
     return np.array([m for m, _ in out]), np.array([s for _, s in out])

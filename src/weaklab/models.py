@@ -97,7 +97,8 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
     def drift_diffusion(x, b, sig):
         np.multiply(m, x, out=b)
         b += c
-        sig[...] = S[0]
+        for j, s_j in enumerate(S[0]):  # a column at a time: a broadcast
+            sig[..., j] = s_j           # copy of the row is slower at r > 1
 
     return SdeModel(name, 1, S.shape[1], drift_diffusion, flag_C=True,
                     ellipticity_eta=a,
@@ -121,8 +122,10 @@ def make_constant_model(b0, s0) -> SdeModel:
                                 flag_B=True)
 
     def drift_diffusion(x, b, sig):
-        b[...] = b0
-        sig[...] = s0
+        for i in range(d):  # an entry at a time: a broadcast copy of b0
+            b[:, i] = b0[i]  # or s0 is slower
+            for j in range(r):
+                sig[:, i, j] = s0[i, j]
 
     return SdeModel("constant", d, r, drift_diffusion, flag_B=True,
                     flag_C=True, ellipticity_eta=eta,

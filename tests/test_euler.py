@@ -1,11 +1,15 @@
+import json
 import math
 import os
+import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weaklab import cli, euler
 from weaklab import pricing as pr
 from weaklab.euler import (CHUNK, SimulationBlowup, ThreadPoolExecutor,
                            euler_affine_transport, euler_density_1d,
@@ -17,7 +21,8 @@ from weaklab.models import (make_bounded_vol_model, make_constant_model,
                             make_gbm_model, make_ou_model)
 from weaklab.montecarlo import bias_ladder, estimate_expectation
 from weaklab.rng import RngStream, normals_from
-from weaklab.testfunctions import UnsupportedFunctional, dirac, identity
+from weaklab.testfunctions import (UnsupportedFunctional, dirac, identity,
+                                   square)
 
 TANH = make_bounded_vol_model(0.05, 0.6, 0.5)
 TWO_NOISES = make_constant_model([0.1], [[0.3, 0.4]])  # d = 1, r = 2
@@ -258,19 +263,153 @@ def test_worker_count_defaults_to_affinity():
         assert worker_count() == 3
 
 
-@pytest.mark.parametrize("N, threads", [(CHUNK, None), (CHUNK + 1, 2)])
-def test_reduce_threads_at_most_one_per_chunk(N, threads):
-    def chunk(stream, size):
-        return normals_from(stream.generator(), (size,))
+@pytest.mark.parametrize("N, threads, ranges", [
+    (CHUNK, None, {CHUNK: [(i * CHUNK // 4, (i + 1) * CHUNK // 4)
+                           for i in range(4)]}),
+    (CHUNK + 1, 2, {CHUNK: [(0, CHUNK // 2), (CHUNK // 2, CHUNK)],
+                    1: [(0, 1)]}),
+], ids=["lone-chunk", "two-chunks"])
+def test_reduce_threads_and_parts_per_chunk(N, threads, ranges):
+    # min(workers, chunks) chunk threads, none but the caller's for one
+    # chunk; max(1, workers // chunks) path ranges per simulation, and no
+    # more ranges than paths
+    m, seen = make_ou_model(1.0, 1.0), []
 
+    def chunk(stream, size):
+        return simulate_euler(m, [0.0], 1, 1.0, stream, size)[:, 0]
+
+    def spy(*args):
+        seen.append((args[5],) + args[-2:])  # size, lo, hi
+        return euler_paths(*args)
+
+    euler_paths = euler._euler_paths
     with mock.patch.dict(os.environ, WEAKLAB_WORKERS="4"), \
             mock.patch("weaklab.euler.ThreadPoolExecutor",
-                       wraps=ThreadPoolExecutor) as pool:
+                       wraps=ThreadPoolExecutor) as pool, \
+            mock.patch("weaklab.euler._euler_paths", spy):
         mc_reduce(chunk, N, RngStream(1, 1))
-    if threads is None:
-        pool.assert_not_called()
-    else:
-        pool.assert_called_once_with(max_workers=threads)
+    chunk_pools = [c for c in pool.call_args_list
+                   if "thread_name_prefix" not in c.kwargs]
+    assert chunk_pools == ([] if threads is None
+                           else [mock.call(max_workers=threads)])
+    got = {}
+    for size, lo, hi in sorted(seen):
+        got.setdefault(size, []).append((lo, hi))
+    assert got == ranges
+
+
+SPLIT_CASES = {
+    "tanh-vol k=1": (TANH, [[0.2]]),
+    "tanh-vol k=3": (TANH, [[-0.3], [0.0], [0.3]]),
+    "gbm k=2": (make_gbm_model(0.1, 0.2), [[0.9], [1.1]]),
+    "ou": (make_ou_model(1.0, 1.0), [[1.0]]),
+    "constant-1d-r2": (TWO_NOISES, [[0.4]]),
+    "constant-2d": (make_constant_model([0.1, -0.2], [[0.5, 0.0], [0.1, 0.4]]),
+                    [[0.0, 0.5]]),
+}
+
+
+def _hex_levels(model, starts, size, parts):
+    with euler._splitting(parts):
+        lad = simulate_ladder(model, starts, [2, 4, 8], 0.77,
+                              RngStream(6, 2), size)
+    return {n: [v.hex() for v in pts.ravel().tolist()]
+            for n, pts in lad.items()}
+
+
+@pytest.mark.parametrize("size", [1, 2, 1001, 16_384])
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_split_paths_match_one_part(case, size):
+    # t = 0.77 ends every level on a partial step; at 1001 paths the
+    # ranges start inside Philox's blocks of four uniforms
+    model, starts = SPLIT_CASES[case]
+    want = _hex_levels(model, starts, size, 1)
+    assert _hex_levels(model, starts, size, 2) == want
+    assert _hex_levels(model, starts, size, 3) == want
+
+
+REDUCTIONS = {
+    "bias-ladder": lambda N: bias_ladder(
+        make_ou_model(1.0, 1.0), square(), [0.5], 1.0, [2, 4], N,
+        RngStream(9, 4)),
+    "greeks": lambda N: pr.greeks_euler(
+        TANH, pr.OptionSpec(pr.make_payoff("call", strike=1.0), t=0.77, v=1.0),
+        4, N, RngStream(9, 5)),
+    "moment": lambda N: empirical_moment(
+        make_gbm_model(0.1, 0.2), [1.0], 4, 0.77, 4, N, RngStream(9, 6)),
+}
+
+
+@pytest.mark.parametrize("N", [40_000, CHUNK + 17])
+@pytest.mark.parametrize("name", list(REDUCTIONS))
+def test_split_reductions_match_across_worker_counts(name, N):
+    # one chunk splits into 1 to 4 ranges, two chunks into 1 or 2 each
+    def run(workers):
+        with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers):
+            return repr(REDUCTIONS[name](N))
+
+    want = run("1")
+    assert [run(w) for w in ("2", "3", "4")] == [want] * 3
+
+
+def _late_blowup(size):
+    """OU whose writer puts NaN into the drift of the second half of the
+    `size` paths at step 2 and of the first half at step 3.  size is odd,
+    so the two ranges of a split, [0, size // 2) and [size // 2, size),
+    and the unsplit [0, size) have three lengths."""
+    model = make_ou_model(1.0, 1.0)
+    ou, half, calls = model.drift_diffusion, size // 2, Counter()
+
+    def drift_diffusion(x, b, sig):
+        ou(x, b, sig)
+        step = calls[len(x)]
+        calls[len(x)] += 1
+        rows = np.arange(len(x)) + (half if len(x) == size - half else 0)
+        if step == 2:
+            b[rows >= half] = np.nan
+        elif step == 3:
+            b[rows < half] = np.nan
+
+    model.drift_diffusion = drift_diffusion
+    return model
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_split_blowup_reports_the_unsplit_step(workers):
+    # at 2 workers the second range fails first; raising the first
+    # range's error would report step 3.  A short switch interval
+    # interleaves the ranges' steps differently from run to run.
+    steps = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers):
+            for _ in range(20):
+                with pytest.raises(SimulationBlowup) as err:
+                    empirical_moment(_late_blowup(9), [0.0], 8, 1.0, 2, 9,
+                                     RngStream(2, 2))
+                steps.append(err.value.step)
+    finally:
+        sys.setswitchinterval(interval)
+    assert steps == [2] * 20
+
+
+def test_split_blowup_cli_line_matches_one_part(tmp_path, capsys):
+    cfg = {"study": "moments", "model": {"model": "ou", "theta": 1.0,
+                                         "sigma": 1.0},
+           "q": 2, "t_grid": [1.0], "x_grid": [0.0], "n_ladder": [8, 16],
+           "N": 9, "seed": 3, "output_csv": str(tmp_path / "m.csv"),
+           "output_json": str(tmp_path / "m.json")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    lines = []
+    for workers in ("1", "2"):
+        with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers), \
+                mock.patch("weaklab.models.model_from_config",
+                           return_value=_late_blowup(9)):
+            assert cli.main(["run", str(path)]) == cli.EXIT_NONCONVERGED
+        lines.append(capsys.readouterr().err)
+    assert lines == ["non-convergence: non-finite state at step 2\n"] * 2
 
 
 @settings(max_examples=16, deadline=None)
