@@ -31,6 +31,18 @@ nodes, and these two are the only tables it builds: the Gauss-Hermite
 coordinates, every block of the sweep and the kernel K read their rows
 of them.  Each block asks the density for all the orders it needs in one
 derivs call.
+
+A term whose coefficient array is all zeros is never evaluated.  The
+table records which arrays are nonzero (3 of the 12 for OU; for GBM, all
+9 that the terms by parts read).  The sums of both halves add only those
+terms, and derivs, the kernel and the time tables are asked only for the
+orders they read: for OU, j = 0, 1, 2 by parts and gamma = 1, 2 on the
+left half, so no third derivative.  Each sum starts at +0.0, which no
+addition turns into -0.0, and a zero term at finite nodes and density
+factors adds +-0 to it, so dropping the term moves no bit there (with
+an infinite factor, the full sum's 0 * inf would be NaN).  The
+coefficient polynomials are evaluated by _horner, which performs numpy
+polyval's operations in its order.
 """
 
 from __future__ import annotations
@@ -42,7 +54,6 @@ from itertools import chain
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyval
 
 from .euler import euler_density_1d
 from .models import SdeModel, is_constant, pair_density, require_density
@@ -106,13 +117,22 @@ def _l2star(b, a):
             -0.5 * a * da)
 
 
+class _L2StarTable(tuple):
+    """l2star_table's tuple of coefficient arrays, with nonzero, the
+    (g, k) of every array dgs[g - 1][k] that is not all zeros, in
+    ascending order."""
+
+
 def l2star_table(model: SdeModel):
     """dgs with dgs[g - 1][k] the coefficient array of the k-th derivative
     of g*_g, k = 0..3, read-only: polyval(z, dgs[g - 1][k]) is
     l2star_coefficients(model)[g - 1].deriv(k)(z) bit for bit (the model's
-    polynomials live on numpy's default domain, which maps z to itself).
-    Built once per pair of coefficient arrays; ValueError, and no cache
-    entry, for a model without polynomial coefficients."""
+    polynomials live on numpy's default domain, which maps z to itself),
+    and so is _horner(dgs[g - 1][k], z).  dgs.nonzero lists the (g, k) of
+    the arrays that are not all zeros (a -0.0 entry counts as zero): 3
+    for OU, 9 for GBM, none for the constant model.  Built once per pair
+    of coefficient arrays; ValueError, and no cache entry, for a model
+    without polynomial coefficients."""
     b, a = _poly(model)
     return _l2star_table(b.coef.tobytes(), a.coef.tobytes())
 
@@ -122,26 +142,71 @@ def l2star_table(model: SdeModel):
 @lru_cache(maxsize=8)
 def _l2star_table(b: bytes, a: bytes):
     gs = _l2star(Polynomial(np.frombuffer(b)), Polynomial(np.frombuffer(a)))
-    dgs = tuple(tuple(g.deriv(k).coef for k in range(4)) for g in gs)
+    dgs = _L2StarTable(tuple(g.deriv(k).coef for k in range(4)) for g in gs)
     for c in chain.from_iterable(dgs):
         c.flags.writeable = False
+    dgs.nonzero = tuple((g, k) for g in (1, 2, 3) for k in range(4)
+                        if dgs[g - 1][k].any())
     return dgs
+
+
+def _horner(c, z):
+    """numpy's polyval(z, c) bit for bit: its Horner steps, op for op,
+    from c[-1] + z * 0."""
+    acc = c[-1] + z * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * z
+    return acc
+
+
+def _terms(dgs):
+    """(by_parts, left) for dgs = l2star_table(model): the (g, k) of
+    _by_parts' nonzero terms, and the g of the left half's, in the order
+    of the full sums."""
+    return ([(g, k) for g, k in dgs.nonzero if k <= g],
+            [g for g, k in dgs.nonzero if k == 0])
 
 
 def _by_parts(dens, dgs, table, x0: np.ndarray, alpha: int, z):
     """sum_g (-1)^g d^g/dz^g [g*_g(z) d^alpha_x p(s, x0, z)] at the nodes z:
     the derivatives L2* produced, moved onto p(s, x0, .) and the
     polynomial coefficients by the Leibniz rule, every one exact, with
-    dgs = l2star_table(model) and table the density's time table at s.
+    dgs = l2star_table(model) and table the density's time table at s,
+    of order at least alpha plus every g - k it reads.  Only the nonzero
+    terms are summed, and only their orders j = g - k asked of derivs.
     x0 broadcasts against z, one start point per row."""
-    dp = dens.derivs([(alpha, j) for j in range(4)], table, x0, z)
+    terms = _terms(dgs)[0]
+    js = sorted({g - k for g, k in terms})
+    dp = dict(zip(js, dens.derivs([(alpha, j) for j in js], table, x0, z)))
     acc = 0.0
-    for g in (1, 2, 3):
-        sign = (-1.0) ** g
-        for k in range(g + 1):
-            acc = acc + sign * math.comb(g, k) * polyval(z, dgs[g - 1][k]) \
-                * dp[g - k]
+    for g, k in terms:
+        acc = acc + (-1.0) ** g * math.comb(g, k) \
+            * _horner(dgs[g - 1][k], z) * dp[g - k]
     return acc
+
+
+def _l2star_on(dgs, ks, z):
+    """sum_g g*_g(z) d^g_z K at the nodes z, L2* K as the left half takes
+    it, with ks the kernel's derivatives d^g_z K of the orders g of
+    _terms(dgs)[1], in that order: only the nonzero terms are summed."""
+    acc = 0.0
+    for g, kz in zip(_terms(dgs)[1], ks):
+        acc = acc + _horner(dgs[g - 1][0], z) * kz
+    return acc
+
+
+def _check_kernel_args(t, split: float = 0.5, alpha=0, beta=0):
+    """ValueError unless t is finite and positive, split in (0, 1), and
+    alpha and beta non-negative integers."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, not {t!r}")
+    if not 0 < split < 1:
+        raise ValueError(f"split must be in (0, 1), not {split!r}")
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                and v >= 0):
+            raise ValueError(
+                f"{name} must be a non-negative integer, not {v!r}")
 
 
 def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
@@ -152,17 +217,22 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
 
     kernel(gammas, table, rows, z) returns the list of d^gamma_z K(tau, z)
     for gamma in gammas at the nodes z, row i of z belonging to row
-    rows[i] at the time tau whose time table (of order 3 + beta) is
-    table[:, i], and the error of each row of z.  On the left
-    half the derivatives of L2* stay on K; on the right half they move onto
-    p(s, x0, .) by parts.  Both halves centre on p(s, x0, .), unless the
-    target y of each row is given: then the right half centres one rule per
-    row on p(t-s, ., y).  The inner rules of one sweep over time nodes are
-    one Gauss-Hermite block whose rows are (time, row) pairs, each doubling
-    its nodes on its own.  Each row's inner error is the worst of its
-    Gauss-Hermite and kernel errors; non-finite errors are kept.
+    rows[i] at the time tau whose time table (of order beta plus the
+    largest gamma) is table[:, i], and the error of each row of z.  On the
+    left half the derivatives of L2* stay on K; on the right half they
+    move onto p(s, x0, .) by parts.  Only the nonzero terms of L2* are
+    summed, and the kernel, derivs and the time tables are asked only for
+    the orders those read.  Both halves centre on p(s, x0, .), unless the
+    target y of each row is given: then the right half centres one rule
+    per row on p(t-s, ., y).  The inner rules of one sweep over time nodes
+    are one Gauss-Hermite block whose rows are (time, row) pairs, each
+    doubling its nodes on its own.  Each row's inner error is the worst of
+    its Gauss-Hermite and kernel errors; non-finite errors are kept.
     Returns (values, quad_errors).
     """
+    by_parts, gammas = _terms(dgs)
+    jmax = max((g - k for g, k in by_parts), default=0)
+    gmax = max(gammas, default=0)
     inner_err = np.zeros(x0.size)
 
     def integrand(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -171,8 +241,10 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
         block is time-major, pair j len(rows) + k being (s[j], rows[k])."""
         left_half = s[0] <= split * t
         pr = np.tile(rows, s.size)
-        tab_s = np.repeat(dens.time_table(s, alpha + 3), rows.size, axis=1)
-        tab_tau = np.repeat(dens.time_table(t - s, 3 + beta), rows.size,
+        s_order, tau_order = (alpha, gmax + beta) if left_half \
+            else (alpha + jmax, beta)
+        tab_s = np.repeat(dens.time_table(s, s_order), rows.size, axis=1)
+        tab_tau = np.repeat(dens.time_table(t - s, tau_order), rows.size,
                             axis=1)
         if left_half or target is None:
             mean, std, push, dpush = dens.gauss_coords(tab_s, x0[pr])
@@ -188,12 +260,9 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
 
         if left_half:
             def fn(z, r):
-                ks = at_tau((1, 2, 3), z, r)
-                acc = 0.0
-                for g in (1, 2, 3):
-                    acc = acc + polyval(z, dgs[g - 1][0]) * ks[g - 1]
                 return dens.derivs(((alpha, 0),), tab_s[:, r, None],
-                                   x0[pr[r], None], z)[0] * acc
+                                   x0[pr[r], None], z)[0] \
+                    * _l2star_on(dgs, at_tau(gammas, z, r), z)
         else:
             def fn(z, r):
                 return at_tau((0,), z, r)[0] \
@@ -221,8 +290,10 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
     _principal_rows with K = P_{t-s} f.  Returns (value, quad_error); a
     non-finite inner error makes quad_error non-finite.  Dirac-type
     targets delegate to the kernel: d^beta delta_y pairs to
-    (-1)^beta d^beta_y pi(t, x, y), beta = 0 for delta_y.
+    (-1)^beta d^beta_y pi(t, x, y), beta = 0 for delta_y.  A t that is
+    not finite and positive raises ValueError.
     """
+    _check_kernel_args(t)
     x0 = float(np.atleast_1d(x)[0])
     if not f.pointwise:
         val, err = pi_rows(model, t, x0, f.y, 0, f.beta, tol)
@@ -265,8 +336,11 @@ def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
     running its own time and Gauss-Hermite node doubling, and equals the
     one-point call principal_density_pi bit for bit.  Returns
     (values, quad_errors); non-finite inner errors are kept, and
-    pi_converged tells which points converged.
+    pi_converged tells which points converged.  A t that is not finite
+    and positive, a split outside (0, 1), or an alpha or beta that is not
+    a non-negative integer raises ValueError.
     """
+    _check_kernel_args(t, split, alpha, beta)
     xs, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                  np.atleast_1d(np.asarray(y, dtype=float)))
     if xs.ndim != 1:
@@ -408,8 +482,10 @@ def pairing_with_pi(model: SdeModel, S: tf.TestFunction, t: float, x,
 
     Returns (value, quad_error).  Functions integrate S(y) pi(t,x,y)
     over the Gaussian-decay support of the law, with a breakpoint at
-    y = 0 so kinked integrands (|y|-type growth) stay panel-smooth.
+    y = 0 so kinked integrands (|y|-type growth) stay panel-smooth.  A t
+    that is not finite and positive raises ValueError.
     """
+    _check_kernel_args(t)
     x0 = float(np.atleast_1d(x)[0])
     if not S.pointwise:
         return principal_term_Ct(model, S, t, x0, tol=tol)

@@ -29,17 +29,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite_e
 from numpy.polynomial.polynomial import polyfromroots
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 def hermite_He(k: int, u: np.ndarray) -> np.ndarray:
-    """Probabilists' Hermite polynomial He_k evaluated elementwise."""
-    coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-    return hermite_e.hermeval(u, coeffs)
+    """Probabilists' Hermite polynomial He_k evaluated elementwise, equal
+    to numpy's hermite_e.hermeval(u, e_k) bit for bit: its Clenshaw
+    recurrence on the unit coefficient vector e_k, op for op, with the
+    zero and unit coefficients written in."""
+    if k == 0:
+        return 1.0 + 0 * u
+    c0, c1 = 0.0, 1.0
+    for nd in range(k, 1, -1):
+        c0, c1 = 0.0 - c1 * (nd - 1), c0 + c1 * u
+    return c0 + c1 * u
 
 
 def normal_pdf(y, mean, var):

@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .euler import mc_reduce_multi, simulate_ladder
 from .models import SdeModel
 from .montecarlo import Estimate, coupled_rungs, estimate_expectation, \
     richardson_limit, romberg_estimate
-from .rng import RngStream
+from .rng import RngStream, scipy_special
 from . import testfunctions as tf
 
 PRICE, DELTA, GAMMA = "price", "delta", "gamma"
@@ -172,6 +171,7 @@ def black_scholes_call(v: float, k: float, sigma: float, t: float):
     st = sigma * math.sqrt(t)
     d1 = (math.log(v / k) + 0.5 * sigma * sigma * t) / st
     d2 = d1 - st
+    ndtr = scipy_special("ndtr")
     price = v * ndtr(d1) - k * ndtr(d2)
     # the density on an array, as scipy.stats.norm.pdf evaluates it: the
     # scalar np.exp can differ from the array one in the last bit

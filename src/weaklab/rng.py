@@ -5,15 +5,17 @@ Streams are backed by the Philox counter-based generator keyed on
 bit-for-bit regardless of how the work is scheduled across workers.
 Gaussian variates are produced by inverse-CDF transform of the raw
 uniforms rather than rejection sampling, so the draw count per variate
-is fixed.
+is fixed.  scipy, which provides the inverse CDF, is imported on the
+first draw, not with the package: it is about half of weaklab's import
+time, and quadrature-only runs draw nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,9 +48,16 @@ class RngStream:
         return RngStream(self.seed, splitmix64((self.stream_id ^ splitmix64(i)) & _MASK64))
 
 
+@cache
+def scipy_special(name: str):
+    """scipy.special's function name, bound once, on its first use."""
+    import scipy.special
+    return getattr(scipy.special, name)
+
+
 def normals_from(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normal draws via inverse CDF of the generator's uniforms,
     transformed in place in one fresh array the caller owns."""
     u = gen.random(shape)
     np.maximum(u, _U_FLOOR, out=u)
-    return ndtri(u, out=u)
+    return scipy_special("ndtri")(u, out=u)

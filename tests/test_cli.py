@@ -255,14 +255,27 @@ def test_greeks_csv_cells_are_numbers(tmp_path):
                 float(cell)
 
 
-def test_import_does_not_load_scipy_stats():
+def test_import_does_not_load_scipy_stats(tmp_path):
+    # nor scipy at all, until the first normal draw: importing the CLI and
+    # running the quadrature-only studies in-process leave it unloaded
     src = os.path.dirname(os.path.dirname(weaklab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, weaklab.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    paths = [write_cfg(tmp_path, dict(
+        SMALL[name], seed=1, output_csv=str(tmp_path / f"{name}.csv"),
+        output_json=str(tmp_path / f"{name}-summary.json")), f"{name}.json")
+             for name in ("density", "tailbound", "weak-rate")]
+    code = ("import sys, weaklab.cli\n"
+            "from weaklab.rng import RngStream, normals_from\n"
+            "loaded = ['scipy' in sys.modules]\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert weaklab.cli.main(['run', path]) == 0\n"
+            "loaded.append('scipy' in sys.modules)\n"
+            "normals_from(RngStream(1).generator(), 4)\n"
+            "loaded.append('scipy.special' in sys.modules)\n"
+            "print('loaded', *loaded)\n")
+    out = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "loaded False False True"
 
 
 def test_missing_file_exits_3(tmp_path):

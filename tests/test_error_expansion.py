@@ -1,15 +1,17 @@
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from weaklab import error_expansion as ee
 from weaklab import quadrature as quad
 from weaklab import testfunctions as tf
 from weaklab.euler import euler_density_1d
-from weaklab.gaussian import normal_pdf
+from weaklab.gaussian import LognormalDensity, normal_pdf
 from weaklab.models import make_bounded_vol_model, make_constant_model, \
     make_gbm_model, make_ou_model
 
@@ -117,6 +119,112 @@ def test_l2star_table_is_the_polynomials_bit_for_bit(model):
             for k in range(4):
                 assert polyval(z, dgs[g][k]).tobytes() == \
                     gs[g].deriv(k)(z).tobytes(), (m, g, k)
+
+
+TABLE_MODELS = {"ou": make_ou_model(1.0, 1.0), "ou-2": make_ou_model(0.3, 1.7),
+                "gbm": make_gbm_model(0.1, 0.2),
+                "gbm-2": make_gbm_model(0.5, 0.5),
+                "constant-1d": make_constant_model([0.3], [[0.7]])}
+# the (g, k) of the nonzero derivatives of g*_g, from _ou_hand and
+# _gbm_hand: g*_3 = 0 for OU, and no g*_g of GBM has degree above g
+NONZERO = {"ou": ((1, 0), (1, 1), (2, 0)),
+           "gbm": ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
+                   (3, 0), (3, 1), (3, 2), (3, 3)),
+           "constant-1d": ()}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_l2star_table_lists_its_nonzero_arrays(name):
+    dgs = ee.l2star_table(TABLE_MODELS[name])
+    assert dgs.nonzero == NONZERO[name.split("-2")[0]]
+    for g in (1, 2, 3):
+        for k in range(4):
+            assert bool(np.any(dgs[g - 1][k])) == ((g, k) in dgs.nonzero)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_horner_is_polyval_bit_for_bit(name):
+    # signed zeros, |z| up to 1e300, the infinities and NaN; coefficient
+    # arrays with -0.0 entries besides the model's own
+    z = np.concatenate([[0.0, -0.0, 1.0, -1.0, 5e-324, -1e-300, 1e150,
+                         -1e150, 1e300, math.inf, -math.inf, math.nan],
+                        np.linspace(-40.0, 40.0, 321)])
+    arrays = list(chain.from_iterable(ee.l2star_table(TABLE_MODELS[name])))
+    arrays += [np.array([-0.0]), np.array([0.0, -0.0]),
+               np.array([-0.0, 1.5, -0.0, -2.25])]
+    with np.errstate(all="ignore"):
+        for c in arrays:
+            for v in (z, z.reshape(3, -1), np.asarray(-0.5), np.asarray(-0.0)):
+                got, want = ee._horner(c, v), polyval(v, c)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == \
+                    np.asarray(want).tobytes(), c
+
+
+def _by_parts_full(dens, dgs, table, x0, alpha, z):
+    """The full sum of _by_parts: all 9 terms, every order j = 0..3, by
+    numpy's polyval; the oracle of the zero-skipping one."""
+    dp = dens.derivs([(alpha, j) for j in range(4)], table, x0, z)
+    acc = 0.0
+    for g in (1, 2, 3):
+        sign = (-1.0) ** g
+        for k in range(g + 1):
+            acc = acc + sign * math.comb(g, k) * polyval(z, dgs[g - 1][k]) \
+                * dp[g - k]
+    return acc
+
+
+def _l2star_on_full(dgs, ks, z):
+    """The full left-half sum of g*_g(z) d^g_z K over g = 1, 2, 3."""
+    acc = 0.0
+    for g in (1, 2, 3):
+        acc = acc + polyval(z, dgs[g - 1][0]) * ks[g - 1]
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["gbm", "gbm-2", "ou", "ou-2"]),
+       s=st.floats(0.01, 1.0), tau=st.floats(0.01, 1.0),
+       x0=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+       offsets=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=6),
+       alpha=st.integers(0, 2), beta=st.integers(0, 1))
+def test_zero_terms_left_out_move_no_bit(name, s, tau, x0, offsets, alpha,
+                                         beta):
+    # rows of nodes about their start points at drawn offsets, in units
+    # of the larger spread of the laws at s and tau, and at offsets of
+    # +-60 where the density factors at s underflow; a last row has
+    # only far offsets, so both of its sums are 0
+    model = TABLE_MODELS[name]
+    dens, dgs = model.exact_density, ee.l2star_table(model)
+    lognormal = isinstance(dens, LognormalDensity)
+    sd = max(float(dens.gauss_coords(dens.time_table(v, 0), 1.0)[1])
+             for v in (s, tau))
+    x0 = np.array(x0 + [x0[0]])[:, None]
+    offs = np.tile(offsets + [-60.0, 60.0], (x0.size, 1))
+    # OU's kernel sees z through e^(-theta tau) z, so it needs them farther
+    far = 60.0 if lognormal else 400.0
+    offs[-1] = np.resize([-far, far, -0.75 * far, 0.85 * far], offs.shape[1])
+    if lognormal:
+        x0 = np.exp(x0)
+        z = x0 * np.exp(sd * offs)
+    else:
+        z = x0 + sd * offs
+    by_parts, gammas = ee._terms(dgs)
+    jmax = max(g - k for g, k in by_parts)
+    full = _by_parts_full(dens, dgs, dens.time_table(s, alpha + 3), x0,
+                          alpha, z)
+    got = ee._by_parts(dens, dgs, dens.time_table(s, alpha + jmax), x0,
+                       alpha, z)
+    assert got.tobytes() == full.tobytes()
+    assert not full[-1].any()
+    # the left half's kernel, p(tau, z, y) with y the row's start point
+    ks = dens.derivs([(g, beta) for g in (1, 2, 3)],
+                     dens.time_table(tau, 3 + beta), z, x0)
+    ks_read = dens.derivs([(g, beta) for g in gammas],
+                          dens.time_table(tau, max(gammas) + beta), z, x0)
+    full = _l2star_on_full(dgs, ks, z)
+    assert ee._l2star_on(dgs, ks_read, z).tobytes() == full.tobytes()
+    assert not full[-1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +408,37 @@ def test_pi_rows_unconverged_grid_matches_one_point_pi():
         make_ou_model(5.0, 1.0), 1.0, [-2.0, 0.0, 3.0], [-2.0, 0.5, 3.0],
         0, 0, 1e-7)
     assert 0 < converged.sum() < converged.size
+
+
+# each of these returned (nan, nan), or raised a math domain error, an
+# IndexError or a TypeError from deep inside the quadrature
+@pytest.mark.parametrize("bad", [
+    dict(t=0.0), dict(t=-0.5), dict(t=math.inf), dict(t=math.nan),
+    dict(split=0.0), dict(split=1.0), dict(split=1.5), dict(split=math.nan),
+    dict(alpha=-1), dict(alpha=1.0), dict(beta=1.5), dict(beta=True)],
+    ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()))
+def test_pi_rejects_invalid_arguments(bad):
+    args = {**dict(t=0.5, split=0.5, alpha=0, beta=0), **bad}
+    what = next(iter(bad))
+    for model in (ou(), make_constant_model([0.3], [[0.7]])):
+        with pytest.raises(ValueError, match=what):
+            ee.pi_rows(model, args["t"], [0.1, 0.3], 0.2, args["alpha"],
+                       args["beta"], 1e-6, args["split"])
+        with pytest.raises(ValueError, match=what):
+            ee.principal_density_pi(model, args["t"], 0.1, 0.2, args["alpha"],
+                                    args["beta"], 1e-6, args["split"])
+
+
+# at t = 0 or inf these had not returned after 20 s, at t < 0 they
+# raised a math domain error; the constant model returned 0 at any t
+@pytest.mark.parametrize("t", [0.0, -0.5, math.inf, math.nan])
+def test_principal_term_and_pairing_reject_invalid_times(t):
+    for model in (ou(), make_constant_model([0.3], [[0.7]])):
+        for f in (tf.square(), tf.dirac(0.3, 1)):
+            with pytest.raises(ValueError, match="t must be"):
+                ee.principal_term_Ct(model, f, t, 0.3)
+    with pytest.raises(ValueError, match="t must be"):
+        ee.pairing_with_pi(ou(), tf.square(), t, 0.3, tol=1e-4)
 
 
 @pytest.mark.parametrize("model", [ou(), gbm()], ids=["ou", "gbm"])

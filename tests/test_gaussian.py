@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
 from weaklab.euler import euler_density_1d
 from weaklab.gaussian import (AffineGaussianDensity, LognormalDensity,
@@ -34,6 +35,29 @@ def test_hermite_values():
     assert np.allclose(hermite_He(1, u), u)
     assert np.allclose(hermite_He(2, u), u * u - 1.0)
     assert np.allclose(hermite_He(3, u), u**3 - 3 * u)
+
+
+def _hexes(v):
+    return [float(e).hex() for e in np.ravel(v)]
+
+
+def test_hermite_He_is_hermeval_bit_for_bit():
+    # signed zeros, negatives, |u| up to 40 (He_7 reaches 1.6e11 there),
+    # the infinities and NaN, and a spread of ordinary points
+    special = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 5e-324, -1e-300, 3.0,
+               -7.25, 40.0, -40.0, 39.9, -31.3, math.inf, -math.inf,
+               math.nan]
+    u = np.concatenate([special, np.linspace(-40.0, 40.0, 801),
+                        np.random.default_rng(3).normal(0.0, 6.0, 400)])
+    with np.errstate(all="ignore"):
+        for k in range(8):
+            e_k = np.zeros(k + 1)
+            e_k[k] = 1.0
+            for v in (u, u.reshape(2, -1), np.asarray(-0.0),
+                      np.asarray(-2.5)):
+                got, want = hermite_He(k, v), hermite_e.hermeval(v, e_k)
+                assert np.shape(got) == np.shape(want), k
+                assert _hexes(got) == _hexes(want), k
 
 
 def test_normal_pdf_dy_matches_fd():
