@@ -11,7 +11,10 @@ perfbench/).  Three kinds of rows, each run alternately on the two trees
   levels 8, 16, 32, 64, 128 (an mc-ladder bias ladder with its 1x
   reference), for tanh-vol from one start and from three CRN spots, GBM,
   the 1-D constant model and a 2-D constant model (d = r = 2) from two
-  starts; a call outside a reduction runs on one thread.
+  starts.  A call outside a reduction splits its paths over the
+  library's default worker count, as every simulation does; before that
+  it ran on one thread, so these rows from trees on either side of that
+  change do not compare like with like.
 * path-steps/s of two one-chunk reductions of cli-mix, at the library's
   default worker count: bias-limit's Monte Carlo half (bias_times_n_limit,
   OU(1, 1), the square, rungs 8, 16, 32, N = 16384: levels up to 256) and

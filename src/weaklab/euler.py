@@ -10,20 +10,19 @@ place; every start point shares the increment, which is never copied.
 
 Monte-Carlo reductions are chunked over fixed-size substreams and merged
 in stream order with compensated summation, so results are bit-identical
-regardless of how many workers run the chunks.  The worker count is the
-number of CPUs the process may use (WEAKLAB_WORKERS overrides it).  Chunks
-run on min(workers, chunks) threads, and every simulation in a chunk runs
-its paths as max(1, workers // chunks) contiguous ranges, one on the
-chunk's thread and the rest on a persistent part pool; Philox is counter
-based, so each range reads its slice of every draw from its place in the
-stream and the endpoints are bit-identical to the unsplit loop's.  A
-chunk's working set is divided among its ranges, plus one assembled copy
-of the endpoints; memory grows with the number of chunk threads.
+regardless of the worker count.  The worker count is the number of CPUs
+the process may use (WEAKLAB_WORKERS overrides it).  Chunks run one after
+another on the calling thread, and every simulation runs its paths as
+min(workers, size) contiguous ranges, the first on the calling thread and
+the rest on a persistent part pool; Philox is counter based, so each range
+reads its slice of every draw from its place in the stream and the
+endpoints are bit-identical to the unsplit loop's.  Memory is one chunk's
+working set, divided among its ranges, plus one assembled copy of the
+endpoints.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import threading
@@ -87,26 +86,15 @@ def _seek(gen: np.random.Generator, used: int, at: int):
     gen.random(at - used)
 
 
-_split = threading.local()  # .parts: path ranges per simulation
 _pool_lock = threading.Lock()
 _pool = (0, None)  # (threads, executor) of the part pool
 
 
-@contextlib.contextmanager
-def _splitting(parts: int):
-    """Run every simulation this thread starts inside in `parts` ranges."""
-    outer = getattr(_split, "parts", 1)
-    _split.parts = parts
-    try:
-        yield
-    finally:
-        _split.parts = outer
-
-
 def _part_pool() -> ThreadPoolExecutor:
     """The executor of every range but the first: built on first use with
-    worker_count() threads and rebuilt when that grows.  It never runs a
-    chunk, so a chunk that waits on its ranges cannot starve them."""
+    worker_count() threads and rebuilt when that grows.  It runs nothing
+    but ranges, which wait on nothing, so a simulation that waits on its
+    ranges cannot starve them."""
     global _pool
     threads = worker_count()
     with _pool_lock:
@@ -150,10 +138,10 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     """The Euler loop behind simulate_euler and simulate_ladder.
 
     Every resolution in `ns` must be a positive integer that divides the
-    finest.  The paths run as contiguous ranges [lo, hi) of the `size`,
-    as many as this thread's split asks for (one outside a reduction);
-    the first range runs on the calling thread, the others on the part
-    pool, and their endpoints are joined into the start-major result.
+    finest.  The paths run as min(worker_count(), size) contiguous ranges
+    [lo, hi) of the `size`; the first range runs on the calling thread,
+    the others on the part pool, and their endpoints are joined into the
+    start-major result.
     When ranges fail, the one whose failure the unsplit loop would meet
     first raises: the earliest step, then the lowest range.
     """
@@ -167,7 +155,7 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     if starts.ndim != 2 or starts.shape[1] != model.dim_d:
         raise ValueError("start points must have shape (d,) or (k, d), "
                          f"d={model.dim_d}")
-    parts = max(1, min(getattr(_split, "parts", 1), size))
+    parts = max(1, min(worker_count(), size))
     bounds = [size * i // parts for i in range(parts + 1)]
     halt = _Halt()
     run = partial(_euler_paths, model, starts, ns, t, rng, size, halt)
@@ -355,60 +343,23 @@ def worker_count() -> int:
 
 def _reduce(chunk_fn, N: int, rng: RngStream):
     """Columnwise (means, standard errors) of chunk_fn(stream, size), one
-    value or row per sample, over N samples.  One MeanAccumulator per
-    column of the first chunk merges the chunks in substream order; chunk
-    boundaries are fixed by CHUNK, so the result is independent of the
-    worker count.  Chunks run on min(workers, chunks) threads, a single
-    chunk on the calling thread, and every simulation in a chunk splits
-    its paths into max(1, workers // chunks) ranges on the part pool, so
-    a lone chunk keeps every worker busy.  A chunk's working set is
-    divided among its ranges, plus one assembled copy of the endpoints.
-    Once a chunk raises, no chunk starts after it and the exception
-    reaches the caller."""
+    value or row per sample, over N samples.  Chunks run one after another
+    on the calling thread, in substream order, and one MeanAccumulator per
+    column of the first chunk merges them; chunk boundaries are fixed by
+    CHUNK, so the result is independent of the worker count.  Every
+    simulation in a chunk splits its own paths over the workers, and
+    memory is one chunk's working set."""
     if N < 1:
         raise ValueError("N >= 1 samples required")
     sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
-    streams = [rng.substream(i) for i in range(len(sizes))]
-    workers = worker_count()
-    threads, parts = min(workers, len(sizes)), max(1, workers // len(sizes))
     accs = []
-
-    def split(stream, size):
-        with _splitting(parts):
-            return chunk_fn(stream, size)
-
-    def absorb(vals):
+    for i, size in enumerate(sizes):
+        vals = chunk_fn(rng.substream(i), size)
         cols = np.reshape(vals, (len(vals), -1))
         if not accs:
             accs.extend(MeanAccumulator() for _ in range(cols.shape[1]))
         for j, acc in enumerate(accs):
             acc.add(cols[:, j])
-
-    if threads > 1:
-        failed = threading.Event()
-
-        def run(stream, size):
-            # a skipped chunk comes after the failed one, whose future
-            # raises first, so None is never absorbed
-            if failed.is_set():
-                return None
-            try:
-                return split(stream, size)
-            except BaseException:
-                failed.set()
-                raise
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, s, z) for s, z in zip(streams, sizes)]
-            try:
-                for fut in futures:
-                    absorb(fut.result())
-            finally:
-                for fut in futures:
-                    fut.cancel()
-    else:
-        for vals in map(split, streams, sizes):
-            absorb(vals)
     out = [acc.result() for acc in accs]
     return np.array([m for m, _ in out]), np.array([s for _, s in out])
 

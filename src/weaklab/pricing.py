@@ -52,6 +52,8 @@ def make_payoff(name: str, strike: float | None = None,
         return Payoff(lambda u: u, "identity")
     if name == "power":
         q = int(power)
+        if q != power:
+            raise ValueError(f"power must be an integer; got {power!r}")
         return Payoff(lambda u: u ** q, f"power({q})")
     raise ValueError(f"unknown payoff {name!r}")
 

@@ -159,6 +159,8 @@ UNSTARTABLE = {
     "tailbound-p-2d": dict(study="tailbound", model=CONSTANT_2D, kernel="p",
                            l=0, **GRIDS),
     "greeks-bump-0.5": dict(GREEKS, bump=0.5),
+    # a fractional power used to be truncated: 2.5 priced u^2
+    "greeks-power-2.5": dict(GREEKS, payoff="power", power=2.5),
     "weak-rate-x-string": dict(study="weak-rate", model=OU,
                                deterministic=True, **dict(RATE, x="a")),
     "density-n-0": dict(study="density", model=OU, n=0, **GRIDS),

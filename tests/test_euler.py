@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -251,8 +252,8 @@ def test_reduce_starts_no_chunk_after_one_raises(workers):
         with pytest.raises(UnsupportedFunctional):
             estimate_expectation(make_ou_model(1.0, 1.0), dirac(0.3), [0.0],
                                  4, 1.0, 4 * CHUNK, RngStream(8, 8))
-    # the chunks running when the first one raised, at most one per thread
-    assert 1 <= len(calls) <= int(workers)
+    # chunks run one at a time, so the first one's error ends the reduction
+    assert len(calls) == 1
 
 
 def test_worker_count_defaults_to_affinity():
@@ -263,19 +264,21 @@ def test_worker_count_defaults_to_affinity():
         assert worker_count() == 3
 
 
-@pytest.mark.parametrize("N, threads, ranges", [
-    (CHUNK, None, {CHUNK: [(i * CHUNK // 4, (i + 1) * CHUNK // 4)
-                           for i in range(4)]}),
-    (CHUNK + 1, 2, {CHUNK: [(0, CHUNK // 2), (CHUNK // 2, CHUNK)],
-                    1: [(0, 1)]}),
+QUARTERS = [(i * CHUNK // 4, (i + 1) * CHUNK // 4) for i in range(4)]
+
+
+@pytest.mark.parametrize("N, ranges", [
+    (CHUNK, {CHUNK: QUARTERS}),
+    (CHUNK + 1, {CHUNK: QUARTERS, 1: [(0, 1)]}),
 ], ids=["lone-chunk", "two-chunks"])
-def test_reduce_threads_and_parts_per_chunk(N, threads, ranges):
-    # min(workers, chunks) chunk threads, none but the caller's for one
-    # chunk; max(1, workers // chunks) path ranges per simulation, and no
-    # more ranges than paths
-    m, seen = make_ou_model(1.0, 1.0), []
+def test_reduce_threads_and_parts_per_chunk(N, ranges):
+    # every chunk on the calling thread, in substream order, and no
+    # executor but the part pool; min(workers, size) path ranges per
+    # simulation
+    m, rng, seen, chunks = make_ou_model(1.0, 1.0), RngStream(1, 1), [], []
 
     def chunk(stream, size):
+        chunks.append((threading.get_ident(), stream))
         return simulate_euler(m, [0.0], 1, 1.0, stream, size)[:, 0]
 
     def spy(*args):
@@ -287,11 +290,11 @@ def test_reduce_threads_and_parts_per_chunk(N, threads, ranges):
             mock.patch("weaklab.euler.ThreadPoolExecutor",
                        wraps=ThreadPoolExecutor) as pool, \
             mock.patch("weaklab.euler._euler_paths", spy):
-        mc_reduce(chunk, N, RngStream(1, 1))
-    chunk_pools = [c for c in pool.call_args_list
-                   if "thread_name_prefix" not in c.kwargs]
-    assert chunk_pools == ([] if threads is None
-                           else [mock.call(max_workers=threads)])
+        mc_reduce(chunk, N, rng)
+    assert chunks == [(threading.get_ident(), rng.substream(i))
+                      for i in range(len(ranges))]
+    assert all(c.kwargs.get("thread_name_prefix") == "weaklab-part"
+               for c in pool.call_args_list)
     got = {}
     for size, lo, hi in sorted(seen):
         got.setdefault(size, []).append((lo, hi))
@@ -309,10 +312,13 @@ SPLIT_CASES = {
 }
 
 
-def _hex_levels(model, starts, size, parts):
-    with euler._splitting(parts):
+def _hex_levels(model, starts, size, workers):
+    with mock.patch.dict(os.environ, WEAKLAB_WORKERS=str(workers)), \
+            mock.patch("weaklab.euler._euler_paths",
+                       wraps=euler._euler_paths) as ranges:
         lad = simulate_ladder(model, starts, [2, 4, 8], 0.77,
                               RngStream(6, 2), size)
+    assert ranges.call_count == min(workers, size)
     return {n: [v.hex() for v in pts.ravel().tolist()]
             for n, pts in lad.items()}
 
@@ -320,7 +326,8 @@ def _hex_levels(model, starts, size, parts):
 @pytest.mark.parametrize("size", [1, 2, 1001, 16_384])
 @pytest.mark.parametrize("case", list(SPLIT_CASES))
 def test_split_paths_match_one_part(case, size):
-    # t = 0.77 ends every level on a partial step; at 1001 paths the
+    # a direct simulate_ladder call splits its paths over the workers;
+    # t = 0.77 ends every level on a partial step, and at 1001 paths the
     # ranges start inside Philox's blocks of four uniforms
     model, starts = SPLIT_CASES[case]
     want = _hex_levels(model, starts, size, 1)

@@ -29,6 +29,14 @@ def test_make_payoff_values_and_growth():
         pr.make_payoff("lookback")
 
 
+@pytest.mark.parametrize("power", [2.5, -1.7])
+def test_make_payoff_rejects_fractional_powers(power):
+    # int() used to truncate: 2.5 gave u^2 named power(2), -1.7 gave 1/u
+    with pytest.raises(ValueError, match="power must be an integer"):
+        pr.make_payoff("power", power=power)
+    assert pr.make_payoff("power", power=2.0).name == "power(2)"
+
+
 def test_option_spec_validation():
     call = pr.make_payoff("call", strike=1.0)
     with pytest.raises(ValueError):
