@@ -16,9 +16,11 @@ another on the calling thread, and every simulation runs its paths as
 min(workers, size) contiguous ranges, the first on the calling thread and
 the rest on a persistent part pool; Philox is counter based, so each range
 reads its slice of every draw from its place in the stream and the
-endpoints are bit-identical to the unsplit loop's.  Memory is one chunk's
-working set, divided among its ranges, plus one assembled copy of the
-endpoints.
+endpoints are bit-identical to the unsplit loop's.  The ranges share no
+state: each returns its endpoints or the step and exception it failed
+with, a failing range does not stop the others, and the simulation raises
+the failure the unsplit loop meets first.  Memory is one chunk's working
+set, divided among its ranges, plus one assembled copy of the endpoints.
 """
 
 from __future__ import annotations
@@ -48,31 +50,6 @@ class SimulationBlowup(RuntimeError):
 def _check_finite(x: np.ndarray, step: int):
     if not np.all(np.isfinite(x)):
         raise SimulationBlowup(step)
-
-
-class _Halted(Exception):
-    """A range stops: another range failed at an earlier step."""
-
-
-class _Halt:
-    """The failure of a split simulation that the unsplit loop would meet
-    first, as (step, first path of its range, exception)."""
-
-    def __init__(self):
-        self.first = None
-        self._lock = threading.Lock()
-
-    def fail(self, step: int, lo: int, exc: BaseException):
-        with self._lock:
-            if self.first is None or (step, lo) < self.first[:2]:
-                self.first = (step, lo, exc)
-
-    def check(self, step: int):
-        """Raise _Halted if a range failed before `step`: nothing this
-        range meets from here on could come first."""
-        first = self.first
-        if first is not None and first[0] < step:
-            raise _Halted
 
 
 def _seek(gen: np.random.Generator, used: int, at: int):
@@ -105,7 +82,10 @@ def _part_pool() -> ThreadPoolExecutor:
 
 
 def _steps(n: int, t: float) -> tuple[int, float]:
-    """Full step count floor(n t) and the trailing partial step length."""
+    """Full step count floor(n t) and the trailing partial step length;
+    ValueError unless the horizon t is finite and >= 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"horizon t must be finite and >= 0; got {t}")
     k = int(math.floor(n * t + 1e-12))
     return k, t - k / n
 
@@ -141,12 +121,13 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     finest.  The paths run as min(worker_count(), size) contiguous ranges
     [lo, hi) of the `size`; the first range runs on the calling thread,
     the others on the part pool, and their endpoints are joined into the
-    start-major result.
-    When ranges fail, the one whose failure the unsplit loop would meet
-    first raises: the earliest step, then the lowest range.
+    start-major result.  A failing range does not stop the others; once
+    all have returned, the failure the unsplit loop would meet first
+    raises: the earliest step, then the lowest range.
     """
-    if any(n != int(n) or n < 1 for n in ns):
-        raise ValueError(f"resolutions must be positive integers; got {ns}")
+    if not len(ns) or any(n != int(n) or n < 1 for n in ns):
+        raise ValueError("resolutions must be one or more positive integers;"
+                         f" got {ns}")
     ns = sorted(set(int(n) for n in ns))
     for n in ns:
         if ns[-1] % n:
@@ -157,13 +138,15 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
                          f"d={model.dim_d}")
     parts = max(1, min(worker_count(), size))
     bounds = [size * i // parts for i in range(parts + 1)]
-    halt = _Halt()
-    run = partial(_euler_paths, model, starts, ns, t, rng, size, halt)
+    _steps(ns[-1], t)  # a bad horizon raises here, before any range starts
+    run = partial(_euler_paths, model, starts, ns, t, rng, size)
     futures = [_part_pool().submit(run, lo, hi)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     ranges = [run(bounds[0], bounds[1])] + [f.result() for f in futures]
-    if halt.first is not None:
-        raise halt.first[2]
+    failed = [(p[0], i, p[1]) for i, p in enumerate(ranges)
+              if isinstance(p, tuple)]
+    if failed:
+        raise min(failed, key=lambda f: f[:2])[2]
     if parts == 1:
         return ranges[0]
     k, d = starts.shape
@@ -172,11 +155,12 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
 
 
 def _euler_paths(model: SdeModel, starts: np.ndarray, ns: list, t: float,
-                 rng: RngStream, size: int, halt: "_Halt", lo: int,
-                 hi: int) -> dict[int, np.ndarray] | None:
+                 rng: RngStream, size: int, lo: int, hi: int
+                 ) -> dict[int, np.ndarray] | tuple[int, BaseException]:
     """Endpoints {n: (k (hi - lo), d)}, start-major, of paths [lo, hi) of
-    the `size` from each of the k `starts`; None once a failure is left
-    in `halt`.
+    the `size` from each of the k `starts`, or (step, exception) if the
+    range fails: the steps it had taken at all levels and what it raised.
+    The range reads no other range's state.
 
     Normals are drawn once per fine step for the range and shared by
     every start: draw j of the range is rows [lo, hi) of the unsplit
@@ -209,7 +193,6 @@ def _euler_paths(model: SdeModel, starts: np.ndarray, ns: list, t: float,
         return dB
 
     def step(n, dt, dB):
-        halt.check(sum(done.values()))
         state = states[n]
         model.drift_diffusion(state, b, sig)
         np.multiply(b, dt, out=b)
@@ -242,11 +225,8 @@ def _euler_paths(model: SdeModel, starts: np.ndarray, ns: list, t: float,
             dt_last = t - done[n] / n
             if dt_last > 1e-14:
                 step(n, dt_last, buffers[n])
-    except _Halted:
-        return None
     except BaseException as exc:  # re-raised by _simulate
-        halt.fail(sum(done.values()), lo, exc)
-        return None
+        return sum(done.values()), exc
     return states
 
 
@@ -264,10 +244,10 @@ def euler_affine_transport(model: SdeModel, n: int, t: float):
     if triple is None:
         raise ValueError("exact Euler law requires a 1-D affine model")
     m, b, a = triple
+    k, dt_last = _steps(n, t)
     if m == 0:  # exact in law; summing b dt step by step leaves residue
         return 1.0, b * t, a * t
     A, c, V = 1.0, 0.0, 0.0
-    k, dt_last = _steps(n, t)
     for dt in [1.0 / n] * k + ([dt_last] if dt_last > 1e-14 else []):
         g = 1.0 + m * dt
         A = g * A

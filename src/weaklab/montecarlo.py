@@ -163,8 +163,11 @@ def coupled_rungs(model, stat, x, t, n_ladder, N, rng, ref_multiple,
     or with romberg 2 stat(X^{2n}) - stat(X^n), minus the per-path
     reference.  stat maps the endpoints of one level, every start point
     of x, to one value per path.  Every rung reaches the Euler loop as
-    given, so a non-integer one raises ValueError there."""
+    given, so a non-integer one raises ValueError there; an empty ladder
+    raises it here."""
     ns = sorted(n_ladder)
+    if not ns:
+        raise ValueError("n_ladder must hold at least one resolution")
     n_ref = ref_multiple * ns[-1]
     levels = set(ns) | {n_ref, 2 * n_ref}
     if romberg:

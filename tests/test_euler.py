@@ -419,6 +419,82 @@ def test_split_blowup_cli_line_matches_one_part(tmp_path, capsys):
     assert lines == ["non-convergence: non-finite state at step 2\n"] * 2
 
 
+def _path_failures(above, below):
+    """OU whose writer puts NaN into the drift of every path above `above`
+    and, unless below is None, raises FloatingPointError once a path is
+    below `below`: where a simulation fails depends on its paths alone,
+    not on how they are split into ranges."""
+    model = make_ou_model(1.0, 1.0)
+    ou = model.drift_diffusion
+
+    def drift_diffusion(x, b, sig):
+        ou(x, b, sig)
+        if below is not None and np.any(x[:, 0] < below):
+            raise FloatingPointError(f"a path below {below}")
+        b[x[:, 0] > above] = np.nan
+
+    model.drift_diffusion = drift_diffusion
+    return model
+
+
+@pytest.mark.parametrize("above, below, seed, kinds", [
+    (1.5, None, (7, 1), {SimulationBlowup}),
+    # the error comes three steps before the first blowup, and at 3 and
+    # 4 workers a range below the error's blows up
+    (1.7, -1.5, (7, 2), {SimulationBlowup, FloatingPointError})])
+def test_split_failure_is_the_unsplit_one_at_any_worker_count(above, below,
+                                                              seed, kinds):
+    def spy(*args):
+        out = euler_paths(*args)
+        if isinstance(out, tuple):
+            failures.append((out[0], type(out[1])))
+        return out
+
+    euler_paths, raised = euler._euler_paths, []
+    for workers in ("1", "2", "3", "4"):
+        failures = []
+        with mock.patch.dict(os.environ, WEAKLAB_WORKERS=workers), \
+                mock.patch("weaklab.euler._euler_paths", spy), \
+                pytest.raises(tuple(kinds)) as err:
+            simulate_ladder(_path_failures(above, below), [0.0], [4, 8, 16],
+                            0.9, RngStream(*seed), 1001)
+        raised.append((type(err.value), str(err.value)))
+        if workers in ("3", "4"):  # else the test could not see the order
+            assert len({step for step, _ in failures}) >= 2
+            assert {kind for _, kind in failures} == kinds
+    first = FloatingPointError if below is not None else SimulationBlowup
+    assert raised[0][0] is first
+    assert raised == raised[:1] * 4
+
+
+@pytest.mark.parametrize("t", [-0.5, -1.0, math.nan, math.inf, -math.inf])
+def test_bad_horizon_is_rejected(t):
+    ou = make_ou_model(1.0, 1.0)
+    with mock.patch("weaklab.euler._euler_paths") as ranges, \
+            pytest.raises(ValueError, match="horizon t"):
+        simulate_euler(ou, [1.0], 4, t, RngStream(0, 0), 8)
+    assert not ranges.called  # raised before any range started
+    for model in (ou, make_constant_model([0.1], [[0.3]])):
+        with pytest.raises(ValueError, match="horizon t"):
+            euler_affine_transport(model, 4, t)
+    with pytest.raises(ValueError, match="horizon t"):
+        gbm_euler_mean(0.1, 1.0, 4, t)
+
+
+def test_zero_horizon_returns_the_start_points():
+    pts = simulate_euler(make_ou_model(1.0, 1.0), [1.0], 4, 0.0,
+                         RngStream(0, 0), 8)
+    assert np.array_equal(pts, np.ones((8, 1)))
+    assert euler_affine_transport(make_ou_model(1.0, 1.0), 4, 0.0) == \
+        (1.0, 0.0, 0.0)
+
+
+def test_empty_ladder_is_rejected():
+    with pytest.raises(ValueError, match="one or more"):
+        simulate_ladder(make_ou_model(1.0, 1.0), [1.0], [], 1.0,
+                        RngStream(0, 0), 8)
+
+
 @settings(max_examples=16, deadline=None)
 @given(N=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]),
        workers=st.sampled_from(["1", "2"]))

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weaklab import montecarlo as mc
+from weaklab import pricing as pr
 from weaklab import testfunctions as tf
-from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
+from weaklab.models import (make_bounded_vol_model, make_constant_model,
+                            make_gbm_model, make_ou_model)
 from weaklab.rng import RngStream
 
 
@@ -182,3 +184,20 @@ def test_fit_rate_never_fits_fewer_than_four_points(gate, cleared, noise,
     with pytest.raises(mc.InsufficientSignal) as exc:
         mc.fit_rate(data.draw(st.permutations(meas)), noise_gate=gate)
     assert exc.value.cleared == cleared
+
+
+def test_bias_limit_rejects_a_negative_horizon():
+    # not a limit of (0.0, 0.0): a zero CI would pass any gate
+    with pytest.raises(ValueError, match="horizon t"):
+        mc.bias_times_n_limit(make_ou_model(1.0, 1.0), tf.square(), [1.0],
+                              -1.0, [8, 16, 32], 4096, RngStream(0, 0))
+
+
+def test_empty_ladder_is_rejected():
+    with pytest.raises(ValueError, match="n_ladder"):
+        mc.bias_ladder(make_ou_model(1.0, 1.0), tf.square(), [1.0], 1.0, [],
+                       100, RngStream(0, 0))
+    opt = pr.OptionSpec(pr.make_payoff("call", strike=1.0), 1.0, 1.0)
+    with pytest.raises(ValueError, match="n_ladder"):
+        pr.correction_estimate(make_bounded_vol_model(0.05, 0.2, 0.1), opt,
+                               "price", [], 100, RngStream(0, 0))

@@ -6,7 +6,7 @@ quadrature errors, the principal term C_t f, the pairings with pi and
 with the exact laws, the exact semigroup, the exact density error, and
 the seeded Monte Carlo ladders, greeks and prices, with bias ladders and
 endpoint rows of a d = 2 and an r = 2 constant model.  The Monte Carlo
-cases run at one and at two workers against the same pins.  A change that
+cases run at one, two and three workers against the same pins.  A change that
 moves any of these numbers, in any bit, fails here; a change that moves
 them on purpose re-records the pins and says which moved and why.
 
@@ -285,7 +285,7 @@ def test_quadrature_results_match_their_pins(name):
     assert compute_quadrature(name) == PINS[name]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 @pytest.mark.parametrize("name", list(MONTE_CARLO))
 def test_monte_carlo_results_match_their_pins(monkeypatch, name, workers):
     monkeypatch.setenv("WEAKLAB_WORKERS", workers)

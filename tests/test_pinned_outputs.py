@@ -1,7 +1,8 @@
 """Seeded `weaklab run` outputs, pinned by the sha256 of their bytes.
 
-Each config runs at seeds 1 and 2; its exit code and the digests of its
-CSV and JSON must equal those in DIGESTS.  A change that moves any seeded
+Each config runs at seeds 1 and 2, each at one, two and three workers;
+its exit code and the digests of its CSV and JSON must equal those in
+DIGESTS.  A change that moves any seeded
 output, in any digit, fails here, so "byte-identical to the previous
 commit" is checked by the suite rather than by hand.  A change that moves
 outputs on purpose re-records the digests and says which moved and why.
@@ -187,8 +188,15 @@ def run(name: str, seed: int, workdir: Path) -> tuple:
 
 
 @pytest.mark.parametrize("name, seed", list(DIGESTS))
-def test_seeded_outputs_match_their_digests(tmp_path, name, seed):
-    assert run(name, seed, tmp_path) == DIGESTS[name, seed]
+def test_seeded_outputs_match_their_digests(monkeypatch, tmp_path, name,
+                                            seed):
+    # whatever the host's worker count: three ranges start inside
+    # Philox's blocks of four uniforms
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("WEAKLAB_WORKERS", workers)
+        (tmp_path / workers).mkdir()  # no run reads another's files
+        assert run(name, seed, tmp_path / workers) == DIGESTS[name, seed], \
+            workers
 
 
 def test_every_config_is_pinned():
