@@ -9,10 +9,11 @@ OLD and NEW are roots of two source checkouts (each with src/ and
 perfbench/).  Two kinds of rows, each run alternately on the two trees
 (the side that goes first swaps every repetition), on one machine:
 
-* seconds per call and peak RSS of one routine, each repetition in a
-  fresh interpreter at one worker that warms the node caches with one
-  small pi, then times the routine CALLS times and reports the fastest
-  (one timed call per interpreter is too noisy to read):
+* seconds per call, integrand calls and peak RSS of one routine, each
+  repetition in a fresh interpreter at one worker that warms the node
+  caches with one small pi, then times the routine CALLS times and
+  reports the fastest (one timed call per interpreter is too noisy to
+  read):
   - pi: quad-kernel's 16 pi points of its first pass at seed 1, on
     OU(1, 1), beta = 1 on every fourth; seconds per point;
   - ct-ou-square, ct-gbm-identity: C_t f for OU(1, 1) with the square at
@@ -23,7 +24,11 @@ perfbench/).  Two kinds of rows, each run alternately on the two trees
   - heldout-grid: the 700-point held-out grid of ROADMAP item 1 (t in
     [0.1, 1] in 7 steps, x and y in [-3, 3] in 10 steps each) through
     pi_rows, one call per t; seconds for the whole grid.
-  Peak RSS is the interpreter's largest resident set, import included.
+  Integrand calls are the value_at calls node_doubling makes in one
+  untimed run of the routine before the timed ones, counted by wrapping
+  weaklab.quadrature.node_doubling (every Gauss-Hermite and
+  Gauss-Legendre doubling of these routines goes through it).  Peak RSS
+  is the interpreter's largest resident set, import included.
 * perfbench pairs: bench/euler_step.py's runner, untraced, seeds from
   --seed0 on.
 """
@@ -47,12 +52,22 @@ ROUTINES = ["pi", "ct-ou-square", "ct-gbm-identity", "pairing",
 
 
 def measure(routine):
-    """Time one routine CALLS times in this interpreter; print the fastest
-    as its row, in JSON."""
+    """Time one routine CALLS times in this interpreter; print the fastest,
+    and the integrand calls of one run, as its row, in JSON."""
     import numpy as np
     from weaklab import error_expansion as ee
     from weaklab import models as mdl
+    from weaklab import quadrature as quad
     from weaklab import testfunctions as tf
+
+    calls = [0]
+    doubling = quad.node_doubling
+
+    def counted_doubling(value_at, *args, **kwargs):
+        def counted(*a):
+            calls[0] += 1
+            return value_at(*a)
+        return doubling(counted, *args, **kwargs)
 
     ou, gbm = mdl.make_ou_model(1.0, 1.0), mdl.make_gbm_model(0.1, 0.2)
     ee.principal_density_pi(ou, 0.5, 0.0, 0.0)
@@ -79,6 +94,9 @@ def measure(routine):
             for t in np.linspace(0.1, 1.0, 7):
                 ee.pi_rows(ou, float(t), xs.ravel(), ys.ravel())
 
+    quad.node_doubling = counted_doubling
+    run()
+    quad.node_doubling = doubling
     best = math.inf
     for _ in range(CALLS):
         t0 = time.perf_counter()
@@ -86,7 +104,8 @@ def measure(routine):
         best = min(best, time.perf_counter() - t0)
     seconds = best / points
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"s_per_call": seconds, "peak_rss_mb": rss}))
+    print(json.dumps({"s_per_call": seconds, "value_at_calls": calls[0],
+                      "peak_rss_mb": rss}))
 
 
 def micro_rows(trees, reps):
@@ -102,7 +121,9 @@ def micro_rows(trees, reps):
     rows = {}
     for routine in ROUTINES:
         rows[routine] = {}
-        for metric, unit in (("s_per_call", "s"), ("peak_rss_mb", "MB")):
+        for metric, unit in (("s_per_call", "s"),
+                             ("value_at_calls", "count"),
+                             ("peak_rss_mb", "MB")):
             before = [r[metric] for r in runs["before"][routine]]
             after = [r[metric] for r in runs["after"][routine]]
             rows[routine][metric] = dict(

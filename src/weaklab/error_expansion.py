@@ -15,13 +15,15 @@ integration by parts (sign (-1)^g, Leibniz rule), so the differentiated
 factor always has time bounded below by t/2 and the inner Gauss-Hermite
 rule is centered on whichever factor concentrates.  C_t f is the same
 split quadrature with P_{t-s} f in place of p(t-s, ., y), both halves
-centred on p(s, x, .).  Each rule runs over
-all of its nodes in one broadcast block: the time nodes of one sweep of
-the time rule share one Gauss-Hermite block whose rows are (time node,
-point) pairs, each doubling its own nodes; d^gamma P_tau f runs over
-every z node of the outer rule at once; and pi runs over arrays of (x, y)
-points, one row each.  A row's value and error do not depend on the rows
-beside it, nor on where quadrature.BLOCK_ELEMENTS cuts a block.
+centred on p(s, x, .).  Each rule runs over all of its nodes in one
+broadcast block: the time nodes of one sweep of the time rule share one
+Gauss-Hermite block whose rows are (time node, point) pairs, each
+doubling its own nodes; d^gamma P_tau f runs over every z node of the
+outer rule and every gamma at once, one integrand per gamma; and pi runs
+over arrays of (x, y) points, one row each.  The first two rules of every
+doubling, time or node, share one integrand call.  A row's value and
+error do not depend on the rows beside it, nor on where
+quadrature.BLOCK_ELEMENTS cuts a block.
 
 Work that is fixed per model or per time is done once.  The derivatives
 of g*_1..3 are coefficient arrays, built once per model's polynomials
@@ -304,22 +306,21 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
 
     def pf_deriv(gammas, tau_table, rows, z: np.ndarray):
         """d^gamma/dz^gamma of P_tau f at every node of z, row i of z at the
-        time of tau_table[:, i], by one Gauss-Hermite block over all of
-        them per gamma, and the worst Gauss-Hermite error of each row."""
+        time of tau_table[:, i], for every gamma by one Gauss-Hermite block
+        over all of them, and the worst Gauss-Hermite error of each row."""
         zs = z.ravel()
         table = np.repeat(tau_table, z.shape[1], axis=1)
         mean, std, push, dpush = dens.gauss_coords(table, zs)
-        out, worst = [], np.zeros(z.shape[0])
-        for gamma in gammas:
+
+        def fn(yy, q):
             # f reads a 2-D array as (N, d) paths, so it gets the block flat
-            val, err = gauss_hermite_rows(
-                lambda yy, q: f(yy.ravel()).reshape(yy.shape)
-                * dens.derivs(((gamma, 0),), table[:, q, None],
-                              zs[q, None], yy)[0],
-                mean, std, push=push, dpush=dpush, rtol=1e-10)
-            worst = np.maximum(worst, err.reshape(z.shape).max(axis=1))
-            out.append(val.reshape(z.shape))
-        return out, worst
+            return f(yy.ravel()).reshape(yy.shape) * np.stack(dens.derivs(
+                [(g, 0) for g in gammas], table[:, q, None], zs[q, None], yy))
+
+        val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
+                                      rtol=1e-10, shape=(len(gammas),))
+        return list(val.reshape((-1,) + z.shape)), err.reshape(
+            (-1,) + z.shape).max(axis=(0, 2), initial=0.0)
 
     val, err = _principal_rows(dens, l2star_table(model), t,
                                np.array([x0]), 0, pf_deriv, tol)

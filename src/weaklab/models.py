@@ -235,24 +235,26 @@ def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction,
 
 def _tensor_semigroup(mean: np.ndarray, cov: np.ndarray,
                       f: tf.TestFunction) -> float:
-    """E f(Y) for Y ~ N(mean, cov) by a tensor Gauss-Hermite rule; a cov
-    that is not positive definite raises numpy's LinAlgError, a
-    ValueError."""
+    """E f(Y) for Y ~ N(mean, cov) by tensor Gauss-Hermite rules, the
+    first two in one f call; a cov that is not positive definite raises
+    numpy's LinAlgError, a ValueError."""
     d = mean.shape[0]
     L = np.linalg.cholesky(cov + 1e-14 * np.eye(d))
 
-    def value_at(m, rows):
+    def rule(m):
         h, w = hermgauss_rule(m)
         grids = np.meshgrid(*([h] * d), indexing="ij")
         zeta = math.sqrt(2.0) * np.stack([g.ravel() for g in grids], axis=1)
-        pts = mean + zeta @ L.T
-        wt = np.ones(pts.shape[0])
-        for g in np.meshgrid(*([w] * d), indexing="ij"):
-            wt = wt * g.ravel()
-        vals = f(pts)
+        wt = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0)
+        return mean + zeta @ L.T, wt.ravel()
+
+    def value_at(ms, rows):
+        pts, wts = zip(*map(rule, ms))
+        vals = np.split(f(np.concatenate(pts)), [len(pts[0])])
         norm = math.pi ** (d / 2)
-        return (float(np.dot(wt, vals)) / norm,
-                float(np.dot(wt, np.abs(vals))) / norm)
+        return [(float(np.dot(wt, v)) / norm,
+                 float(np.dot(wt, np.abs(v))) / norm)
+                for wt, v in zip(wts, vals)]
 
     return float(node_doubling(value_at, 1e-10, 1e-14, 16, 128)[0][0])
 

@@ -8,13 +8,17 @@ stopping on its own, and return arrays; the public scalar routines are
 their one-row case and return floats.  Each row's weighted sum is its own
 dot product (np.vecdot, not a matrix-vector product whose rounding
 depends on the block), so a row's value does not depend on which rows
-share its block.
+share its block.  No doubling stops after one rule, so its first two
+rules share one integrand call, each summing a C-contiguous copy of its
+columns as a call of its own would; gauss_hermite_rows takes many
+integrands per row.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,17 +56,19 @@ _ROUNDING_ULPS = 16.0 * np.finfo(float).eps
 
 def node_doubling(value_at, rtol: float, atol: float, start: int,
                   max_nodes: int, size: int = 1):
-    """Evaluate value_at(m, rows) for m = start, 2 start, ... until two
+    """Evaluate the rules of m = start, 2 start, ... nodes until two
     successive values of each element agree to max(atol, rtol |value|) or
     to the rounding floor, or m reaches max_nodes.
 
     ``size`` elements are integrated at once and each stops on its own:
-    value_at(m, rows) gets the index array of the elements still running
-    and returns their values and magnitudes sum_i |W_i f_i| under the
-    m-node rule (scalars will do when size is 1).  Returns arrays
-    (value, err, converged), err being each element's last disagreement
-    (inf when only one rule was evaluated); empty ones when size is 0,
-    without a call to value_at.
+    value_at(ms, rows) evaluates the rule of every size in ms on the
+    running elements, the index array rows, in one integrand call, and
+    returns one (values, magnitudes sum_i |W_i f_i|) per size (scalars
+    will do when size is 1); it is asked for (start, 2 start) first, or
+    (start,) when start >= max_nodes, then for one size a call.  Returns
+    arrays (value, err, converged), err being each element's last
+    disagreement (inf when only one rule was evaluated); empty ones when
+    size is 0, without a call to value_at.
     """
     rows = np.arange(size)
     val = np.empty(size)
@@ -70,11 +76,12 @@ def node_doubling(value_at, rtol: float, atol: float, start: int,
     converged = np.zeros(size, dtype=bool)
     if not size:
         return val, err, converged
-    val[:] = value_at(start, rows)[0]
     m = start
+    sums = list(value_at((m, 2 * m) if m < max_nodes else (m,), rows))
+    val[:] = sums.pop(0)[0]
     while m < max_nodes and rows.size:
         m *= 2
-        new, mag = value_at(m, rows)
+        new, mag = sums.pop() if sums else value_at((m,), rows)[0]
         diff = np.abs(new - val[rows])
         val[rows], err[rows] = new, diff
         done = diff <= np.maximum(np.maximum(atol, rtol * np.abs(new)),
@@ -84,46 +91,63 @@ def node_doubling(value_at, rtol: float, atol: float, start: int,
     return val, err, converged
 
 
-# rows x nodes that gauss_hermite_rows hands fn at once: at m nodes the
-# running rows go to fn in slices of BLOCK_ELEMENTS // m, which moves no
-# bit, as every row's sum is its own.  It bounds the largest arrays a
-# block builds; smaller slices cost more calls per block.
+def _columns(vals, sizes, axis=-1):
+    """vals cut along axis into C-contiguous blocks of the given sizes."""
+    lead = (slice(None),) * (vals.ndim + axis)
+    return [np.ascontiguousarray(vals[lead + (slice(end - n, end),)])
+            for n, end in zip(sizes, accumulate(sizes))]
+
+
+# rows x nodes that gauss_hermite_rows hands fn at once: at M nodes (all
+# rules of a call) the running rows go to fn in slices of BLOCK_ELEMENTS
+# // M, which moves no bit, as every row's sum is its own.  It bounds the
+# largest arrays a block builds; smaller slices cost more calls per block.
 BLOCK_ELEMENTS = 6 * 1024
 
 
 def gauss_hermite_rows(fn, mean, std, push=None, dpush=None,
                        rtol: float = 1e-10, atol: float = 1e-14,
-                       start: int = 32, max_nodes: int = 256):
+                       start: int = 32, max_nodes: int = 256, shape=()):
     """Array form of integrate_gaussian: one integral per entry of ``mean``.
 
     Row k integrates fn over the real line with a Gauss-Hermite rule
     centred at mean[k] with scale std, one scale for every row or std[k].
     fn(pts, rows) gets the nodes of the running rows ``rows`` as an (R, M)
-    array, in pushed coordinates when push is given, and returns the
-    (R, M) integrand values.  Each row stops on its own; returns
-    (value, err) arrays of shape (K,).
+    array (M the nodes of one or two rules), in pushed coordinates when
+    push is given, and returns shape + (R, M) values, one integrand per
+    index of ``shape``; each (integrand, row) stops on its own, at its
+    value when run alone, bit for bit.  Returns (value, err) arrays of
+    shape shape + (K,).
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     scale = np.broadcast_to(math.sqrt(2.0) * np.asarray(std, dtype=float),
                             mean.shape)
+    k = mean.size
 
-    def block(h, w, rows):
+    def block(h, ws, rows):
         sc = scale[rows]
         pts = mean[rows, None] + sc[:, None] * h
         vals = fn(pts, rows) if push is None else \
             fn(push(pts), rows) * dpush(pts)
-        return sc * np.vecdot(vals, w), sc * np.vecdot(np.abs(vals), w)
+        vals = _columns(vals.reshape((-1,) + pts.shape), [w.size for w in ws])
+        return [(sc * np.vecdot(v, w), sc * np.vecdot(np.abs(v), w))
+                for v, w in zip(vals, ws)]
 
-    def value_at(m, rows):
-        h, w = hermite_rule(m)
-        step = max(1, BLOCK_ELEMENTS // m)
-        parts = [block(h, w, rows[i:i + step])
-                 for i in range(0, rows.size, step)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
+    def value_at(ms, elems):
+        # element g k + i: integrand g of row i, entry (g, i) of (G, K)
+        hs, ws = zip(*map(hermite_rule, ms))
+        h = np.concatenate(hs)
+        rows = np.flatnonzero(np.bincount(elems % k, minlength=k))
+        step = max(1, BLOCK_ELEMENTS // h.size)
+        out = np.empty((len(ms), 2, math.prod(shape), k))
+        out[..., rows] = np.concatenate(
+            [block(h, ws, rows[i:i + step])
+             for i in range(0, rows.size, step)], axis=-1)
+        return out.reshape(len(ms), 2, -1)[:, :, elems]
 
     val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes,
-                                mean.size)
-    return val, err
+                                math.prod(shape) * k)
+    return val.reshape(shape + (k,)), err.reshape(shape + (k,))
 
 
 def integrate_gaussian(fn, mean: float, std: float, push=None, dpush=None,
@@ -157,30 +181,34 @@ def expect_gaussian(fn, mean: float, std: float, push=None,
     probe), hence every semigroup_apply truth and the CLI's truth and bias
     columns.
     """
-    def value_at(m, rows):
-        h, w = hermgauss_rule(m)
-        pts = mean + math.sqrt(2.0) * std * h
+    def value_at(ms, rows):
+        hs, ws = zip(*map(hermgauss_rule, ms))
+        pts = mean + math.sqrt(2.0) * std * np.concatenate(hs)
         if push is not None:
             pts = push(pts)
-        vals = fn(pts)
-        return (float(np.dot(w, vals)) / math.sqrt(math.pi),
-                float(np.dot(w, np.abs(vals))) / math.sqrt(math.pi))
+        return [(float(np.dot(w, v)) / math.sqrt(math.pi),
+                 float(np.dot(w, np.abs(v))) / math.sqrt(math.pi))
+                for v, w in zip(_columns(fn(pts), ms), ws)]
 
     val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes)
     return float(val[0]), float(err[0])
 
 
-def _composite_gl(fn, a: float, b: float, panels: int, order: int = 8):
-    """Composite Gauss-Legendre sums of fn over (a, b) with every panel's
-    nodes in one fn call; fn returns values with the nodes on the last
-    axis.  Returns (value, magnitude) over the leading axes."""
+def _composite_gl(fn, a: float, b: float, ms, order: int = 8):
+    """Composite Gauss-Legendre sums of fn over (a, b) with every panel
+    count in ms, all their nodes in one fn call; fn returns values with
+    the nodes on the last axis.  Returns one (value, magnitude) over the
+    leading axes per panel count."""
     h, w = legendre_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    vals = fn((mid[:, None] + half[:, None] * h).ravel())
-    vals = vals.reshape(vals.shape[:-1] + (panels, order))
-    return (np.vecdot(np.vecdot(vals, w), half),
-            np.vecdot(np.vecdot(np.abs(vals), w), half))
+    edges = [np.linspace(a, b, panels + 1) for panels in ms]
+    halves = [0.5 * np.diff(e) for e in edges]
+    vals = fn(np.concatenate([(0.5 * (e[:-1] + e[1:])[:, None]
+                               + half[:, None] * h).ravel()
+                              for e, half in zip(edges, halves)]))
+    vals = vals.reshape(vals.shape[:-1] + (-1, order))
+    return [(np.vecdot(np.vecdot(v, w), half),
+             np.vecdot(np.vecdot(np.abs(v), w), half))
+            for v, half in zip(_columns(vals, ms, axis=-2), halves)]
 
 
 def adaptive_rows(fn, a: float, b: float, tol: float = 1e-9,
@@ -193,8 +221,7 @@ def adaptive_rows(fn, a: float, b: float, tol: float = 1e-9,
     row stops on its own; a row that runs out of panels gets err = inf.
     """
     val, err, ok = node_doubling(
-        lambda panels, rows: _composite_gl(lambda s: fn(s, rows), a, b,
-                                           panels),
+        lambda ms, rows: _composite_gl(lambda s: fn(s, rows), a, b, ms),
         1e-14, tol, start_panels, max_panels, size)
     return val, np.where(ok, err, math.inf)
 

@@ -107,7 +107,9 @@ def test_criterion_04_principal_coefficient_consistency():
                                    [32, 64, 128], 2_000_000,
                                    RngStream(104, 0))
     ou_dev = abs(ct_ou - limit)
-    ok = gbm_dev <= 1e-6 and ou_dev <= ci + 10.0 * q_ou
+    # an unconverged quad_error would widen the OU gate instead of failing
+    converged = bool(ee.pi_converged([q_gbm, q_ou]).all())
+    ok = gbm_dev <= 1e-6 and ou_dev <= ci + 10.0 * q_ou and converged
     _report(4, "principal coefficient C_t f (quadrature vs closed form/MC)",
             ok, f"GBM dev {gbm_dev:.2e} (tol 1e-06), "
             f"OU |Ct - n*bias limit| {ou_dev:.2e} (ci {ci:.2e})")

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from weaklab import quadrature as quad
 from weaklab.gaussian import LognormalDensity, normal_pdf
 from weaklab.quadrature import (adaptive_interval, adaptive_rows,
                                 expect_gaussian, gauss_hermite_rows,
-                                integrate_gaussian, split_time_integral,
+                                hermite_rule, integrate_gaussian,
+                                legendre_rule, split_time_integral,
                                 split_time_rows)
 
 
@@ -83,16 +86,17 @@ def test_rounding_floor_stops_exact_zero_integral(z):
 
 def test_gauss_hermite_rows_stop_elementwise():
     # row 0, a cubic times a Gaussian, is exact from 32 nodes and stops at
-    # 64; row 1, |y| times a Gaussian, has a kink and runs to 256
+    # 64; row 1, |y| times a Gaussian, has a kink and runs to 256.  The
+    # first call evaluates the 32- and 64-node rules at once, on both rows
     seen = []
 
     def fn(y, rows):
-        seen.append(rows.tolist())
+        seen.append((y.shape[1], rows.tolist()))
         f = np.where(rows[:, None] == 0, y ** 3 + y * y, np.abs(y))
         return f * normal_pdf(y, 0.0, 1.0)
 
     val, err = gauss_hermite_rows(fn, [0.0, 0.0], 1.0)
-    assert seen == [[0, 1], [0, 1], [1], [1]]
+    assert seen == [(96, [0, 1]), (128, [1]), (256, [1])]
     assert abs(val[0] - 1.0) < 1e-14
     assert abs(val[1] - math.sqrt(2.0 / math.pi)) < 1e-2
     # per-component errors, each the scalar routine's
@@ -128,6 +132,179 @@ def test_split_time_rows_match_scalar_routine():
         v, e = split_time_integral(g, 0.7, tol=1e-11)
         assert abs(val[k] - v) <= 1e-15 * max(1.0, abs(v))
         assert abs(err[k] - e) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# against one rule per integrand call
+
+
+def _one_rule_per_call(rule_sums, rtol, atol, start, max_nodes, size):
+    """Node doubling as it reads on paper: rule_sums(m, rows) evaluates
+    the m-node rule alone on the running rows, one call per rule; returns
+    (value, err, converged, the size of each row's last rule)."""
+    rows = np.arange(size)
+    val, err = np.empty(size), np.full(size, math.inf)
+    ok, last = np.zeros(size, dtype=bool), np.full(size, start)
+    if not size:
+        return val, err, ok, last
+    val[:] = rule_sums(start, rows)[0]
+    m = start
+    while m < max_nodes and rows.size:
+        m *= 2
+        new, mag = rule_sums(m, rows)
+        diff = np.abs(new - val[rows])
+        val[rows], err[rows], last[rows] = new, diff, m
+        done = diff <= np.maximum(np.maximum(atol, rtol * np.abs(new)),
+                                  16.0 * np.finfo(float).eps * mag)
+        ok[rows[done]] = True
+        rows = rows[~done]
+    return val, err, ok, last
+
+
+def _gh_reference(fn, mean, std, start, max_nodes):
+    """gauss_hermite_rows' value, err, converged and last rule sizes,
+    one rule per fn call."""
+    mean = np.asarray(mean, dtype=float)
+    scale = np.broadcast_to(math.sqrt(2.0) * np.asarray(std, dtype=float),
+                            mean.shape)
+
+    def rule_sums(m, rows):
+        h, w = hermite_rule(m)
+        sc = scale[rows]
+        vals = fn(mean[rows, None] + sc[:, None] * h, rows)
+        return sc * np.vecdot(vals, w), sc * np.vecdot(np.abs(vals), w)
+
+    return _one_rule_per_call(rule_sums, 1e-10, 1e-14, start, max_nodes,
+                              mean.size)
+
+
+def _gl_reference(fn, a, b, tol, start, max_panels, size):
+    """adaptive_rows' value and err, one panel count per fn call."""
+    h, w = legendre_rule(8)
+
+    def rule_sums(panels, rows):
+        edges = np.linspace(a, b, panels + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        vals = fn((mid[:, None] + half[:, None] * h).ravel(), rows)
+        vals = vals.reshape(vals.shape[:-1] + (panels, 8))
+        return (np.vecdot(np.vecdot(vals, w), half),
+                np.vecdot(np.vecdot(np.abs(vals), w), half))
+
+    val, err, ok, _ = _one_rule_per_call(rule_sums, 1e-14, tol, start,
+                                         max_panels, size)
+    return val, np.where(ok, err, math.inf)
+
+
+def _gh_row(kind, p, y):
+    """A Gaussian-decay integrand: cos(p y) (stops at 64 nodes for p <= 4,
+    at 128 for p in [5, 8]) or |y - p| (kinked: runs to 256), times the
+    N(0, 1) density."""
+    f = np.cos(p * y) if kind == "cos" else np.abs(y - p)
+    return f * normal_pdf(y, 0.0, 1.0)
+
+
+def _gh_rows(rows_spec):
+    def fn(y, rows):
+        return np.stack([_gh_row(*rows_spec[r], y[i])
+                         for i, r in enumerate(rows)])
+    return fn
+
+
+def test_reference_rows_stop_at_every_rule():
+    rows = [("cos", 1.0), ("cos", 6.0), ("abs", 0.2)]
+    last = _gh_reference(_gh_rows(rows), [0.0] * 3, 1.0, 32, 256)[3]
+    assert last.tolist() == [64, 128, 256]
+
+
+_GH_ROW = st.one_of(st.tuples(st.just("cos"), st.floats(0.0, 8.0)),
+                    st.tuples(st.just("abs"), st.floats(-1.0, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(_GH_ROW, max_size=5),
+       means=st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+       sizes=st.sampled_from([(32, 256), (16, 64), (32, 32), (64, 64)]),
+       block=st.sampled_from([1, 100, 6 * 1024]))
+@example(rows=[("cos", 1.0), ("cos", 6.0), ("abs", 0.2)],
+         means=[0.0] * 5, sizes=(32, 256), block=6 * 1024)
+@example(rows=[], means=[0.0] * 5, sizes=(32, 256), block=6 * 1024)
+def test_gauss_hermite_rows_match_one_rule_per_call(rows, means, sizes,
+                                                    block):
+    # the rows stop at 64, 128 and 256, or with start == max_nodes after
+    # their one rule; no rows make no call
+    start, max_nodes = sizes
+    fn = _gh_rows(rows)
+    calls = []
+
+    def counted(y, r):
+        calls.append(r.size)
+        return fn(y, r)
+
+    mean = means[:len(rows)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "BLOCK_ELEMENTS", block)
+        val, err = gauss_hermite_rows(counted, mean, 0.9, start=start,
+                                      max_nodes=max_nodes)
+    ref_val, ref_err, _, _ = _gh_reference(fn, mean, 0.9, start,
+                                           max_nodes)
+    assert val.tobytes() == ref_val.tobytes()
+    assert err.tobytes() == ref_err.tobytes()
+    assert bool(calls) == bool(rows)
+
+
+_GL_ROW = st.one_of(st.tuples(st.just("sin"), st.floats(1.0, 60.0)),
+                    st.tuples(st.just("rsqrt"), st.floats(1e-3, 0.2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(_GL_ROW, max_size=4),
+       panels=st.sampled_from([(2, 128), (4, 32), (8, 8)]))
+@example(rows=[("sin", 1.0), ("sin", 20.0), ("sin", 40.0),
+               ("rsqrt", 1e-3)], panels=(2, 128))
+@example(rows=[], panels=(2, 128))
+def test_adaptive_rows_match_one_rule_per_call(rows, panels):
+    def fn(s, r):
+        return np.stack([np.sin(p * s) if kind == "sin" else
+                         1.0 / np.sqrt(s + p) for kind, p in
+                         (rows[i] for i in r)]).reshape(len(r), s.size)
+
+    calls = []
+
+    def counted(s, r):
+        calls.append(r.size)
+        return fn(s, r)
+
+    start, max_panels = panels
+    val, err = adaptive_rows(counted, 0.0, 1.0, 1e-10, start, max_panels,
+                             size=len(rows))
+    ref_val, ref_err = _gl_reference(fn, 0.0, 1.0, 1e-10, start,
+                                     max_panels, len(rows))
+    assert val.tobytes() == ref_val.tobytes()
+    assert err.tobytes() == ref_err.tobytes()
+    assert bool(calls) == bool(rows)
+
+
+def test_gauss_hermite_rows_integrands_stop_on_their_own():
+    # a smooth and a kinked integrand share their row's nodes: the first
+    # stops at 64 nodes and keeps that rule's value while the second runs
+    # to 256; each equals its own single-integrand run bit for bit
+    smooth = lambda y: (y ** 3 + y * y) * normal_pdf(y, 0.0, 1.0)
+    kinked = lambda y: np.abs(y) * normal_pdf(y, 0.0, 1.0)
+    seen = []
+
+    def both(y, rows):
+        seen.append(y.shape[1])
+        return np.stack([smooth(y), kinked(y)])
+
+    val, err = gauss_hermite_rows(both, [0.1, -0.2], [1.0, 0.8], shape=(2,))
+    assert val.shape == err.shape == (2, 2)
+    assert seen == [96, 128, 256]
+    for g, integrand in enumerate((smooth, kinked)):
+        v, e = gauss_hermite_rows(lambda y, rows: integrand(y), [0.1, -0.2],
+                                  [1.0, 0.8])
+        assert val[g].tobytes() == v.tobytes()
+        assert err[g].tobytes() == e.tobytes()
+    assert (err[0] < 1e-14).all() and (err[1] > 1e-6).all()
 
 
 @pytest.mark.parametrize("routine, names, call", [
