@@ -9,11 +9,13 @@ OLD and NEW are roots of two source checkouts (each with src/ and
 perfbench/).  Two kinds of rows, each run alternately on the two trees
 (the side that goes first swaps every repetition), on one machine:
 
-* seconds per call, integrand calls and peak RSS of one routine, each
-  repetition in a fresh interpreter at one worker that warms the node
-  caches with one small pi, then times the routine CALLS times and
-  reports the fastest (one timed call per interpreter is too noisy to
-  read):
+* seconds per call, integrand calls, time-table entries and peak RSS of
+  one routine, each repetition in a fresh interpreter at one worker that
+  builds every Gauss-Hermite rule size and runs one small pi at a t no
+  routine uses, times one first call (first_call_s, cold: no time table
+  or time-rule node of its times built yet), then times the routine
+  CALLS times more and reports the fastest (s_per_call, warm; one timed
+  call per interpreter is too noisy to read):
   - pi: quad-kernel's 16 pi points of its first pass at seed 1, on
     OU(1, 1), beta = 1 on every fourth; seconds per point;
   - ct-ou-square, ct-gbm-identity: C_t f for OU(1, 1) with the square at
@@ -25,10 +27,14 @@ perfbench/).  Two kinds of rows, each run alternately on the two trees
     [0.1, 1] in 7 steps, x and y in [-3, 3] in 10 steps each) through
     pi_rows, one call per t; seconds for the whole grid.
   Integrand calls are the value_at calls node_doubling makes in one
-  untimed run of the routine before the timed ones, counted by wrapping
-  weaklab.quadrature.node_doubling (every Gauss-Hermite and
-  Gauss-Legendre doubling of these routines goes through it).  Peak RSS
-  is the interpreter's largest resident set, import included.
+  untimed run of the routine between the first call and the CALLS timed
+  ones, counted by wrapping weaklab.quadrature.node_doubling (every
+  Gauss-Hermite and Gauss-Legendre doubling of these routines goes
+  through it); table entries are the _scalars calls of the same run (one
+  per time entry of a density time table built, or per scalar-t table),
+  counted by wrapping both 1-D density classes' _scalars.  Both describe
+  a warm run, as s_per_call does.  Peak RSS is the interpreter's largest
+  resident set, import included.
 * perfbench pairs: bench/euler_step.py's runner, untraced, seeds from
   --seed0 on.
 """
@@ -52,16 +58,20 @@ ROUTINES = ["pi", "ct-ou-square", "ct-gbm-identity", "pairing",
 
 
 def measure(routine):
-    """Time one routine CALLS times in this interpreter; print the fastest,
-    and the integrand calls of one run, as its row, in JSON."""
+    """Time one routine's first call and CALLS more in this interpreter;
+    print the first and the fastest, and the integrand calls and table
+    entries of one run, as its row, in JSON."""
     import numpy as np
     from weaklab import error_expansion as ee
+    from weaklab import gaussian
     from weaklab import models as mdl
     from weaklab import quadrature as quad
     from weaklab import testfunctions as tf
 
-    calls = [0]
+    calls, entries = [0], [0]
     doubling = quad.node_doubling
+    densities = (gaussian.AffineGaussianDensity, gaussian.LognormalDensity)
+    scalars = [cls._scalars for cls in densities]
 
     def counted_doubling(value_at, *args, **kwargs):
         def counted(*a):
@@ -69,17 +79,31 @@ def measure(routine):
             return value_at(*a)
         return doubling(counted, *args, **kwargs)
 
+    def counted_scalars(fn):
+        def counted(*a):
+            entries[0] += 1
+            return fn(*a)
+        return counted
+
     ou, gbm = mdl.make_ou_model(1.0, 1.0), mdl.make_gbm_model(0.1, 0.2)
-    ee.principal_density_pi(ou, 0.5, 0.0, 0.0)
+    # every rule size, as quad-kernel's warm-up has them, and a pi at a t
+    # that no routine below uses: their first calls start cold for their
+    # times only
+    for m in (32, 64, 128, 256):
+        quad.hermite_rule(m)
+    ee.principal_density_pi(ou, 0.3, 0.0, 0.0)
     points = 16 if routine == "pi" else 1
+    # drawn here, so that no timed call imports numpy.random
+    g = np.random.default_rng([1, 2, 0])
+    txy = []
+    for _ in range(points):
+        t = int(g.integers(8, 33)) / 32.0
+        x = float(g.uniform(-1.0, 1.0))
+        txy.append((t, x, x + float(g.uniform(-1.0, 1.0)) * math.sqrt(t)))
 
     def run():
         if routine == "pi":
-            g = np.random.default_rng([1, 2, 0])
-            for j in range(points):
-                t = int(g.integers(8, 33)) / 32.0
-                x = float(g.uniform(-1.0, 1.0))
-                y = x + float(g.uniform(-1.0, 1.0)) * math.sqrt(t)
+            for j, (t, x, y) in enumerate(txy):
                 ee.principal_density_pi(ou, t, x, y, 0,
                                         1 if j % 4 == 3 else 0)
         elif routine == "ct-ou-square":
@@ -94,9 +118,16 @@ def measure(routine):
             for t in np.linspace(0.1, 1.0, 7):
                 ee.pi_rows(ou, float(t), xs.ravel(), ys.ravel())
 
+    t0 = time.perf_counter()
+    run()
+    first = (time.perf_counter() - t0) / points
     quad.node_doubling = counted_doubling
+    for cls, fn in zip(densities, scalars):
+        cls._scalars = counted_scalars(fn)
     run()
     quad.node_doubling = doubling
+    for cls, fn in zip(densities, scalars):
+        cls._scalars = fn
     best = math.inf
     for _ in range(CALLS):
         t0 = time.perf_counter()
@@ -104,8 +135,9 @@ def measure(routine):
         best = min(best, time.perf_counter() - t0)
     seconds = best / points
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"s_per_call": seconds, "value_at_calls": calls[0],
-                      "peak_rss_mb": rss}))
+    print(json.dumps({"s_per_call": seconds, "first_call_s": first,
+                      "value_at_calls": calls[0],
+                      "table_entries": entries[0], "peak_rss_mb": rss}))
 
 
 def micro_rows(trees, reps):
@@ -121,8 +153,9 @@ def micro_rows(trees, reps):
     rows = {}
     for routine in ROUTINES:
         rows[routine] = {}
-        for metric, unit in (("s_per_call", "s"),
+        for metric, unit in (("s_per_call", "s"), ("first_call_s", "s"),
                              ("value_at_calls", "count"),
+                             ("table_entries", "count"),
                              ("peak_rss_mb", "MB")):
             before = [r[metric] for r in runs["before"][routine]]
             after = [r[metric] for r in runs["after"][routine]]

@@ -27,12 +27,12 @@ quadrature.BLOCK_ELEMENTS cuts a block.
 
 Work that is fixed per model or per time is done once.  The derivatives
 of g*_1..3 are coefficient arrays, built once per model's polynomials
-and kept in a small bounded cache.  Each sweep builds one time table of
-the density (gaussian.time_table) on its s nodes and one on its t - s
-nodes, and these two are the only tables it builds: the Gauss-Hermite
-coordinates, every block of the sweep and the kernel K read their rows
-of them.  Each block asks the density for all the orders it needs in one
-derivs call.
+and kept in a small bounded cache.  Each sweep asks the density
+(gaussian.time_table) for two time tables, on its s and t - s nodes,
+and the Gauss-Hermite coordinates, every block of the sweep and the
+kernel K read their rows of them; the density builds each table once per
+set of times, so a repeated t builds none.  Each block asks the density
+for all the orders it needs in one derivs call.
 
 A term whose coefficient array is all zeros is never evaluated.  The
 table records which arrays are nonzero (3 of the 12 for OU; for GBM, all

@@ -66,8 +66,8 @@ class OptionSpec:
 
     def __post_init__(self):
         self.v = float(self.v)
-        if self.v <= 0:
-            raise ValueError("spot must be strictly positive")
+        if not (math.isfinite(self.v) and self.v > 0):
+            raise ValueError("spot must be finite and strictly positive")
         if not 0.0 < self.t <= 1.0:
             raise ValueError("maturity must lie in (0, 1]")
 

@@ -194,18 +194,29 @@ def expect_gaussian(fn, mean: float, std: float, push=None,
     return float(val[0]), float(err[0])
 
 
-def _composite_gl(fn, a: float, b: float, ms, order: int = 8):
-    """Composite Gauss-Legendre sums of fn over (a, b) with every panel
-    count in ms, all their nodes in one fn call; fn returns values with
-    the nodes on the last axis.  Returns one (value, magnitude) over the
-    leading axes per panel count."""
-    h, w = legendre_rule(order)
+@lru_cache(maxsize=256)
+def _gl_nodes(a: float, b: float, ms: tuple, order: int):
+    """The nodes of the composite Gauss-Legendre rules over (a, b) with
+    each panel count in ms, in one array, and each rule's half-widths."""
     edges = [np.linspace(a, b, panels + 1) for panels in ms]
     halves = [0.5 * np.diff(e) for e in edges]
-    vals = fn(np.concatenate([(0.5 * (e[:-1] + e[1:])[:, None]
-                               + half[:, None] * h).ravel()
-                              for e, half in zip(edges, halves)]))
+    nodes = np.concatenate([(0.5 * (e[:-1] + e[1:])[:, None]
+                             + half[:, None] * legendre_rule(order)[0]).ravel()
+                            for e, half in zip(edges, halves)])
+    for v in (nodes, *halves):
+        v.flags.writeable = False
+    return nodes, halves
+
+
+def _composite_gl(fn, a: float, b: float, ms, order: int = 8):
+    """Composite Gauss-Legendre sums of fn over (a, b) with every panel
+    count in ms, all their nodes (read-only, built once by _gl_nodes) in
+    one fn call; fn returns values with the nodes on the last axis.
+    Returns one (value, magnitude) over the leading axes per panel count."""
+    nodes, halves = _gl_nodes(a, b, tuple(ms), order)
+    vals = fn(nodes)
     vals = vals.reshape(vals.shape[:-1] + (-1, order))
+    w = legendre_rule(order)[1]
     return [(np.vecdot(np.vecdot(v, w), half),
              np.vecdot(np.vecdot(np.abs(v), w), half))
             for v, half in zip(_columns(vals, ms, axis=-2), halves)]

@@ -342,6 +342,39 @@ def test_a_sweep_builds_two_time_tables(monkeypatch, model, route):
     assert all(c == ["integrand", "integrand"] for c in sweeps)
 
 
+@pytest.mark.parametrize("model, route", [
+    (ou, "pi"), (gbm, "pi"), (ou, "ct"), (gbm, "ct"), (ou, "pairing")],
+    ids=["pi-ou", "pi-gbm", "ct-ou", "ct-gbm", "pairing-ou"])
+def test_a_repeated_t_builds_no_time_table(monkeypatch, model, route):
+    # the density's memo serves a second call at the same t: it calls
+    # _scalars at no time node, only pairing_with_pi's one scalar-t call
+    # for the law's coordinates; a new t builds its tables
+    m = model()
+    cls, calls = type(m.exact_density), []
+    scalars = cls._scalars
+
+    def counted(self, t, kmax):
+        calls.append(t)
+        return scalars(self, t, kmax)
+
+    def run(t):
+        if route == "pi":
+            return ee.pi_rows(m, t, [0.8, 1.1], [1.0, 0.9], 0, 1, tol=1e-6)
+        if route == "ct":
+            return ee.principal_term_Ct(m, tf.square(), t, 1.1, tol=1e-6)
+        return ee.pairing_with_pi(m, tf.square(), t, 0.3, tol=1e-4)
+
+    monkeypatch.setattr(cls, "_scalars", counted)
+    first = run(0.5)
+    n = len(calls)
+    assert n > 2
+    second = run(0.5)
+    assert calls[n:] == ([0.5] if route == "pairing" else [])
+    assert np.asarray(second).tobytes() == np.asarray(first).tobytes()
+    run(0.625)
+    assert len(calls) > n + 2
+
+
 # ---------------------------------------------------------------------------
 # density kernel pi
 

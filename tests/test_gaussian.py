@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import hermite_e
 
 from weaklab.euler import euler_density_1d
 from weaklab.gaussian import (AffineGaussianDensity, LognormalDensity,
-                              hermite_He, normal_pdf, normal_pdf_dy)
+                              _per_time, hermite_He, normal_pdf,
+                              normal_pdf_dy)
 from weaklab.models import make_constant_model, make_gbm_model, make_ou_model
 
 # 4th-order central finite-difference stencils, offsets and coefficients
@@ -182,6 +184,107 @@ def test_time_table_rows_are_the_scalar_rows(dens):
         for i in range(t.size):
             want = np.array(dens.time_table(float(t[i]), 4))
             assert table[:, i].tobytes() == want.tobytes(), i
+
+
+# ---------------------------------------------------------------------------
+# the time-table memo: each time array's table is built once
+
+_DENSITIES = {"ou": lambda: make_ou_model(1.0, 1.0).exact_density,
+              "gbm": lambda: make_gbm_model(0.1, 0.2).exact_density}
+
+
+def _counted_scalars(dens):
+    """dens with its _scalars calls listed, as (t, kmax), in the list
+    returned."""
+    calls, scalars = [], dens._scalars
+
+    def counted(t, kmax):
+        calls.append((t, kmax))
+        return scalars(t, kmax)
+
+    dens._scalars = counted
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_DENSITIES)),
+       times=st.lists(st.lists(st.floats(1e-3, 2.0), max_size=5),
+                      min_size=1, max_size=3),
+       requests=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6),
+                                   st.booleans()), min_size=1, max_size=12))
+def test_memo_serves_the_fresh_table(kind, times, requests):
+    # any sequence of kmax over a few time arrays, rising, falling and
+    # repeated, and one array as a row and as a vector: every table served
+    # is a fresh one, bit for bit, with its shape
+    dens = _DENSITIES[kind]()
+    for i, kmax, row in requests:
+        t = np.array(times[i % len(times)])
+        t = t.reshape(1, -1) if row else t
+        got = dens.time_table(t, kmax)
+        want = _per_time(dens._scalars, t, kmax)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSITIES))
+def test_memo_builds_each_time_array_once(kind):
+    # the tallest table is built once; a lower kmax is a view of its rows
+    dens = _DENSITIES[kind]()
+    t = np.array([0.25, 0.5, 0.75])
+    shapes = {k: _per_time(dens._scalars, t, k).shape for k in range(5)}
+    calls = _counted_scalars(dens)
+    tall = dens.time_table(t, 3)
+    assert len(calls) == 3
+    for kmax in (3, 0, 2):
+        table = dens.time_table(t, kmax)
+        assert np.shares_memory(table, tall)
+        assert table.shape == shapes[kmax]
+    assert len(calls) == 3
+    assert dens.time_table(t, 4).shape == shapes[4]
+    dens.time_table(t + 0.0625, 0)
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSITIES))
+def test_memo_tables_are_read_only(kind):
+    dens = _DENSITIES[kind]()
+    t = np.array([0.2, 0.5])
+    for kmax in (3, 1):  # the table built, then a view of its rows
+        with pytest.raises(ValueError):
+            dens.time_table(t, kmax)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSITIES))
+def test_memo_holds_at_most_its_bound(kind):
+    # least recently used out first: a time array asked for again stays,
+    # one asked for once at the start is rebuilt
+    dens = _DENSITIES[kind]()
+    calls = _counted_scalars(dens)
+    kept, dropped = np.array([0.5]), np.array([0.25])
+    dens.time_table(dropped, 0)
+    for i in range(3 * dens.MEMO_TABLES):
+        dens.time_table(kept, 0)
+        dens.time_table(np.array([1.0 + i]), 0)
+        assert len(dens._tables) <= dens.MEMO_TABLES
+    n = len(calls)
+    dens.time_table(kept, 0)
+    assert len(calls) == n
+    dens.time_table(dropped, 0)
+    assert len(calls) == n + 1
+
+
+def test_scalar_times_bypass_the_memo():
+    dens = _DENSITIES["ou"]()
+    assert isinstance(dens.time_table(0.5, 2), tuple)
+    assert "_tables" not in vars(dens)
+
+
+def test_lognormal_parameters_are_read_only():
+    dens = LognormalDensity(0.1, 0.2)
+    for name in ("mu", "sigma"):
+        with pytest.raises(AttributeError):
+            setattr(dens, name, 0.3)
+    assert (dens.mu, dens.sigma) == (0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------

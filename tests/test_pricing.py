@@ -45,6 +45,14 @@ def test_option_spec_validation():
         pr.OptionSpec(call, t=0.5, v=-1.0)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_option_spec_rejects_a_spot_that_is_not_finite(v):
+    # before, NaN and inf passed and greeks_euler blamed the scheme
+    # (SimulationBlowup at step 0) for the input
+    with pytest.raises(ValueError, match="finite"):
+        pr.OptionSpec(pr.make_payoff("call", strike=1.0), t=0.5, v=v)
+
+
 def test_black_scholes_put_call_parity():
     p_c, d_c, g_c = pr.black_scholes_call(1.1, 1.0, 0.2, 0.75)
     p_p, d_p, g_p = pr.black_scholes_put(1.1, 1.0, 0.2, 0.75)

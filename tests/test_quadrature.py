@@ -323,3 +323,24 @@ def test_public_scalar_routines_keep_signatures(routine, names, call):
     assert list(inspect.signature(routine).parameters) == names.split()
     val, err = call(routine)
     assert isinstance(val, float) and isinstance(err, float)
+
+
+def test_time_rule_nodes_are_built_once_and_read_only():
+    # one cached node array and one half-width array per panel count of
+    # each (a, b, panel counts, order), as _gl_reference builds them
+    h = legendre_rule(8)[0]
+    nodes, halves = quad._gl_nodes(0.0, 0.7, (2, 4), 8)
+    assert quad._gl_nodes(0.0, 0.7, (2, 4), 8)[0] is nodes
+    want = []
+    for panels, half in zip((2, 4), halves):
+        edges = np.linspace(0.0, 0.7, panels + 1)
+        assert half.tobytes() == (0.5 * np.diff(edges)).tobytes()
+        want.append((0.5 * (edges[:-1] + edges[1:])[:, None]
+                     + half[:, None] * h).ravel())
+    assert nodes.tobytes() == np.concatenate(want).tobytes()
+    for v in (nodes, *halves):
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    seen = []
+    adaptive_interval(lambda s: seen.append(s) or np.sin(s), 0.0, 0.7)
+    assert seen[0] is nodes
