@@ -31,10 +31,11 @@ perfbench/).  Two kinds of rows, each run alternately on the two trees
   ones, counted by wrapping weaklab.quadrature.node_doubling (every
   Gauss-Hermite and Gauss-Legendre doubling of these routines goes
   through it); table entries are the _scalars calls of the same run (one
-  per time entry of a density time table built, or per scalar-t table),
-  counted by wrapping both 1-D density classes' _scalars.  Both describe
-  a warm run, as s_per_call does.  Peak RSS is the interpreter's largest
-  resident set, import included.
+  per time entry of a density time table built; a scalar-t table is
+  memoised as an array-t one is, and counts one), counted by wrapping
+  both 1-D density classes' _scalars.  Both describe a warm run, as
+  s_per_call does.  Peak RSS is the interpreter's largest resident set,
+  import included.
 * perfbench pairs: bench/euler_step.py's runner, untraced, seeds from
   --seed0 on.
 """

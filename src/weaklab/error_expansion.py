@@ -25,24 +25,24 @@ doubling, time or node, share one integrand call.  A row's value and
 error do not depend on the rows beside it, nor on where
 quadrature.BLOCK_ELEMENTS cuts a block.
 
-Work that is fixed per model or per time is done once.  The derivatives
-of g*_1..3 are coefficient arrays, built once per model's polynomials
-and kept in a small bounded cache.  Each sweep asks the density
-(gaussian.time_table) for two time tables, on its s and t - s nodes,
-and the Gauss-Hermite coordinates, every block of the sweep and the
-kernel K read their rows of them; the density builds each table once per
-set of times, so a repeated t builds none.  Each block asks the density
-for all the orders it needs in one derivs call.
+Work that is fixed per model or per time is done once.  The nonzero
+terms of L2*, each with the coefficient array of its derivative of g*_g,
+are listed once per model's polynomials, in a small bounded cache.  Each
+sweep asks the density (gaussian.time_table) for two time tables, on its
+s and t - s nodes, and the Gauss-Hermite coordinates, every block of the
+sweep and the kernel K read their rows of them; the density builds each
+table once per time or set of times, so a repeated t builds none.  Each
+block asks the density for all the orders it needs in one derivs call.
 
-A term whose coefficient array is all zeros is never evaluated.  The
-table records which arrays are nonzero (3 of the 12 for OU; for GBM, all
-9 that the terms by parts read).  The sums of both halves add only those
-terms, and derivs, the kernel and the time tables are asked only for the
-orders they read: for OU, j = 0, 1, 2 by parts and gamma = 1, 2 on the
-left half, so no third derivative.  Each sum starts at +0.0, which no
-addition turns into -0.0, and a zero term at finite nodes and density
-factors adds +-0 to it, so dropping the term moves no bit there (with
-an infinite factor, the full sum's 0 * inf would be NaN).  The
+A term whose coefficient array is all zeros is never evaluated: the
+lists leave it out (they keep 3 of the 12 arrays for OU; for GBM, all 9
+that the terms by parts read).  The sums of both halves add only the
+listed terms, and derivs, the kernel and the time tables are asked only
+for the orders they read: for OU, j = 0, 1, 2 by parts and gamma = 1, 2
+on the left half, so no third derivative.  Each sum starts at +0.0,
+which no addition turns into -0.0, and a zero term at finite nodes and
+density factors adds +-0 to it, so dropping the term moves no bit there
+(with an infinite factor, the full sum's 0 * inf would be NaN).  The
 coefficient polynomials are evaluated by _horner, which performs numpy
 polyval's operations in its order.
 """
@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -119,37 +118,38 @@ def _l2star(b, a):
             -0.5 * a * da)
 
 
-class _L2StarTable(tuple):
-    """l2star_table's tuple of coefficient arrays, with nonzero, the
-    (g, k) of every array dgs[g - 1][k] that is not all zeros, in
-    ascending order."""
-
-
-def l2star_table(model: SdeModel):
-    """dgs with dgs[g - 1][k] the coefficient array of the k-th derivative
-    of g*_g, k = 0..3, read-only: polyval(z, dgs[g - 1][k]) is
-    l2star_coefficients(model)[g - 1].deriv(k)(z) bit for bit (the model's
-    polynomials live on numpy's default domain, which maps z to itself),
-    and so is _horner(dgs[g - 1][k], z).  dgs.nonzero lists the (g, k) of
-    the arrays that are not all zeros (a -0.0 entry counts as zero): 3
-    for OU, 9 for GBM, none for the constant model.  Built once per pair
-    of coefficient arrays; ValueError, and no cache entry, for a model
-    without polynomial coefficients."""
+def l2star_terms(model: SdeModel):
+    """(by_parts, left), the nonzero terms of L2* in the order its sums
+    add them: by_parts the (c, dg, j) of _by_parts, with c = (-1)^g
+    C(g, k), j = g - k and dg the coefficient array of the k-th
+    derivative of g*_g, k <= g; left the (g, dg) of the left half, dg
+    the array of g*_g.  polyval(z, dg) is
+    l2star_coefficients(model)[g - 1].deriv(k)(z) bit for bit (the
+    model's polynomials live on numpy's default domain, which maps z to
+    itself), and so is _horner(dg, z).  An array that is all zeros (a
+    -0.0 entry counts as zero) is left out: OU keeps 3, GBM 9 and the
+    constant model none.  Built once per pair of coefficient arrays,
+    read-only; ValueError, and no cache entry, for a model without
+    polynomial coefficients."""
     b, a = _poly(model)
-    return _l2star_table(b.coef.tobytes(), a.coef.tobytes())
+    return _l2star_terms(b.coef.tobytes(), a.coef.tobytes())
 
 
 # keyed on the bytes of b's and a's coefficients, which tell -0.0 from
 # 0.0; a few models at once is all a study or a test suite uses
 @lru_cache(maxsize=8)
-def _l2star_table(b: bytes, a: bytes):
+def _l2star_terms(b: bytes, a: bytes):
     gs = _l2star(Polynomial(np.frombuffer(b)), Polynomial(np.frombuffer(a)))
-    dgs = _L2StarTable(tuple(g.deriv(k).coef for k in range(4)) for g in gs)
-    for c in chain.from_iterable(dgs):
-        c.flags.writeable = False
-    dgs.nonzero = tuple((g, k) for g in (1, 2, 3) for k in range(4)
-                        if dgs[g - 1][k].any())
-    return dgs
+    by_parts, left = [], []
+    for g, poly in enumerate(gs, 1):
+        for k in range(g + 1):
+            dg = poly.deriv(k).coef
+            if dg.any():
+                dg.flags.writeable = False
+                by_parts.append(((-1.0) ** g * math.comb(g, k), dg, g - k))
+                if k == 0:
+                    left.append((g, dg))
+    return tuple(by_parts), tuple(left)
 
 
 def _horner(c, z):
@@ -161,39 +161,29 @@ def _horner(c, z):
     return acc
 
 
-def _terms(dgs):
-    """(by_parts, left) for dgs = l2star_table(model): the (g, k) of
-    _by_parts' nonzero terms, and the g of the left half's, in the order
-    of the full sums."""
-    return ([(g, k) for g, k in dgs.nonzero if k <= g],
-            [g for g, k in dgs.nonzero if k == 0])
-
-
-def _by_parts(dens, dgs, table, x0: np.ndarray, alpha: int, z):
+def _by_parts(dens, by_parts, table, x0: np.ndarray, alpha: int, z):
     """sum_g (-1)^g d^g/dz^g [g*_g(z) d^alpha_x p(s, x0, z)] at the nodes z:
     the derivatives L2* produced, moved onto p(s, x0, .) and the
     polynomial coefficients by the Leibniz rule, every one exact, with
-    dgs = l2star_table(model) and table the density's time table at s,
-    of order at least alpha plus every g - k it reads.  Only the nonzero
-    terms are summed, and only their orders j = g - k asked of derivs.
-    x0 broadcasts against z, one start point per row."""
-    terms = _terms(dgs)[0]
-    js = sorted({g - k for g, k in terms})
+    by_parts the terms of l2star_terms(model) and table the density's
+    time table at s, of order at least alpha plus every j it reads.  Only
+    those orders j are asked of derivs.  x0 broadcasts against z, one
+    start point per row."""
+    js = sorted({j for _, _, j in by_parts})
     dp = dict(zip(js, dens.derivs([(alpha, j) for j in js], table, x0, z)))
     acc = 0.0
-    for g, k in terms:
-        acc = acc + (-1.0) ** g * math.comb(g, k) \
-            * _horner(dgs[g - 1][k], z) * dp[g - k]
+    for c, dg, j in by_parts:
+        acc = acc + c * _horner(dg, z) * dp[j]
     return acc
 
 
-def _l2star_on(dgs, ks, z):
+def _l2star_on(left, ks, z):
     """sum_g g*_g(z) d^g_z K at the nodes z, L2* K as the left half takes
-    it, with ks the kernel's derivatives d^g_z K of the orders g of
-    _terms(dgs)[1], in that order: only the nonzero terms are summed."""
+    it, with left the terms of l2star_terms(model) and ks the kernel's
+    derivatives d^g_z K of their orders g, in that order."""
     acc = 0.0
-    for g, kz in zip(_terms(dgs)[1], ks):
-        acc = acc + _horner(dgs[g - 1][0], z) * kz
+    for (_, dg), kz in zip(left, ks):
+        acc = acc + _horner(dg, z) * kz
     return acc
 
 
@@ -211,18 +201,18 @@ def _check_kernel_args(t, split: float = 0.5, alpha=0, beta=0):
                 f"{name} must be a non-negative integer, not {v!r}")
 
 
-def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
+def _principal_rows(dens, terms, t: float, x0: np.ndarray, alpha: int,
                     kernel, tol: float, split: float = 0.5, target=None,
                     beta: int = 0):
     """1/2 int_0^t int d^alpha_x p(s, x0, z) L2*[K(t-s, .)](z) dz ds for
-    every row k, starting at x0[k], with dgs = l2star_table(model).
+    every row k, starting at x0[k], with terms = l2star_terms(model).
 
     kernel(gammas, table, rows, z) returns the list of d^gamma_z K(tau, z)
     for gamma in gammas at the nodes z, row i of z belonging to row
     rows[i] at the time tau whose time table (of order beta plus the
     largest gamma) is table[:, i], and the error of each row of z.  On the
     left half the derivatives of L2* stay on K; on the right half they
-    move onto p(s, x0, .) by parts.  Only the nonzero terms of L2* are
+    move onto p(s, x0, .) by parts.  Only the listed terms of L2* are
     summed, and the kernel, derivs and the time tables are asked only for
     the orders those read.  Both halves centre on p(s, x0, .), unless the
     target y of each row is given: then the right half centres one rule
@@ -232,8 +222,9 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
     its Gauss-Hermite and kernel errors; non-finite errors are kept.
     Returns (values, quad_errors).
     """
-    by_parts, gammas = _terms(dgs)
-    jmax = max((g - k for g, k in by_parts), default=0)
+    by_parts, left = terms
+    gammas = [g for g, _ in left]
+    jmax = max((j for _, _, j in by_parts), default=0)
     gmax = max(gammas, default=0)
     inner_err = np.zeros(x0.size)
 
@@ -264,11 +255,11 @@ def _principal_rows(dens, dgs, t: float, x0: np.ndarray, alpha: int,
             def fn(z, r):
                 return dens.derivs(((alpha, 0),), tab_s[:, r, None],
                                    x0[pr[r], None], z)[0] \
-                    * _l2star_on(dgs, at_tau(gammas, z, r), z)
+                    * _l2star_on(left, at_tau(gammas, z, r), z)
         else:
             def fn(z, r):
                 return at_tau((0,), z, r)[0] \
-                    * _by_parts(dens, dgs, tab_s[:, r, None],
+                    * _by_parts(dens, by_parts, tab_s[:, r, None],
                                 x0[pr[r], None], alpha, z)
 
         val, err = gauss_hermite_rows(fn, mean, std, push=push, dpush=dpush,
@@ -322,7 +313,7 @@ def principal_term_Ct(model: SdeModel, f: tf.TestFunction, t: float, x,
         return list(val.reshape((-1,) + z.shape)), err.reshape(
             (-1,) + z.shape).max(axis=(0, 2), initial=0.0)
 
-    val, err = _principal_rows(dens, l2star_table(model), t,
+    val, err = _principal_rows(dens, l2star_terms(model), t,
                                np.array([x0]), 0, pf_deriv, tol)
     return float(val[0]), float(err[0])
 
@@ -354,7 +345,7 @@ def pi_rows(model: SdeModel, t: float, x, y, alpha: int = 0, beta: int = 0,
         return dens.derivs([(g, beta) for g in gammas], table[:, :, None],
                            z, ys[rows, None]), 0.0
 
-    return _principal_rows(dens, l2star_table(model), t, xs, alpha, kernel,
+    return _principal_rows(dens, l2star_terms(model), t, xs, alpha, kernel,
                            tol, split, target=ys, beta=beta)
 
 

@@ -81,9 +81,23 @@ def _part_pool() -> ThreadPoolExecutor:
         return _pool[1]
 
 
+def _check_resolutions(ns):
+    """ValueError unless ns is one or more positive integers (an integral
+    float, such as 2.0, counts)."""
+    try:
+        ok = len(ns) and all(n == int(n) and n >= 1 for n in ns)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError("resolutions must be one or more positive integers;"
+                         f" got {ns}")
+
+
 def _steps(n: int, t: float) -> tuple[int, float]:
     """Full step count floor(n t) and the trailing partial step length;
-    ValueError unless the horizon t is finite and >= 0."""
+    ValueError unless n is a positive integer and the horizon t is finite
+    and >= 0."""
+    _check_resolutions([n])
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"horizon t must be finite and >= 0; got {t}")
     k = int(math.floor(n * t + 1e-12))
@@ -125,9 +139,7 @@ def _simulate(model: SdeModel, x, ns, t: float, rng: RngStream,
     all have returned, the failure the unsplit loop would meet first
     raises: the earliest step, then the lowest range.
     """
-    if not len(ns) or any(n != int(n) or n < 1 for n in ns):
-        raise ValueError("resolutions must be one or more positive integers;"
-                         f" got {ns}")
+    _check_resolutions(ns)
     ns = sorted(set(int(n) for n in ns))
     for n in ns:
         if ns[-1] % n:

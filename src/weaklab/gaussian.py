@@ -21,7 +21,8 @@ Gauss-Hermite coordinates from one.  deriv is derivs' one-order case at
 a time t; time_table, deriv and density are written once, for both.  A
 caller that asks for many orders, or for the same times in many blocks,
 builds the table once and passes it, or its row slice table[:, r]; and
-time_table builds each array of times' table once, in a bounded memo.
+time_table builds the table of each time, scalar or array, once, in a
+bounded memo, and serves it to every later request of no higher order.
 """
 
 from __future__ import annotations
@@ -83,18 +84,15 @@ def _per_time(fn, t, *args):
 class _Density1d:
     """What both 1-D densities share, written once over a subclass's
     _scalars(t, kmax), the per-time floats at a float t of every
-    derivative of total order at most kmax (a head, then _ROWS_PER_ORDER
-    per order 0..kmax), and its derivs."""
-    MEMO_TABLES = 128  # a 30 s quad-kernel run reaches 75 (OU), 51 (GBM)
+    derivative of total order at most kmax, and its derivs."""
+    MEMO_TABLES = 128  # a 30 s quad-kernel run reaches 100 (OU), 52 (GBM)
 
     def time_table(self, t, kmax: int):
-        """_scalars(t, kmax): a tuple at a scalar t.  At an array t, a
-        read-only view of the rows of kmax, a row prefix of the tallest
-        table built at t, from a memo of MEMO_TABLES time arrays, least
-        recently used out first, keyed on t's shape and float64 bytes.
-        The memo takes no lock: a density serves one thread at a time."""
-        if np.ndim(t) == 0:
-            return self._scalars(float(t), kmax)
+        """_per_time(self._scalars, t, k), read-only, for some k >= kmax:
+        the tallest table built at t, from a memo of MEMO_TABLES times
+        (a scalar t is one of shape ()), least recently used out first,
+        keyed on t's shape and float64 bytes.  The memo takes no lock: a
+        density serves one thread at a time."""
         memo = vars(self).setdefault("_tables", {})
         key = (np.shape(t), np.asarray(t, dtype=float).tobytes())
         built, table = memo.pop(key, (-1, None))
@@ -104,7 +102,7 @@ class _Density1d:
         memo[key] = built, table
         if len(memo) > self.MEMO_TABLES:
             del memo[next(iter(memo))]
-        return table[:len(table) - self._ROWS_PER_ORDER * (built - kmax)]
+        return table
 
     def density(self, t, x, y):
         return self.deriv(0, 0, t, x, y)
@@ -125,7 +123,6 @@ class AffineGaussianDensity(_Density1d):
     methods a table of either; an entry's result equals the scalar-t
     call's bit for bit.
     """
-    _ROWS_PER_ORDER = 2
 
     def __init__(self, law):
         self._law = law
@@ -181,7 +178,6 @@ class LognormalDensity(_Density1d):
     Hermite derivatives of the Gaussian factor.  Its methods take a time
     or a time table, as AffineGaussianDensity's do; mu, sigma are read-only.
     """
-    _ROWS_PER_ORDER = 1
     mu = property(lambda self: self._mu)
     sigma = property(lambda self: self._sigma)
 

@@ -106,10 +106,19 @@ def _affine_model_1d(name: str, m: float, c: float, s, **flags) -> SdeModel:
                     poly=(Polynomial([c, m]), Polynomial([a])), **flags)
 
 
+def _require_finite(**params):
+    """ValueError naming every parameter, a number or an array, that is
+    not finite."""
+    bad = [k for k, v in params.items() if not np.isfinite(v).all()]
+    if bad:
+        raise ValueError(f"model parameters {bad} must be finite")
+
+
 def make_constant_model(b0, s0) -> SdeModel:
     """Constant coefficients: the Euler scheme is exact in law."""
     b0 = np.atleast_1d(np.asarray(b0, dtype=float))
     s0 = np.atleast_2d(np.asarray(s0, dtype=float))
+    _require_finite(b0=b0, s0=s0)
     d, r = s0.shape
     if b0.shape[0] != d:
         raise ValueError("drift/diffusion dimensions disagree")
@@ -145,6 +154,7 @@ def make_ou_model(theta: float, sigma0: float) -> SdeModel:
     which is why OU-based bound checks are empirical rather than
     theorem-backed.
     """
+    _require_finite(theta=theta, sigma0=sigma0)
     if theta <= 0 or sigma0 <= 0:
         raise ValueError("theta and sigma0 must be positive")
     return _affine_model_1d("ou", -theta, 0.0, sigma0, flag_B=False)
@@ -156,6 +166,7 @@ def make_gbm_model(mu: float, sigma0: float) -> SdeModel:
     (B)/(C) hold only after the log transform, which makes the
     coefficients the constants b = mu - sigma0^2/2 and sigma = sigma0.
     """
+    _require_finite(mu=mu, sigma0=sigma0)
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
     def drift_diffusion(x, b, sig):
@@ -175,6 +186,7 @@ def make_bounded_vol_model(a0: float, b0: float, c0: float) -> SdeModel:
     (C) hold with eta = (b0 - |c0|)^2.  No closed-form density; reference
     oracles are fine-Euler runs.
     """
+    _require_finite(a0=a0, b0=b0, c0=c0)
     if not b0 > abs(c0) > 0:
         raise AssumptionViolation("need b0 > |c0| > 0 for bounded elliptic volatility")
 

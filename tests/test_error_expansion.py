@@ -1,10 +1,10 @@
 import math
 import sys
-from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
 from weaklab import error_expansion as ee
@@ -12,8 +12,8 @@ from weaklab import quadrature as quad
 from weaklab import testfunctions as tf
 from weaklab.euler import euler_density_1d
 from weaklab.gaussian import LognormalDensity, normal_pdf
-from weaklab.models import make_bounded_vol_model, make_constant_model, \
-    make_gbm_model, make_ou_model
+from weaklab.models import SdeModel, make_bounded_vol_model, \
+    make_constant_model, make_gbm_model, make_ou_model
 
 # Frozen reference values, each computed by an independent route:
 #   CT_OU:   closed form (1 - 3 e^{-2 theta^2 t}) sigma^2 ... reduced at
@@ -79,48 +79,6 @@ def test_l2star_constant_model_vanishes():
         assert abs(g1(z)) + abs(g2(z)) + abs(g3(z)) < 1e-12
 
 
-def test_l2star_table_is_one_per_model_polynomials():
-    ee._l2star_table.cache_clear()
-    table = ee.l2star_table(make_ou_model(1.0, 1.0))
-    assert ee.l2star_table(make_ou_model(1.0, 1.0)) is table
-    assert ee.l2star_table(make_ou_model(2.0, 1.0)) is not table
-    assert ee._l2star_table.cache_info().currsize == 2
-    with pytest.raises(ValueError):
-        ee.l2star_table(make_bounded_vol_model(0.05, 0.2, 0.1))
-    assert ee._l2star_table.cache_info().currsize == 2
-    # bounded: more models than it holds leave it full, not larger
-    size = ee._l2star_table.cache_parameters()["maxsize"]
-    assert size is not None
-    for k in range(size + 3):
-        ee.l2star_table(make_ou_model(1.0 + k, 1.0))
-    assert ee._l2star_table.cache_info().currsize == size
-    with pytest.raises(ValueError):   # shared, so read-only
-        table[0][0][0] = 1.0
-
-
-@pytest.mark.parametrize("model", [
-    make_ou_model(1.0, 1.0), make_ou_model(0.3, 1.7),
-    make_gbm_model(0.1, 0.2), make_gbm_model(0.5, 0.5),
-    make_constant_model([0.3], [[0.7]])],
-    ids=["ou", "ou-2", "gbm", "gbm-2", "constant-1d"])
-def test_l2star_table_is_the_polynomials_bit_for_bit(model):
-    # at the Gauss-Hermite nodes of every rule size, about the laws the
-    # quadrature centres on, pushed for the lognormal
-    dens, gs = model.exact_density, ee.l2star_coefficients(model)
-    dgs = ee.l2star_table(model)
-    for m in (32, 64, 128, 256):
-        h, _ = quad.hermite_rule(m)
-        mean, std, push, _ = dens.gauss_coords(
-            dens.time_table(np.array([0.1, 0.5, 1.0]), 0),
-            np.array([0.4, 0.9, 1.3]))
-        z = mean[:, None] + np.sqrt(2.0) * std[:, None] * h
-        z = z if push is None else push(z)
-        for g in range(3):
-            for k in range(4):
-                assert polyval(z, dgs[g][k]).tobytes() == \
-                    gs[g].deriv(k)(z).tobytes(), (m, g, k)
-
-
 TABLE_MODELS = {"ou": make_ou_model(1.0, 1.0), "ou-2": make_ou_model(0.3, 1.7),
                 "gbm": make_gbm_model(0.1, 0.2),
                 "gbm-2": make_gbm_model(0.5, 0.5),
@@ -133,23 +91,87 @@ NONZERO = {"ou": ((1, 0), (1, 1), (2, 0)),
            "constant-1d": ()}
 
 
+def _labelled_terms(name):
+    """[((g, k), dg)] for every array of l2star_terms, the terms by parts
+    labelled by NONZERO (every (g, k) there has k <= g), then the left
+    half's."""
+    by_parts, left = ee.l2star_terms(TABLE_MODELS[name])
+    return [(gk, dg) for gk, (_, dg, _) in
+            zip(NONZERO[name.split("-2")[0]], by_parts)] + \
+        [((g, 0), dg) for g, dg in left]
+
+
+def test_l2star_table_is_one_per_model_polynomials():
+    ee._l2star_terms.cache_clear()
+    terms = ee.l2star_terms(make_ou_model(1.0, 1.0))
+    assert ee.l2star_terms(make_ou_model(1.0, 1.0)) is terms
+    assert ee.l2star_terms(make_ou_model(2.0, 1.0)) is not terms
+    assert ee._l2star_terms.cache_info().currsize == 2
+    with pytest.raises(ValueError):
+        ee.l2star_terms(make_bounded_vol_model(0.05, 0.2, 0.1))
+    assert ee._l2star_terms.cache_info().currsize == 2
+    # bounded: more models than it holds leave it full, not larger
+    size = ee._l2star_terms.cache_parameters()["maxsize"]
+    assert size is not None
+    for k in range(size + 3):
+        ee.l2star_terms(make_ou_model(1.0 + k, 1.0))
+    assert ee._l2star_terms.cache_info().currsize == size
+    # shared, so read-only: tuples of tuples of read-only arrays
+    by_parts, left = terms
+    assert all(type(v) is tuple for v in (terms, by_parts, left)
+               + by_parts + left)
+    for dg in [dg for _, dg, _ in by_parts] + [dg for _, dg in left]:
+        with pytest.raises(ValueError):
+            dg[0] = 1.0
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MODELS))
+def test_l2star_table_is_the_polynomials_bit_for_bit(name):
+    # at the Gauss-Hermite nodes of every rule size, about the laws the
+    # quadrature centres on, pushed for the lognormal
+    model = TABLE_MODELS[name]
+    dens, gs = model.exact_density, ee.l2star_coefficients(model)
+    for m in (32, 64, 128, 256):
+        h, _ = quad.hermite_rule(m)
+        mean, std, push, _ = dens.gauss_coords(
+            dens.time_table(np.array([0.1, 0.5, 1.0]), 0),
+            np.array([0.4, 0.9, 1.3]))
+        z = mean[:, None] + np.sqrt(2.0) * std[:, None] * h
+        z = z if push is None else push(z)
+        for (g, k), dg in _labelled_terms(name):
+            assert polyval(z, dg).tobytes() == \
+                gs[g - 1].deriv(k)(z).tobytes(), (m, g, k)
+
+
 @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
 def test_l2star_table_lists_its_nonzero_arrays(name):
-    dgs = ee.l2star_table(TABLE_MODELS[name])
-    assert dgs.nonzero == NONZERO[name.split("-2")[0]]
+    # the terms are the nonzero arrays in (g, k) order, each with its
+    # sign, binomial and order j = g - k; every array left out is zero
+    gs = ee.l2star_coefficients(TABLE_MODELS[name])
+    nonzero = NONZERO[name.split("-2")[0]]
+    by_parts, left = ee.l2star_terms(TABLE_MODELS[name])
+    assert [(c, j) for c, _, j in by_parts] == \
+        [((-1.0) ** g * math.comb(g, k), g - k) for g, k in nonzero]
+    assert [g for g, _ in left] == [g for g, k in nonzero if k == 0]
+    for (g, k), dg in _labelled_terms(name):
+        assert dg.tobytes() == gs[g - 1].deriv(k).coef.tobytes()
     for g in (1, 2, 3):
         for k in range(4):
-            assert bool(np.any(dgs[g - 1][k])) == ((g, k) in dgs.nonzero)
+            assert bool(np.any(gs[g - 1].deriv(k).coef)) == \
+                ((g, k) in nonzero)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_MODELS))
 def test_horner_is_polyval_bit_for_bit(name):
-    # signed zeros, |z| up to 1e300, the infinities and NaN; coefficient
+    # signed zeros, |z| up to 1e300, the infinities and NaN; every
+    # derivative array of g*_1..3, the zero ones too, and coefficient
     # arrays with -0.0 entries besides the model's own
     z = np.concatenate([[0.0, -0.0, 1.0, -1.0, 5e-324, -1e-300, 1e150,
                          -1e150, 1e300, math.inf, -math.inf, math.nan],
                         np.linspace(-40.0, 40.0, 321)])
-    arrays = list(chain.from_iterable(ee.l2star_table(TABLE_MODELS[name])))
+    arrays = [g.deriv(k).coef
+              for g in ee.l2star_coefficients(TABLE_MODELS[name])
+              for k in range(4)]
     arrays += [np.array([-0.0]), np.array([0.0, -0.0]),
                np.array([-0.0, 1.5, -0.0, -2.25])]
     with np.errstate(all="ignore"):
@@ -161,24 +183,25 @@ def test_horner_is_polyval_bit_for_bit(name):
                     np.asarray(want).tobytes(), c
 
 
-def _by_parts_full(dens, dgs, table, x0, alpha, z):
+def _by_parts_full(dens, gs, table, x0, alpha, z):
     """The full sum of _by_parts: all 9 terms, every order j = 0..3, by
-    numpy's polyval; the oracle of the zero-skipping one."""
+    numpy's polyval on the derivatives of gs = l2star_coefficients(model);
+    the oracle of the zero-skipping one."""
     dp = dens.derivs([(alpha, j) for j in range(4)], table, x0, z)
     acc = 0.0
     for g in (1, 2, 3):
         sign = (-1.0) ** g
         for k in range(g + 1):
-            acc = acc + sign * math.comb(g, k) * polyval(z, dgs[g - 1][k]) \
-                * dp[g - k]
+            acc = acc + sign * math.comb(g, k) \
+                * polyval(z, gs[g - 1].deriv(k).coef) * dp[g - k]
     return acc
 
 
-def _l2star_on_full(dgs, ks, z):
+def _l2star_on_full(gs, ks, z):
     """The full left-half sum of g*_g(z) d^g_z K over g = 1, 2, 3."""
     acc = 0.0
     for g in (1, 2, 3):
-        acc = acc + polyval(z, dgs[g - 1][0]) * ks[g - 1]
+        acc = acc + polyval(z, gs[g - 1].deriv(0).coef) * ks[g - 1]
     return acc
 
 
@@ -195,7 +218,7 @@ def test_zero_terms_left_out_move_no_bit(name, s, tau, x0, offsets, alpha,
     # +-60 where the density factors at s underflow; a last row has
     # only far offsets, so both of its sums are 0
     model = TABLE_MODELS[name]
-    dens, dgs = model.exact_density, ee.l2star_table(model)
+    dens, gs = model.exact_density, ee.l2star_coefficients(model)
     lognormal = isinstance(dens, LognormalDensity)
     sd = max(float(dens.gauss_coords(dens.time_table(v, 0), 1.0)[1])
              for v in (s, tau))
@@ -209,11 +232,12 @@ def test_zero_terms_left_out_move_no_bit(name, s, tau, x0, offsets, alpha,
         z = x0 * np.exp(sd * offs)
     else:
         z = x0 + sd * offs
-    by_parts, gammas = ee._terms(dgs)
-    jmax = max(g - k for g, k in by_parts)
-    full = _by_parts_full(dens, dgs, dens.time_table(s, alpha + 3), x0,
+    by_parts, left = ee.l2star_terms(model)
+    gammas = [g for g, _ in left]
+    jmax = max(j for _, _, j in by_parts)
+    full = _by_parts_full(dens, gs, dens.time_table(s, alpha + 3), x0,
                           alpha, z)
-    got = ee._by_parts(dens, dgs, dens.time_table(s, alpha + jmax), x0,
+    got = ee._by_parts(dens, by_parts, dens.time_table(s, alpha + jmax), x0,
                        alpha, z)
     assert got.tobytes() == full.tobytes()
     assert not full[-1].any()
@@ -222,9 +246,40 @@ def test_zero_terms_left_out_move_no_bit(name, s, tau, x0, offsets, alpha,
                      dens.time_table(tau, 3 + beta), z, x0)
     ks_read = dens.derivs([(g, beta) for g in gammas],
                           dens.time_table(tau, max(gammas) + beta), z, x0)
-    full = _l2star_on_full(dgs, ks, z)
-    assert ee._l2star_on(dgs, ks_read, z).tobytes() == full.tobytes()
+    full = _l2star_on_full(gs, ks, z)
+    assert ee._l2star_on(left, ks_read, z).tobytes() == full.tobytes()
     assert not full[-1].any()
+
+
+COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.lists(COEFFICIENT, min_size=4, max_size=4),
+       a=st.lists(COEFFICIENT, min_size=3, max_size=3),
+       s=st.floats(0.01, 1.0), x0=st.floats(-2.0, 2.0),
+       offsets=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=6),
+       alpha=st.integers(0, 2))
+def test_term_lists_sum_as_the_full_sums(b, a, s, x0, offsets, alpha):
+    # any cubic b and quadratic a, signed zeros among their coefficients:
+    # the sums over l2star_terms equal the full 9- and 3-term sums by
+    # bytes, with OU's density factors; with no term, a +0.0 everywhere
+    model = SdeModel("cubic", 1, 1, None,
+                     poly=(Polynomial(b), Polynomial(a)))
+    dens = make_ou_model(1.0, 1.0).exact_density
+    gs = ee.l2star_coefficients(model)
+    by_parts, left = ee.l2star_terms(model)
+    x0 = np.array([[x0]])
+    z = x0 + np.array([offsets])
+    table = dens.time_table(s, alpha + 3)
+    full = _by_parts_full(dens, gs, table, x0, alpha, z)
+    got = ee._by_parts(dens, by_parts, table, x0, alpha, z)
+    assert np.broadcast_to(got, full.shape).tobytes() == full.tobytes()
+    ks = dens.derivs([(g, 0) for g in (1, 2, 3)], dens.time_table(s, 3), z,
+                     x0)
+    full = _l2star_on_full(gs, ks, z)
+    got = ee._l2star_on(left, [ks[g - 1] for g, _ in left], z)
+    assert np.broadcast_to(got, full.shape).tobytes() == full.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +402,8 @@ def test_a_sweep_builds_two_time_tables(monkeypatch, model, route):
     ids=["pi-ou", "pi-gbm", "ct-ou", "ct-gbm", "pairing-ou"])
 def test_a_repeated_t_builds_no_time_table(monkeypatch, model, route):
     # the density's memo serves a second call at the same t: it calls
-    # _scalars at no time node, only pairing_with_pi's one scalar-t call
-    # for the law's coordinates; a new t builds its tables
+    # _scalars at no time node, nor for pairing_with_pi's scalar-t table
+    # of the law's coordinates; a new t builds its tables
     m = model()
     cls, calls = type(m.exact_density), []
     scalars = cls._scalars
@@ -369,7 +424,7 @@ def test_a_repeated_t_builds_no_time_table(monkeypatch, model, route):
     n = len(calls)
     assert n > 2
     second = run(0.5)
-    assert calls[n:] == ([0.5] if route == "pairing" else [])
+    assert calls[n:] == []
     assert np.asarray(second).tobytes() == np.asarray(first).tobytes()
     run(0.625)
     assert len(calls) > n + 2

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from weaklab import cli, euler
 from weaklab import pricing as pr
+from weaklab.error_expansion import density_error_exact, distribution_pairing
 from weaklab.euler import (CHUNK, SimulationBlowup, ThreadPoolExecutor,
                            euler_affine_transport, euler_density_1d,
                            empirical_moment,
@@ -493,6 +494,23 @@ def test_empty_ladder_is_rejected():
     with pytest.raises(ValueError, match="one or more"):
         simulate_ladder(make_ou_model(1.0, 1.0), [1.0], [], 1.0,
                         RngStream(0, 0), 8)
+
+
+@pytest.mark.parametrize("n", [-4, 2.5, 0, math.inf])
+def test_step_count_must_be_a_positive_integer(n):
+    # at n = -4 the affine transport was the identity law, the density
+    # error NaN, the pairing (0.0, 0.432...) and the GBM mean 1.1066; at
+    # 2.5 the steps were 0.4, 0.4 and 0.2; at 0 a ZeroDivisionError
+    ou = make_ou_model(1.0, 1.0)
+    for call in (lambda: euler_affine_transport(ou, n, 1.0),
+                 lambda: euler_density_1d(ou, n),
+                 lambda: density_error_exact(ou, n, 1.0, 1.0, 1.0),
+                 lambda: distribution_pairing(ou, square(), n, 1.0, 1.0),
+                 lambda: gbm_euler_mean(0.1, 1.0, n, 1.0),
+                 lambda: simulate_euler(ou, [1.0], n, 1.0, RngStream(0, 0),
+                                        8)):
+        with pytest.raises(ValueError, match="positive integers"):
+            call()
 
 
 @settings(max_examples=16, deadline=None)

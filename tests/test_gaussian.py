@@ -208,39 +208,43 @@ def _counted_scalars(dens):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(_DENSITIES)),
-       times=st.lists(st.lists(st.floats(1e-3, 2.0), max_size=5),
-                      min_size=1, max_size=3),
+       times=st.lists(st.lists(st.floats(1e-3, 2.0), min_size=1,
+                               max_size=5), min_size=1, max_size=3),
        requests=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 6),
-                                   st.booleans()), min_size=1, max_size=12))
+                                   st.sampled_from(["vector", "row",
+                                                    "scalar"])),
+                         min_size=1, max_size=12))
 def test_memo_serves_the_fresh_table(kind, times, requests):
-    # any sequence of kmax over a few time arrays, rising, falling and
-    # repeated, and one array as a row and as a vector: every table served
-    # is a fresh one, bit for bit, with its shape
-    dens = _DENSITIES[kind]()
-    for i, kmax, row in requests:
+    # any sequence of kmax over a few times, rising, falling and repeated,
+    # and one array as a row, as a vector and by its first entry as a
+    # scalar: every table served is the fresh one, bit for bit, with its
+    # shape, at the largest kmax asked of the same times, in the same
+    # shape, so far
+    dens, tallest = _DENSITIES[kind](), {}
+    for i, kmax, form in requests:
         t = np.array(times[i % len(times)])
-        t = t.reshape(1, -1) if row else t
+        t = {"vector": t, "row": t.reshape(1, -1), "scalar": t[0]}[form]
+        key = (np.shape(t), t.tobytes())
+        tallest[key] = max(kmax, tallest.get(key, 0))
         got = dens.time_table(t, kmax)
-        want = _per_time(dens._scalars, t, kmax)
+        want = _per_time(dens._scalars, t, tallest[key])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(_DENSITIES))
 def test_memo_builds_each_time_array_once(kind):
-    # the tallest table is built once; a lower kmax is a view of its rows
+    # the tallest table is built once and served to every lower kmax
     dens = _DENSITIES[kind]()
     t = np.array([0.25, 0.5, 0.75])
-    shapes = {k: _per_time(dens._scalars, t, k).shape for k in range(5)}
+    shape = _per_time(dens._scalars, t, 4).shape
     calls = _counted_scalars(dens)
     tall = dens.time_table(t, 3)
     assert len(calls) == 3
     for kmax in (3, 0, 2):
-        table = dens.time_table(t, kmax)
-        assert np.shares_memory(table, tall)
-        assert table.shape == shapes[kmax]
+        assert dens.time_table(t, kmax) is tall
     assert len(calls) == 3
-    assert dens.time_table(t, 4).shape == shapes[4]
+    assert dens.time_table(t, 4).shape == shape
     dens.time_table(t + 0.0625, 0)
     assert len(calls) == 9
 
@@ -248,23 +252,23 @@ def test_memo_builds_each_time_array_once(kind):
 @pytest.mark.parametrize("kind", sorted(_DENSITIES))
 def test_memo_tables_are_read_only(kind):
     dens = _DENSITIES[kind]()
-    t = np.array([0.2, 0.5])
-    for kmax in (3, 1):  # the table built, then a view of its rows
-        with pytest.raises(ValueError):
-            dens.time_table(t, kmax)[0, 0] = 1.0
+    for t in (np.array([0.2, 0.5]), 0.5):
+        for kmax in (3, 1):  # the table built, then served again
+            with pytest.raises(ValueError):
+                dens.time_table(t, kmax)[(0,) * np.ndim(t) + (0,)] = 1.0
 
 
 @pytest.mark.parametrize("kind", sorted(_DENSITIES))
 def test_memo_holds_at_most_its_bound(kind):
     # least recently used out first: a time array asked for again stays,
-    # one asked for once at the start is rebuilt
+    # one asked for once at the start is rebuilt; scalar times count
     dens = _DENSITIES[kind]()
     calls = _counted_scalars(dens)
     kept, dropped = np.array([0.5]), np.array([0.25])
     dens.time_table(dropped, 0)
     for i in range(3 * dens.MEMO_TABLES):
         dens.time_table(kept, 0)
-        dens.time_table(np.array([1.0 + i]), 0)
+        dens.time_table(np.array([1.0 + i]) if i % 2 else 1.0 + i, 0)
         assert len(dens._tables) <= dens.MEMO_TABLES
     n = len(calls)
     dens.time_table(kept, 0)
@@ -273,10 +277,20 @@ def test_memo_holds_at_most_its_bound(kind):
     assert len(calls) == n + 1
 
 
-def test_scalar_times_bypass_the_memo():
-    dens = _DENSITIES["ou"]()
-    assert isinstance(dens.time_table(0.5, 2), tuple)
-    assert "_tables" not in vars(dens)
+def test_a_repeated_scalar_t_builds_no_table():
+    # a scalar t is one memo entry, apart from the one-entry array of the
+    # same time; its table is _scalars' floats
+    for kind in sorted(_DENSITIES):
+        dens = _DENSITIES[kind]()
+        want = np.array(type(dens)._scalars(dens, 0.5, 2))
+        calls = _counted_scalars(dens)
+        table = dens.time_table(0.5, 2)
+        assert dens.time_table(0.5, 1) is table
+        assert dens.time_table(np.float64(0.5), 2) is table
+        assert calls == [(0.5, 2)]
+        assert table.shape == want.shape and table.tobytes() == want.tobytes()
+        dens.time_table(np.array([0.5]), 2)
+        assert len(calls) == 2
 
 
 def test_lognormal_parameters_are_read_only():

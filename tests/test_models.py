@@ -58,7 +58,7 @@ def test_ou_law_is_the_closed_form_bit_for_bit(theta, sigma):
     for t in (1e-3, 0.1, 0.25, 0.5, 1.0, 2.0, 7.3):
         want = (math.exp(-theta * t), 0.0,
                 a0 * (1.0 - math.exp(-2.0 * theta * t)) / (2.0 * theta))
-        assert m.exact_density.time_table(t, 0)[:3] == want
+        assert tuple(m.exact_density.time_table(t, 0)[:3]) == want
 
 
 @pytest.mark.parametrize("model", [
@@ -136,7 +136,7 @@ def test_constant_model_with_two_noises_is_1d_affine():
     assert (m.dim_d, m.dim_r) == (1, 2)
     assert isinstance(m.exact_density, AffineGaussianDensity)
     assert affine_triple(m) == (0.0, 0.1, 0.25)
-    assert m.exact_density.time_table(2.0, 0)[:3] == (1.0, 0.2, 0.5)
+    assert tuple(m.exact_density.time_table(2.0, 0)[:3]) == (1.0, 0.2, 0.5)
     assert np.all(m.poly[1](np.linspace(-1, 1, 5)) == 0.25)
     assert m.ellipticity_eta == 0.25 and m.flag_B and m.flag_C
     vals, errs = pi_rows(m, 0.5, [0.0, 1.0], [0.2, 0.3])
@@ -253,3 +253,26 @@ def test_model_from_config_roundtrip_and_rejection():
                 {"model": "constant", "b": [0.1], "s": [[True]]}):
         with pytest.raises(ValueError):
             model_from_config(bad)
+
+
+_BUILDERS = {"ou": (make_ou_model, {"theta": 1.0, "sigma0": 1.0}),
+             "gbm": (make_gbm_model, {"mu": 0.1, "sigma0": 0.2}),
+             "tanh-vol": (make_bounded_vol_model,
+                          {"a0": 0.05, "b0": 0.2, "c0": 0.1}),
+             "constant": (make_constant_model, {"b0": [0.3], "s0": [[1.0]]})}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, name", [
+    pytest.param(kind, name, id=f"{kind}-{name}")
+    for kind, (_, params) in _BUILDERS.items() for name in params])
+def test_builders_reject_nonfinite_parameters(kind, name, bad):
+    # semigroup_apply used to return 0.0 for OU(inf, 1), inf for OU(1, inf)
+    # and NaN for OU(nan, 1), GBM(nan, 0.2), GBM(0.1, inf) and
+    # constant([nan], [[1]]); tanh-vol(nan, 0.2, 0.1) built
+    build, params = _BUILDERS[kind]
+    args = dict(params)
+    args[name] = np.full(np.shape(args[name]), bad).tolist()
+    with pytest.raises(ValueError, match="finite"):
+        build(**args)
