@@ -111,7 +111,8 @@ def _summary(before, after, lower_is_better):
     return {"before_median": mb, "before_q1": q(before)[0],
             "before_q3": q(before)[2], "after_median": ma,
             "after_q1": q(after)[0], "after_q3": q(after)[2],
-            "change": ma / mb - 1.0, "after_wins": wins,
+            # no relative change from a zero median (a count none made)
+            "change": ma / mb - 1.0 if mb else None, "after_wins": wins,
             "pairs": len(before)}
 
 

@@ -25,12 +25,17 @@ perfbench/).  Two kinds of rows, each run alternately on the two trees
     tol 1e-4;
   - heldout-grid: the 700-point held-out grid of ROADMAP item 1 (t in
     [0.1, 1] in 7 steps, x and y in [-3, 3] in 10 steps each) through
-    pi_rows, one call per t; seconds for the whole grid.
+    pi_rows, one call per t; seconds for the whole grid;
+  - semigroup-1d, semigroup-2d: semigroup_apply of the square at t = 0.7
+    on OU(1, 1) from 0.4 (expect_gaussian) and on the 2-D constant model
+    b = (0.1, -0.2), s = [[0.3, 0.1], [0.0, 0.4]] from (0.4, -0.3)
+    (expect_gaussian_nd), as tests/test_pinned_library.py pins them.
   Integrand calls are the value_at calls node_doubling makes in one
   untimed run of the routine between the first call and the CALLS timed
-  ones, counted by wrapping weaklab.quadrature.node_doubling (every
-  Gauss-Hermite and Gauss-Legendre doubling of these routines goes
-  through it); table entries are the _scalars calls of the same run (one
+  ones, counted by wrapping node_doubling in weaklab.quadrature, and in
+  weaklab.models where a tree imports it there (every Gauss-Hermite and
+  Gauss-Legendre doubling of these routines goes through it); table
+  entries are the _scalars calls of the same run (one
   per time entry of a density time table built; a scalar-t table is
   memoised as an array-t one is, and counts one), counted by wrapping
   both 1-D density classes' _scalars.  Both describe a warm run, as
@@ -55,7 +60,7 @@ from euler_step import CALLS, ROOT, _child, _summary, append_record, \
     harness_rows
 
 ROUTINES = ["pi", "ct-ou-square", "ct-gbm-identity", "pairing",
-            "heldout-grid"]
+            "heldout-grid", "semigroup-1d", "semigroup-2d"]
 
 
 def measure(routine):
@@ -71,6 +76,7 @@ def measure(routine):
 
     calls, entries = [0], [0]
     doubling = quad.node_doubling
+    owners = [m for m in (quad, mdl) if hasattr(m, "node_doubling")]
     densities = (gaussian.AffineGaussianDensity, gaussian.LognormalDensity)
     scalars = [cls._scalars for cls in densities]
 
@@ -87,6 +93,7 @@ def measure(routine):
         return counted
 
     ou, gbm = mdl.make_ou_model(1.0, 1.0), mdl.make_gbm_model(0.1, 0.2)
+    const_2d = mdl.make_constant_model([0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]])
     # every rule size, as quad-kernel's warm-up has them, and a pi at a t
     # that no routine below uses: their first calls start cold for their
     # times only
@@ -118,15 +125,21 @@ def measure(routine):
                                  np.linspace(-3.0, 3.0, 10))
             for t in np.linspace(0.1, 1.0, 7):
                 ee.pi_rows(ou, float(t), xs.ravel(), ys.ravel())
+        elif routine == "semigroup-1d":
+            mdl.semigroup_apply(ou, 0.7, tf.square(), [0.4])
+        elif routine == "semigroup-2d":
+            mdl.semigroup_apply(const_2d, 0.7, tf.square(), [0.4, -0.3])
 
     t0 = time.perf_counter()
     run()
     first = (time.perf_counter() - t0) / points
-    quad.node_doubling = counted_doubling
+    for m in owners:
+        m.node_doubling = counted_doubling
     for cls, fn in zip(densities, scalars):
         cls._scalars = counted_scalars(fn)
     run()
-    quad.node_doubling = doubling
+    for m in owners:
+        m.node_doubling = doubling
     for cls, fn in zip(densities, scalars):
         cls._scalars = fn
     best = math.inf

@@ -371,11 +371,24 @@ def density_error_exact(model: SdeModel, n: int, t: float, x, y,
     """d^alpha_x d^beta_y (p_n - p)(t, x, y) from the two Gaussian closed
     forms, for 1-D affine models (euler_density_1d rejects any other);
     x and y broadcast against each other, and scalar x and y give a
-    float."""
+    float; t, alpha and beta are checked as pi_rows checks them."""
+    _check_kernel_args(t, alpha=alpha, beta=beta)
     pn = euler_density_1d(model, n)
     out = pn.deriv(alpha, beta, t, x, y) \
         - model.exact_density.deriv(alpha, beta, t, x, y)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _check_grid(grid, values):
+    """ValueError unless values has one entry per point of a non-empty
+    grid of finite (t, x, y) with t > 0."""
+    if len(values) != len(grid) or not len(grid):
+        raise ValueError("one kernel value per point of a non-empty grid "
+                         "required")
+    if not all(math.isfinite(t) and t > 0 and math.isfinite(x)
+               and math.isfinite(y) for t, x, y in grid):
+        raise ValueError("every grid point (t, x, y) must be finite, with "
+                         "t > 0")
 
 
 def check_tail_bound(spec: TailBoundSpec, grid, values) -> dict:
@@ -386,12 +399,11 @@ def check_tail_bound(spec: TailBoundSpec, grid, values) -> dict:
     non-finite kernel value or ratio (a NaN kernel, say, or a NaN c1) is
     no certificate, nor is a zero or infinite envelope (c1 = 0 for a
     kernel that underflows to 0, c1 = inf from an overflowing fit): the
-    first one makes the ratio inf, at that point.  An empty grid, or a
-    values list whose length is not the grid's, raises ValueError.
+    first one makes the ratio inf, at that point.  A grid that
+    _check_grid rejects (empty, of another length than values, or with a
+    point not finite or at t <= 0) raises ValueError.
     """
-    if len(values) != len(grid) or not len(grid):
-        raise ValueError("one kernel value per point of a non-empty grid "
-                         "required")
+    _check_grid(grid, values)
     worst, argmax = 0.0, None
     for (t, x, y), v in zip(grid, values):
         env = float(spec.envelope(t, x, y))
@@ -414,8 +426,8 @@ def _exp_or_inf(u: float) -> float:
 
 def fit_tail_bound(l: int, grid, values) -> TailBoundSpec:
     """Fit certificate constants to the kernel values values[i] at the
-    points grid[i] of (t, x, y); an empty grid, or lengths that disagree,
-    raise ValueError.
+    points grid[i] of (t, x, y); a grid that _check_grid rejects raises
+    ValueError, as in check_tail_bound.
 
     c2 is grid-searched over {0.05, 0.10, ..., 3}: the largest decay rate
     is kept for which the implied scale constant has not blown up (stays
@@ -424,9 +436,7 @@ def fit_tail_bound(l: int, grid, values) -> TailBoundSpec:
     grid by construction.  A scale past the float range is inf, so the
     search stops there (or c1 is inf, which check_tail_bound fails).
     """
-    if len(values) != len(grid) or not len(grid):
-        raise ValueError("one kernel value per point of a non-empty grid "
-                         "required")
+    _check_grid(grid, values)
     e = 0.5 * (1 + l)
     vals = [(t, (x - y) ** 2 / t, abs(v))
             for (t, x, y), v in zip(grid, values)]

@@ -30,7 +30,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -281,10 +281,8 @@ def gbm_euler_mean(mu: float, x: float, n: int, t: float) -> float:
 def euler_density_1d(model: SdeModel, n: int) -> AffineGaussianDensity:
     """Exact transition density of the 1-D Euler chain of an affine model;
     euler_affine_transport rejects any other model, here at once."""
-    law = lru_cache(maxsize=None)(
-        lambda t: euler_affine_transport(model, n, t))
-    law(0.0)
-    return AffineGaussianDensity(law)
+    euler_affine_transport(model, n, 0.0)
+    return AffineGaussianDensity(partial(euler_affine_transport, model, n))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from numpy.polynomial import Polynomial
 
 from .gaussian import (AffineGaussianDensity, LognormalDensity,
                        MultivariateGaussianDensity)
-from .quadrature import expect_gaussian, hermgauss_rule, node_doubling
+from .quadrature import expect_gaussian, expect_gaussian_nd
 from . import testfunctions as tf
 
 
@@ -235,40 +235,15 @@ def pair_density(dens, f: tf.TestFunction, t: float, x: float,
 def semigroup_apply(model: SdeModel, t: float, f: tf.TestFunction,
                     x) -> float:
     """P_t f(x) = E[f(X_t^x)] via quadrature against the exact density:
-    pair_density in 1-D, a tensor Gauss-Hermite rule for d <= 3, where
-    Dirac-type functionals raise UnsupportedFunctional."""
+    pair_density in 1-D, expect_gaussian_nd for d <= 3, where Dirac-type
+    functionals raise UnsupportedFunctional.  A t that is negative or not
+    finite raises ValueError; t = 0 is valid, P_0 f = f."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and non-negative, not {t!r}")
     dens = require_density(model)
     if model.dim_d == 1:
         return pair_density(dens, f, t, float(np.atleast_1d(x)[0]))
-    if model.dim_d > 3:
-        raise ValueError("density-level quadrature is capped at d <= 3")
-    return _tensor_semigroup(*dens.law(t, x), f)
-
-
-def _tensor_semigroup(mean: np.ndarray, cov: np.ndarray,
-                      f: tf.TestFunction) -> float:
-    """E f(Y) for Y ~ N(mean, cov) by tensor Gauss-Hermite rules, the
-    first two in one f call; a cov that is not positive definite raises
-    numpy's LinAlgError, a ValueError."""
-    d = mean.shape[0]
-    L = np.linalg.cholesky(cov + 1e-14 * np.eye(d))
-
-    def rule(m):
-        h, w = hermgauss_rule(m)
-        grids = np.meshgrid(*([h] * d), indexing="ij")
-        zeta = math.sqrt(2.0) * np.stack([g.ravel() for g in grids], axis=1)
-        wt = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0)
-        return mean + zeta @ L.T, wt.ravel()
-
-    def value_at(ms, rows):
-        pts, wts = zip(*map(rule, ms))
-        vals = np.split(f(np.concatenate(pts)), [len(pts[0])])
-        norm = math.pi ** (d / 2)
-        return [(float(np.dot(wt, v)) / norm,
-                 float(np.dot(wt, np.abs(v))) / norm)
-                for wt, v in zip(wts, vals)]
-
-    return float(node_doubling(value_at, 1e-10, 1e-14, 16, 128)[0][0])
+    return expect_gaussian_nd(f, *dens.law(t, x))[0]
 
 
 def finite_number(v) -> bool:

@@ -9,9 +9,9 @@ their one-row case and return floats.  Each row's weighted sum is its own
 dot product (np.vecdot, not a matrix-vector product whose rounding
 depends on the block), so a row's value does not depend on which rows
 share its block.  No doubling stops after one rule, so its first two
-rules share one integrand call, each summing a C-contiguous copy of its
-columns as a call of its own would; gauss_hermite_rows takes many
-integrands per row.
+rules share one integrand call, cut into a view per rule by one np.split
+on the node axis.  gauss_hermite_rows takes many integrands per row;
+expect_gaussian and expect_gaussian_nd share one raw-weight body.
 """
 
 from __future__ import annotations
@@ -92,10 +92,8 @@ def node_doubling(value_at, rtol: float, atol: float, start: int,
 
 
 def _columns(vals, sizes, axis=-1):
-    """vals cut along axis into C-contiguous blocks of the given sizes."""
-    lead = (slice(None),) * (vals.ndim + axis)
-    return [np.ascontiguousarray(vals[lead + (slice(end - n, end),)])
-            for n, end in zip(sizes, accumulate(sizes))]
+    """vals cut along axis into views of the given sizes."""
+    return np.split(vals, list(accumulate(sizes))[:-1], axis=axis)
 
 
 # rows x nodes that gauss_hermite_rows hands fn at once: at M nodes (all
@@ -169,6 +167,20 @@ def integrate_gaussian(fn, mean: float, std: float, push=None, dpush=None,
     return float(val[0]), float(err[0])
 
 
+def _expect_raw(fn, rule, norm: float, rtol: float, atol: float,
+                start: int, max_nodes: int):
+    """(value, err) of sum_i w_i fn(p_i) / norm by node doubling; rule(m)
+    gives the points p_i (first axis) and raw weights w_i of m nodes."""
+    def value_at(ms, rows):
+        pts, ws = zip(*map(rule, ms))
+        vals = _columns(fn(np.concatenate(pts)), [w.size for w in ws], 0)
+        return [(float(np.dot(w, v)) / norm,
+                 float(np.dot(w, np.abs(v))) / norm) for v, w in zip(vals, ws)]
+
+    val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes)
+    return float(val[0]), float(err[0])
+
+
 def expect_gaussian(fn, mean: float, std: float, push=None,
                     rtol: float = 1e-10, atol: float = 1e-14,
                     start: int = 32, max_nodes: int = 256):
@@ -181,17 +193,32 @@ def expect_gaussian(fn, mean: float, std: float, push=None,
     probe), hence every semigroup_apply truth and the CLI's truth and bias
     columns.
     """
-    def value_at(ms, rows):
-        hs, ws = zip(*map(hermgauss_rule, ms))
-        pts = mean + math.sqrt(2.0) * std * np.concatenate(hs)
-        if push is not None:
-            pts = push(pts)
-        return [(float(np.dot(w, v)) / math.sqrt(math.pi),
-                 float(np.dot(w, np.abs(v))) / math.sqrt(math.pi))
-                for v, w in zip(_columns(fn(pts), ms), ws)]
+    def rule(m):
+        h, w = hermgauss_rule(m)
+        return mean + math.sqrt(2.0) * std * h, w
 
-    val, err, _ = node_doubling(value_at, rtol, atol, start, max_nodes)
-    return float(val[0]), float(err[0])
+    return _expect_raw(fn if push is None else lambda p: fn(push(p)), rule,
+                       math.sqrt(math.pi), rtol, atol, start, max_nodes)
+
+
+def expect_gaussian_nd(fn, mean, cov):
+    """E fn(Y), Y ~ N(mean, cov) in d <= 3 dimensions, fn taking (M, d)
+    points: tensor Gauss-Hermite rules of 16 to 128 nodes a dimension, rtol
+    1e-10, atol 1e-14.  A cov that is not positive definite, or d > 3,
+    raises ValueError (numpy's LinAlgError is one)."""
+    d = mean.shape[0]
+    if d > 3:
+        raise ValueError("density-level quadrature is capped at d <= 3")
+    L = np.linalg.cholesky(cov + 1e-14 * np.eye(d))
+
+    def rule(m):
+        h, w = hermgauss_rule(m)
+        grids = np.meshgrid(*([h] * d), indexing="ij")
+        zeta = math.sqrt(2.0) * np.stack([g.ravel() for g in grids], axis=1)
+        wt = np.prod(np.meshgrid(*([w] * d), indexing="ij"), axis=0)
+        return mean + zeta @ L.T, wt.ravel()
+
+    return _expect_raw(fn, rule, math.pi ** (d / 2), 1e-10, 1e-14, 16, 128)
 
 
 @lru_cache(maxsize=256)

@@ -596,6 +596,21 @@ def test_density_error_exact_first_order():
         assert abs(n * err - pi) < 4.0 / n
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_density_error_exact_checks_its_horizon(t):
+    # at t = 0 it returned nan after divide-by-zero warnings; a negative
+    # or NaN t failed later, in the Euler step count
+    with pytest.raises(ValueError, match="finite and positive"):
+        ee.density_error_exact(ou(), 8, t, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("orders", [{"alpha": 1.5}, {"beta": -1}])
+def test_density_error_exact_checks_its_orders(orders):
+    # these raised TypeError from inside the density's derivative table
+    with pytest.raises(ValueError, match="non-negative integer"):
+        ee.density_error_exact(ou(), 8, 1.0, 1.0, 1.0, **orders)
+
+
 def test_remainder_is_second_order():
     # r_n = p_n - p - pi/n should scale like 1/n^2
     m = ou()
@@ -726,6 +741,22 @@ def test_tail_bound_rejects_values_one_short_of_the_grid():
     with pytest.raises(ValueError):
         ee.check_tail_bound(ee.TailBoundSpec(l=0, c1=1.0, c2=0.5), TAIL_GRID,
                             short)
+
+
+@pytest.mark.parametrize("point", [
+    (0.0, 0.0, 0.1), (-0.5, 0.0, 0.1), (math.nan, 0.0, 0.1),
+    (math.inf, 0.0, 0.1), (1.0, math.inf, 0.1), (1.0, 0.0, math.nan)],
+    ids=["t0", "t-neg", "t-nan", "t-inf", "x-inf", "y-nan"])
+def test_tail_bound_rejects_a_point_off_the_domain(point):
+    # at t = 0 the fit raised ZeroDivisionError and the check warned of a
+    # division by zero; at t = -0.5 the fit compared complex scales; at a
+    # NaN t or y the fit returned c1 = nan, and at an infinite x c1 = inf
+    grid = [(1.0, 0.2, 0.3), point]
+    with pytest.raises(ValueError, match="finite, with t > 0"):
+        ee.fit_tail_bound(0, grid, [0.3, 0.2])
+    with pytest.raises(ValueError, match="finite, with t > 0"):
+        ee.check_tail_bound(ee.TailBoundSpec(l=0, c1=1.0, c2=0.5), grid,
+                            [0.3, 0.2])
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,25 @@ def test_semigroup_multivariate_rejects_negative_time():
         semigroup_apply(m, -0.5, f, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("model", [
+    make_ou_model(1.0, 1.0), make_gbm_model(0.1, 0.2),
+    make_constant_model([0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]])],
+    ids=["ou", "gbm", "constant-2d"])
+def test_semigroup_rejects_a_negative_or_non_finite_time(model, t):
+    # a NaN t returned nan; t = -1 raised a math domain error in 1-D and
+    # LinAlgError in 2-D; t = inf returned 0.5 on OU and warned on GBM
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        semigroup_apply(model, t, tf.square(), [0.4] * model.dim_d)
+
+
+def test_semigroup_at_time_zero_is_f():
+    for m in (make_ou_model(1.0, 1.0), make_gbm_model(0.1, 0.2),
+              make_constant_model([0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]])):
+        got = semigroup_apply(m, 0.0, tf.square(), [0.4] * m.dim_d)
+        assert abs(got - 0.16) < 1e-12, m.name
+
+
 def test_semigroup_requires_density():
     m = make_bounded_vol_model(0.0, 0.25, 0.1)
     with pytest.raises(MissingDensity):

@@ -1,5 +1,6 @@
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from weaklab import quadrature as quad
 from weaklab.gaussian import LognormalDensity, normal_pdf
 from weaklab.quadrature import (adaptive_interval, adaptive_rows,
-                                expect_gaussian, gauss_hermite_rows,
+                                expect_gaussian, expect_gaussian_nd,
+                                gauss_hermite_rows,
                                 hermite_rule, integrate_gaussian,
                                 legendre_rule, split_time_integral,
                                 split_time_rows)
@@ -282,6 +284,111 @@ def test_adaptive_rows_match_one_rule_per_call(rows, panels):
     assert val.tobytes() == ref_val.tobytes()
     assert err.tobytes() == ref_err.tobytes()
     assert bool(calls) == bool(rows)
+
+
+def _both_ways(run):
+    """The bytes of run() as it runs, its first integrand call asking for
+    two rules, and of run() with node_doubling's value_at asked for one
+    rule a call; and the number of rules in the first call, [] when none
+    was made."""
+    doubling, firsts = quad.node_doubling, []
+
+    def combined(value_at, *args):
+        def recorded(ms, rows):
+            firsts.append(len(ms))
+            return value_at(ms, rows)
+        return doubling(recorded, *args)
+
+    def one_rule_per_call(value_at, *args):
+        return doubling(lambda ms, rows: [value_at((m,), rows)[0]
+                                          for m in ms], *args)
+
+    with mock.patch.object(quad, "node_doubling", combined):
+        got = run()
+    with mock.patch.object(quad, "node_doubling", one_rule_per_call):
+        ref = run()
+    return np.asarray(got).tobytes(), np.asarray(ref).tobytes(), firsts[:1]
+
+
+_STARTS = st.sampled_from([(8, 256), (16, 64), (32, 256), (64, 64)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 1.5),
+                               st.floats(0.0, 4.0)), max_size=6),
+       sizes=_STARTS, G=st.sampled_from([None, 1, 3]),
+       block=st.sampled_from([100, 6 * 1024]))
+def test_gauss_hermite_rows_combined_call_is_one_rule_per_call(rows, sizes,
+                                                               G, block):
+    # integrand g of row r: cos((g + 1) p y) or |y - p| times the N(0, 1)
+    # density, so that the elements stop at different rules
+    mean, std, p = (np.array(c) for c in zip(*rows)) if rows else \
+        (np.empty(0),) * 3
+    shape = () if G is None else (G,)
+
+    def fn(y, r):
+        out = [[np.cos((g + 1) * p[k] * y[i]) if (g + k) % 2 == 0
+                else np.abs(y[i] - p[k]) for i, k in enumerate(r)]
+               for g in range(G or 1)]
+        out = np.array(out).reshape((G or 1, len(r), y.shape[1]))
+        return (out * normal_pdf(y, 0.0, 1.0)).reshape(shape + y.shape)
+
+    def run():
+        with mock.patch.object(quad, "BLOCK_ELEMENTS", block):
+            return gauss_hermite_rows(fn, mean, std, start=sizes[0],
+                                      max_nodes=sizes[1], shape=shape)
+
+    got, ref, firsts = _both_ways(run)
+    assert got == ref
+    assert firsts == ([2 if sizes[0] < sizes[1] else 1] if rows else [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(st.tuples(st.booleans(), st.floats(1e-3, 40.0)),
+                     max_size=5),
+       panels=st.sampled_from([(1, 128), (2, 128), (4, 32), (8, 8)]))
+def test_adaptive_rows_combined_call_is_one_rule_per_call(rows, panels):
+    def fn(s, r):
+        return np.stack([np.sin(p * s) if wave else 1.0 / np.sqrt(s + p)
+                         for wave, p in (rows[i] for i in r)]
+                        ).reshape(len(r), s.size)
+
+    got, ref, firsts = _both_ways(lambda: adaptive_rows(
+        fn, 0.0, 1.0, 1e-10, *panels, size=len(rows)))
+    assert got == ref
+    assert firsts == ([2 if panels[0] < panels[1] else 1] if rows else [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(mean=st.floats(-1.0, 1.0), std=st.floats(0.05, 1.5),
+       p=st.floats(0.0, 3.0), q=st.floats(-1.0, 1.0),
+       push=st.sampled_from([None, np.exp]), sizes=_STARTS)
+def test_expect_gaussian_combined_call_is_one_rule_per_call(mean, std, p, q,
+                                                            push, sizes):
+    def fn(y):
+        return np.cos(p * y) + np.abs(y - q)
+
+    got, ref, firsts = _both_ways(lambda: expect_gaussian(
+        fn, mean, std, push=push, start=sizes[0], max_nodes=sizes[1]))
+    assert got == ref
+    assert firsts == [2 if sizes[0] < sizes[1] else 1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(mean=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       s=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
+       p=st.floats(0.0, 3.0), q=st.floats(-1.0, 1.0))
+def test_expect_gaussian_nd_combined_call_is_one_rule_per_call(mean, s, p,
+                                                               q):
+    S = np.array([[s[0], 0.0], [s[1], s[2]]])
+
+    def fn(v):
+        return np.cos(p * v[:, 0]) * v[:, 1] ** 2 + np.abs(v[:, 0] - q)
+
+    got, ref, firsts = _both_ways(lambda: expect_gaussian_nd(
+        fn, np.array(mean), S @ S.T))
+    assert got == ref
+    assert firsts == [2]
 
 
 def test_gauss_hermite_rows_integrands_stop_on_their_own():
