@@ -4,7 +4,7 @@
         [--reps 8] [--pairs 10] [--seconds 30] [--workloads mc-ladder]
 
 OLD and NEW are roots of two source checkouts (each with src/ and
-perfbench/).  Three kinds of rows, each run alternately on the two trees
+perfbench/).  Four kinds of rows, each run alternately on the two trees
 (the side that goes first swaps every repetition), on one machine:
 
 * path-steps/s of one simulate_ladder call over one CHUNK of paths,
@@ -20,11 +20,14 @@ perfbench/).  Three kinds of rows, each run alternately on the two trees
   OU(1, 1), the square, rungs 8, 16, 32, N = 16384: levels up to 256) and
   greeks' reference (price_romberg, OU(1.75, 0.5), the identity payoff at
   spot e^2, n = 128, N = 16384).
+* samples/s of the reduction's merge alone: mc_reduce_multi over 4 CHUNKs
+  of one precomputed (CHUNK, k) block of normals, k = 1 and 5 columns,
+  with no simulation.
 * perfbench pairs: `perfbench/run.py --workload W --seconds S --seed s`,
   untraced, in each tree, with seeds 1701, 1702, ...; every end-to-end
   metric of the run's last JSON line.
 
-For the first two, each repetition is a fresh interpreter that runs every
+For the first three, each repetition is a fresh interpreter that runs every
 case once to warm up, then CALLS times timed, and reports the fastest
 call of each case; one timed call per interpreter is too noisy to read.
 """
@@ -44,7 +47,11 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEVELS = [8, 16, 32, 64, 128]
 CASES = ["tanh-vol k=1", "tanh-vol k=3", "gbm", "constant-1d",
-         "constant-2d k=2", "cli bias-limit MC", "cli greeks reference"]
+         "constant-2d k=2", "cli bias-limit MC", "cli greeks reference",
+         "reduce-merge k=1", "reduce-merge k=5"]
+# the unit of each case's rate: a merge row counts samples, not path-steps
+UNITS = {name: "samples/s" if name.startswith("reduce-merge")
+         else "path-steps/s" for name in CASES}
 CLI_N = 16384
 # timed calls per interpreter after the warm-up; rows keep the min (the
 # fastest of 3 still spread by 10-15%)
@@ -54,11 +61,13 @@ LOWER_IS_BETTER = {"setup_s", "wall_s", "peak_rss_mb", "task_p50_s",
 
 
 def measure():
-    """Path-steps/s of the fastest of CALLS timed calls per case in this
-    interpreter, as JSON."""
+    """The rate, in UNITS, of the fastest of CALLS timed calls per case in
+    this interpreter, as JSON."""
+    import numpy as np
+
     from weaklab import models as mdl
     from weaklab import testfunctions as tf
-    from weaklab.euler import CHUNK, simulate_ladder
+    from weaklab.euler import CHUNK, mc_reduce_multi, simulate_ladder
     from weaklab.montecarlo import bias_times_n_limit
     from weaklab.pricing import OptionSpec, make_payoff, price_romberg
     from weaklab.rng import RngStream
@@ -80,6 +89,15 @@ def measure():
                       RngStream(17, 5))
         return CLI_N * 2 * 128
 
+    def merge(k):
+        block = np.random.default_rng(17).standard_normal((CHUNK, k))
+
+        def run():
+            mc_reduce_multi(lambda stream, size: block, 4 * CHUNK,
+                            RngStream(17, 6))
+            return 4 * CHUNK
+        return run
+
     tanh = mdl.make_bounded_vol_model(0.05, 0.6, 0.5)
     spots = [[math.log(v)] for v in (0.99, 1.0, 1.01)]
     cases = {"tanh-vol k=1": ladder(tanh, [[0.0]]),
@@ -91,7 +109,8 @@ def measure():
                  [0.1, -0.2], [[0.3, 0.1], [0.0, 0.4]]),
                  [[0.0, 0.0], [0.1, -0.1]]),
              "cli bias-limit MC": bias_limit,
-             "cli greeks reference": greeks_reference}
+             "cli greeks reference": greeks_reference,
+             "reduce-merge k=1": merge(1), "reduce-merge k=5": merge(5)}
     rate = dict.fromkeys(CASES, 0.0)
     for rep in range(1 + CALLS):  # rep 0 warms up
         for name in CASES:
@@ -150,7 +169,7 @@ def micro_rows(trees, reps):
         before = [r[name] for r in runs["before"]]
         after = [r[name] for r in runs["after"]]
         rows[name] = dict(_summary(before, after, lower_is_better=False),
-                          unit="path-steps/s", before=before, after=after)
+                          unit=UNITS[name], before=before, after=after)
     return rows
 
 

@@ -81,7 +81,8 @@ _VALUES = {
     "slope_range": ("a list of two numbers [lo, hi]",
                     lambda v: isinstance(v, list) and len(v) == 2
                     and all(map(finite_number, v))),
-    "n_ladder": ("a non-empty list of positive integers", _list_of(_count)),
+    "n_ladder": ("a non-empty list of distinct positive integers",
+                 lambda v: _list_of(_count)(v) and len(set(v)) == len(v)),
     "t_grid": ("a non-empty list of positive numbers", _list_of(_positive)),
     **dict.fromkeys(("x_grid", "y_grid"),
                     ("a non-empty list of finite numbers",

@@ -8,8 +8,9 @@ drift_diffusion writes its drift and diffusion into arrays the loop reuses
 sigma dB, in those arrays and adds b dt and the row sums of sigma dB in
 place; every start point shares the increment, which is never copied.
 
-Monte-Carlo reductions are chunked over fixed-size substreams and merged
-in stream order with compensated summation, so results are bit-identical
+Monte-Carlo reductions are chunked over fixed-size substreams, whose column
+counts must agree, and merged in stream order, every column in one array
+step, with compensated summation, so results are bit-identical
 regardless of the worker count.  The worker count is the number of CPUs
 the process may use (WEAKLAB_WORKERS overrides it).  Chunks run one after
 another on the calling thread, and every simulation runs its paths as
@@ -29,7 +30,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -285,38 +285,6 @@ def euler_density_1d(model: SdeModel, n: int) -> AffineGaussianDensity:
     return AffineGaussianDensity(partial(euler_affine_transport, model, n))
 
 
-@dataclass
-class MeanAccumulator:
-    """Deterministic streaming mean/variance over ordered chunks.  Each
-    chunk's sum of squares about its own mean is merged in chunk order
-    (Chan, Golub and LeVeque), so the variance keeps its accuracy at large
-    means; the mean is the fsum of the chunk sums over the count."""
-
-    total: int = 0
-    parts_sum: list = None
-    mean: float = 0.0   # running mean, used only by the merge
-    m2: float = 0.0     # centred sum of squares of the chunks so far
-
-    def __post_init__(self):
-        self.parts_sum = []
-
-    def add(self, values: np.ndarray):
-        n, s = values.size, float(np.sum(values))
-        dev = values - s / n
-        delta = s / n - self.mean
-        total = self.total + n
-        self.m2 += float(np.sum(dev * dev)) \
-            + delta * delta * self.total * n / total
-        self.mean += delta * n / total
-        self.total = total
-        self.parts_sum.append(s)
-
-    def result(self) -> tuple[float, float]:
-        mean = math.fsum(self.parts_sum) / self.total
-        var = self.m2 / self.total
-        return mean, math.sqrt(var / self.total)
-
-
 def worker_count() -> int:
     """WEAKLAB_WORKERS if set, else the number of CPUs this process may use;
     ValueError if WEAKLAB_WORKERS is set but not a positive integer."""
@@ -334,24 +302,35 @@ def worker_count() -> int:
 def _reduce(chunk_fn, N: int, rng: RngStream):
     """Columnwise (means, standard errors) of chunk_fn(stream, size), one
     value or row per sample, over N samples.  Chunks run one after another
-    on the calling thread, in substream order, and one MeanAccumulator per
-    column of the first chunk merges them; chunk boundaries are fixed by
-    CHUNK, so the result is independent of the worker count.  Every
-    simulation in a chunk splits its own paths over the workers, and
-    memory is one chunk's working set."""
+    on the calling thread, in substream order, with bounds fixed by CHUNK,
+    so the result is independent of the worker count.  Each chunk joins
+    every column at once (Chan, Golub and LeVeque: its sum of squares about
+    its own mean, so the variance stays accurate at large means); a mean is
+    the fsum of its chunk sums over the count.  A chunk whose column count
+    is not the first chunk's raises ValueError."""
     if N < 1:
         raise ValueError("N >= 1 samples required")
     sizes = [CHUNK] * (N // CHUNK) + ([N % CHUNK] if N % CHUNK else [])
-    accs = []
+    count, sums = 0, []  # samples merged so far; each chunk's column sums
     for i, size in enumerate(sizes):
         vals = chunk_fn(rng.substream(i), size)
         cols = np.reshape(vals, (len(vals), -1))
-        if not accs:
-            accs.extend(MeanAccumulator() for _ in range(cols.shape[1]))
-        for j, acc in enumerate(accs):
-            acc.add(cols[:, j])
-    out = [acc.result() for acc in accs]
-    return np.array([m for m, _ in out]), np.array([s for _, s in out])
+        n, k = cols.shape
+        if not sums:  # running mean and centred sum of squares
+            mean, m2 = np.zeros(k), np.zeros(k)
+        elif k != mean.size:
+            raise ValueError(f"chunk {i} has {k} columns, not {mean.size}")
+        # numpy's 1-D sums over each column's view of the chunk, no copy
+        s = np.array([np.sum(c) for c in cols.T], dtype=float)
+        ss = np.array([np.sum(np.square(c - m)) for c, m
+                       in zip(cols.T, (s / n).tolist())], dtype=float)
+        delta = s / n - mean
+        m2 += ss + delta * delta * count * n / (count + n)
+        mean += delta * n / (count + n)
+        count += n
+        sums.append(s)
+    means = np.array([math.fsum(c) for c in zip(*sums)]) / count
+    return means, np.sqrt(m2 / count / count)
 
 
 def mc_reduce(chunk_fn, N: int, rng: RngStream) -> tuple[float, float]:

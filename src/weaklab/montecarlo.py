@@ -94,7 +94,8 @@ def fit_rate(measurements, noise_gate: float = 3.0) -> RateFit:
     """Weighted least squares of log|error| on log n.
 
     Points with |error| <= noise_gate * ci are excluded (their log-error
-    is meaningless); at least 4 usable points are required.
+    is meaningless); the usable points must span at least 4 distinct n,
+    as a slope fitted over fewer resolutions measures no rate.
     """
     usable, excluded = [], []
     for n, err, ci in measurements:
@@ -102,10 +103,12 @@ def fit_rate(measurements, noise_gate: float = 3.0) -> RateFit:
             usable.append((n, err, ci))
         else:
             excluded.append((n, err, ci))
-    if len(usable) < 4:
+    resolutions = len({n for n, _, _ in usable})
+    if resolutions < 4:
         raise InsufficientSignal(
-            f"only {len(usable)} of {len(measurements)} points exceed the "
-            f"{noise_gate}x CI noise gate; raise N or widen the n range",
+            f"{len(usable)} of {len(measurements)} points, at {resolutions}"
+            f" distinct n, exceed the {noise_gate}x CI noise gate; a fit "
+            "needs 4 distinct n: raise N or widen the n range",
             cleared=len(usable))
     ln = np.log([n for n, _, _ in usable])
     le = np.log([abs(e) for _, e, _ in usable])
@@ -189,6 +192,7 @@ def richardson_limit(rungs):
     """Richardson limit of n bias over coupled rungs [(n, bias, std_error)],
     eliminating the 1/n term (or none, from one rung), with a 3-sigma
     halfwidth propagated through the Richardson weights."""
+    rungs = sorted(rungs)  # the weights pair with the rungs in n order
     order = min(2, len(rungs))
     value = richardson_table([(n, n * b) for n, b, _ in rungs], order)
     w = richardson_weights(len(rungs), order)

@@ -39,14 +39,21 @@ def hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 
     With these, integral of fn over R is sum_i W_i * fn(mean + sqrt(2) * std * h_i)
     * sqrt(2) * std for integrands with Gaussian decay at (mean, std).
+    Read-only, as every caller shares them.
     """
     h, w = hermgauss_rule(m)
-    return h, w * np.exp(h * h)
+    total = w * np.exp(h * h)
+    total.flags.writeable = False
+    return h, total
 
 
 @lru_cache(maxsize=None)
 def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(m)
+    """Gauss-Legendre nodes and weights on (-1, 1), as numpy's leggauss
+    returns them; read-only, as every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # rounding floor of the stop test: two rules whose values differ by less

@@ -90,8 +90,10 @@ def test_bad_model_parameters_exit_3(tmp_path, capsys, command, model):
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-@pytest.mark.parametrize("n_ladder", [[], [8, 0], [8, 16.5], [8, "16"], 8],
-                         ids=["empty", "zero", "float", "string", "scalar"])
+@pytest.mark.parametrize("n_ladder",
+                         [[], [8, 0], [8, 16.5], [8, "16"], 8, [8, 8, 8, 8]],
+                         ids=["empty", "zero", "float", "string", "scalar",
+                              "repeated"])
 def test_bad_n_ladder_exits_3(tmp_path, capsys, command, n_ladder):
     cfg = weak_rate_cfg(tmp_path, n_ladder=n_ladder)
     assert cli.main([command, write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG

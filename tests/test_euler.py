@@ -216,26 +216,72 @@ def test_mc_reduce_worker_count_invariance():
     assert run("1") == run("4")
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e8])
+@pytest.mark.parametrize("offset", [
+    0.0, 1e8, pytest.param((0.0, 1e8, -1e8), id="three-columns")])
 def test_mc_reduce_standard_error_at_large_means(offset):
     # E[x^2] - mean^2 cancels at a large mean: unit-sd samples at 1e8 read
-    # an sd of 0 or 1.41 depending on the draws
+    # an sd of 0 or 1.41 depending on the draws.  A tuple is one column
+    # per offset, each the same normals, merged in one call.
     N, rng = 3 * CHUNK + 17, RngStream(3, 1)
 
     def chunk(stream, size):
-        return offset + normals_from(stream.generator(), (size,))
+        return np.add.outer(normals_from(stream.generator(), (size,)),
+                            offset)
 
-    mean, se = mc_reduce(chunk, N, rng)
+    reduce = mc_reduce_multi if np.ndim(offset) else mc_reduce
+    means, ses = reduce(chunk, N, rng)
     z = np.concatenate([normals_from(rng.substream(i).generator(), (size,))
                         for i, size in enumerate([CHUNK] * 3 + [17])])
-    assert se * math.sqrt(N) == pytest.approx(z.std(), rel=1e-9)
-    assert mean - offset == pytest.approx(z.mean(), abs=1e-7)
+    for mean, se, off in zip(*map(np.atleast_1d, (means, ses, offset))):
+        assert se * math.sqrt(N) == pytest.approx(z.std(), rel=1e-9)
+        assert mean - off == pytest.approx(z.mean(), abs=1e-7)
 
 
 @pytest.mark.parametrize("reduce", [mc_reduce, mc_reduce_multi])
 def test_reduce_rejects_zero_samples(reduce):
     with pytest.raises(ValueError):
         reduce(lambda stream, size: np.zeros((size, 2)), 0, RngStream(1, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 5), N=st.integers(1, 300),
+       offsets=st.lists(st.sampled_from([0.0, 1e8, -3.5]), min_size=5,
+                        max_size=5))
+def test_reduce_merges_each_column_as_a_one_column_loop(k, N, offsets):
+    # the reference: one column's chunk-order Chan-Golub-LeVeque merge in
+    # Python floats; every column of the array merge equals it bit for bit
+    rng = RngStream(2, 7)
+
+    def chunk(stream, size):
+        return normals_from(stream.generator(), (size, k)) + offsets[:k]
+
+    with mock.patch.object(euler, "CHUNK", 64):
+        means, ses = mc_reduce_multi(chunk, N, rng)
+    blocks = [chunk(rng.substream(i), size) for i, size
+              in enumerate([64] * (N // 64) + ([N % 64] if N % 64 else []))]
+    for j in range(k):
+        count, mean, m2, sums = 0, 0.0, 0.0, []
+        for c in (b[:, j] for b in blocks):
+            n, s = c.size, float(np.sum(c))
+            dev, delta = c - s / n, s / n - mean
+            m2 += float(np.sum(dev * dev)) \
+                + delta * delta * count * n / (count + n)
+            mean += delta * n / (count + n)
+            count += n
+            sums.append(s)
+        assert means[j] == math.fsum(sums) / count
+        assert ses[j] == math.sqrt(m2 / count / count)
+
+
+@pytest.mark.parametrize("first, later", [(1, 3), (3, 1)],
+                         ids=["more", "fewer"])
+def test_reduce_rejects_a_chunk_of_another_column_count(first, later):
+    # a later chunk's extra columns used to be dropped without a word
+    def chunk(stream, size):
+        return np.zeros((size, first if size == CHUNK else later))
+
+    with pytest.raises(ValueError, match="chunk 1 has"):
+        mc_reduce_multi(chunk, CHUNK + 1, RngStream(1, 1))
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -56,6 +56,15 @@ def test_richardson_table_eliminates_orders():
         mc.richardson_table(vals, 4)
 
 
+def test_richardson_limit_does_not_depend_on_rung_order():
+    # the weights (-1, 2) pair with the rungs in n order: given in reverse,
+    # the CI used to weight rung 8's error by -1 and rung 4's by 2
+    rungs = [(4, 0.10, 0.01), (8, 0.05, 0.02)]
+    value, ci = mc.richardson_limit(rungs)
+    assert mc.richardson_limit(rungs[::-1]) == (value, ci)
+    assert ci == pytest.approx(3.0 * math.hypot(-1 * 4 * 0.01, 2 * 8 * 0.02))
+
+
 def test_richardson_weights_reproduce_table():
     vals = [2.0, 1.3, 1.05]
     w = mc.richardson_weights(3, 2)
@@ -84,6 +93,15 @@ def test_fit_rate_noise_gate_and_insufficient_signal():
     fit = mc.fit_rate(mixed)
     assert len(fit.excluded) == 1
     assert abs(fit.slope + 1.0) < 1e-3
+
+
+def test_fit_rate_needs_four_distinct_resolutions():
+    # every point clears the gate, but one repeated n is no ladder: polyfit
+    # fitted four equal abscissae and returned a slope a gate could pass
+    for ns in ([8, 8, 8, 8], [8, 16, 16, 32]):
+        with pytest.raises(mc.InsufficientSignal, match="distinct n") as exc:
+            mc.fit_rate([(n, 2.5 / n, 1e-6) for n in ns])
+        assert exc.value.cleared == 4
 
 
 def test_fit_rate_tiny_ci_does_not_overflow_weights():

@@ -451,3 +451,16 @@ def test_time_rule_nodes_are_built_once_and_read_only():
     seen = []
     adaptive_interval(lambda s: seen.append(s) or np.sin(s), 0.0, 0.7)
     assert seen[0] is nodes
+
+
+def test_shared_rules_are_read_only():
+    # cache entries every caller shares: a write to one would corrupt
+    # every later quadrature in the process
+    h, w = np.polynomial.hermite.hermgauss(8)
+    want = {quad.hermgauss_rule: (h, w), hermite_rule: (h, w * np.exp(h * h)),
+            legendre_rule: np.polynomial.legendre.leggauss(8)}
+    for rule, arrays in want.items():
+        for got, exact in zip(rule(8), arrays):
+            assert got.tobytes() == exact.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 1.0
